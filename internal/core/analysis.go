@@ -145,11 +145,10 @@ func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, 
 	}
 	horizon := hyper * horizonFactor
 
+	lay := newETLayout(app, arch, cfg, horizon, aopts)
+	state := newETState(app)
 	release := make(map[model.ProcID]model.Time)
-	var (
-		sched *tsched.Schedule
-		state *etState
-	)
+	var sched *tsched.Schedule
 	iterations := 0
 	converged := false
 	for iterations < maxMCSIterations {
@@ -161,17 +160,17 @@ func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, 
 			PinnedEdge:    cfg.PinnedEdge,
 		}
 		if aopts.Memo != nil {
-			sched, err = aopts.Memo.buildSchedule(in)
+			sched, err = aopts.Memo.buildSchedule(in, &lay.keys)
 		} else {
 			sched, err = tsched.Build(in)
 		}
 		if err != nil {
 			return nil, err
 		}
-		state = analyzeET(app, arch, cfg, sched, horizon, aopts)
+		lay.analyzeET(state, sched)
 		changed := false
 		for _, e := range app.Edges {
-			if state.edge[e.ID].Route != model.RouteETtoTT {
+			if lay.route[e.ID] != model.RouteETtoTT {
 				continue
 			}
 			dst := e.Dst
@@ -192,12 +191,12 @@ func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, 
 
 	a := &Analysis{
 		Schedule:   sched,
-		Proc:       state.proc,
-		Edge:       state.edge,
+		Proc:       state.procMap(),
+		Edge:       state.edgeMap(),
 		Iterations: iterations,
 		Converged:  converged && state.converged,
 	}
-	a.finishMetrics(app, arch, cfg, state)
+	a.finishMetrics(lay, state)
 	return a, nil
 }
 
@@ -206,17 +205,18 @@ func errRoundNotNormalized(period, hyper model.Time) error {
 }
 
 // finishMetrics computes graph responses, delta and buffer bounds.
-func (a *Analysis) finishMetrics(app *model.Application, arch *model.Architecture, cfg *Config, state *etState) {
+func (a *Analysis) finishMetrics(lay *etLayout, st *etState) {
+	app := lay.app
 	a.GraphResp = make([]model.Time, len(app.Graphs))
 	var f1, f2 model.Time
 	allConverged := a.Converged
 	for g := range app.Graphs {
 		var resp model.Time
 		for _, p := range app.Graphs[g].Procs {
-			pr, ok := a.Proc[p]
-			if !ok {
+			if !st.known[p] {
 				continue
 			}
+			pr := &st.proc[p]
 			if !pr.Converged {
 				allConverged = false
 			}
@@ -241,36 +241,222 @@ func (a *Analysis) finishMetrics(app *model.Application, arch *model.Architectur
 	}
 	a.Schedulable = f1 == 0 && a.Schedule.WithinCycle && allConverged
 	a.Converged = allConverged
-	a.Buffers = computeBuffers(app, arch, cfg, state)
+	a.Buffers = computeBuffers(lay, st)
 }
 
-// etState is the mutable state of the holistic ET-side analysis.
-type etState struct {
-	proc        map[model.ProcID]ProcResult
-	edge        map[model.EdgeID]EdgeResult
-	converged   bool
+// etLayout is the static structure of the holistic ET analysis, built
+// once per AnalyzeWith call and shared by every MCS iteration and every
+// holistic pass: edge routes and CAN frame times, the topological
+// order, the RTA task set and the OutTTP queue vector. Everything in the
+// task set and the queue vector except the activation offsets O and
+// jitters J depends only on the application, the architecture and the
+// configuration, so a pass only rewrites O and J in place.
+type etLayout struct {
+	app         *model.Application
+	arch        *model.Architecture
+	cfg         *Config
+	horizon     model.Time
+	rT, poll    model.Time
 	offsetBlind bool
 	memo        *Memo
+
+	route   []model.Route // by EdgeID
+	canTime []model.Time  // by EdgeID, set for the routes using CAN
+	// order is the topological order of all processes; orderErr is set
+	// when the graphs are cyclic (validated applications never are).
+	order    []model.ProcID
+	orderErr error
+
+	// tasks is the RTA task set, contiguous per resource: the ET CPUs in
+	// the order of their first process, then the CAN bus. ids[i] is the
+	// ProcID of tasks[i] below procTasks and its EdgeID from there on.
+	// spans delimit the resources for the per-resource memo lookups;
+	// res assembles their results. The analysis reads only the previous
+	// pass's responses, so results never depend on the task order and
+	// the nil-memo path can run the same grouped slice monolithically.
+	tasks     []rta.Task
+	ids       []int
+	procTasks int
+	spans     []resourceSpan
+	res       []rta.Result
+
+	// queue is the OutTTP vector (the ET->TT messages in edge order),
+	// queueIDs its edges.
+	queue       []gateway.QueueMsg
+	queueIDs    []model.EdgeID
+	queueParams gateway.TTPQueueParams
+
+	// keys is the scratch buffer the memo encodes stage keys into.
+	keys keyScratch
 }
 
-// analyzeET runs the holistic inner loop: offsets are fixed by the
-// static schedule and the graph structure; jitters propagate along the
-// graphs and grow monotonically until the response times stabilize.
-func analyzeET(app *model.Application, arch *model.Architecture, cfg *Config, sched *tsched.Schedule, horizon model.Time, aopts AnalyzeOptions) *etState {
-	st := &etState{
-		proc:        make(map[model.ProcID]ProcResult, len(app.Procs)),
-		edge:        make(map[model.EdgeID]EdgeResult, len(app.Edges)),
-		converged:   true,
+// resourceSpan is one resource's contiguous run tasks[lo:hi].
+type resourceSpan struct {
+	resource, lo, hi int
+}
+
+func newETLayout(app *model.Application, arch *model.Architecture, cfg *Config, horizon model.Time, aopts AnalyzeOptions) *etLayout {
+	l := &etLayout{
+		app: app, arch: arch, cfg: cfg,
+		horizon:     horizon,
+		rT:          arch.GatewayCost,
+		poll:        arch.GatewayPoll,
 		offsetBlind: aopts.OffsetBlind,
 		memo:        aopts.Memo,
+		route:       make([]model.Route, len(app.Edges)),
+		canTime:     make([]model.Time, len(app.Edges)),
 	}
-	rT := arch.GatewayCost
-	poll := arch.GatewayPoll
-	canBus := len(arch.Nodes) // resource id for the CAN bus
+	l.order, l.orderErr = app.TopoOrderAll()
+	canLegs := 0
+	for _, e := range app.Edges {
+		r := app.RouteOf(e.ID, arch)
+		l.route[e.ID] = r
+		if r.UsesCAN() {
+			l.canTime[e.ID] = can.TimeOf(&app.Edges[e.ID], arch.CAN)
+			canLegs++
+		}
+	}
+
+	// ET processes, grouped per CPU.
+	perCPU := make([][]model.ProcID, len(arch.Nodes))
+	var cpus []model.NodeID
+	etProcs := 0
+	for _, p := range app.Procs {
+		if arch.Kind(p.Node) != model.EventTriggered {
+			continue
+		}
+		if len(perCPU[p.Node]) == 0 {
+			cpus = append(cpus, p.Node)
+		}
+		perCPU[p.Node] = append(perCPU[p.Node], p.ID)
+		etProcs++
+	}
+	l.tasks = make([]rta.Task, 0, etProcs+canLegs)
+	l.ids = make([]int, 0, etProcs+canLegs)
+	for _, n := range cpus {
+		lo := len(l.tasks)
+		for _, pid := range perCPU[n] {
+			p := &app.Procs[pid]
+			l.tasks = append(l.tasks, rta.Task{
+				Name: p.Name, Resource: int(p.Node), Priority: cfg.ProcPriority[pid],
+				C: p.WCET, T: app.PeriodOf(pid), Trans: l.trans(p.Graph),
+			})
+			l.ids = append(l.ids, int(pid))
+		}
+		l.spans = append(l.spans, resourceSpan{resource: int(n), lo: lo, hi: len(l.tasks)})
+	}
+	l.procTasks = len(l.tasks)
+
+	// CAN legs on the bus (resource id len(arch.Nodes)).
+	canBus := len(arch.Nodes)
+	for _, e := range app.Edges {
+		if !l.route[e.ID].UsesCAN() {
+			continue
+		}
+		l.tasks = append(l.tasks, rta.Task{
+			Name: e.Name, Resource: canBus, Priority: cfg.MsgPriority[e.ID],
+			C: l.canTime[e.ID], T: app.EdgePeriod(e.ID),
+			Trans: l.trans(e.Graph), NonPreemptive: true,
+		})
+		l.ids = append(l.ids, int(e.ID))
+	}
+	if len(l.tasks) > l.procTasks {
+		l.spans = append(l.spans, resourceSpan{resource: canBus, lo: l.procTasks, hi: len(l.tasks)})
+	}
+	// Non-preemptive blocking on the CAN bus: B = max lower-priority C.
+	for i := range l.tasks {
+		if l.tasks[i].NonPreemptive {
+			l.tasks[i].B = rta.MaxLowerC(l.tasks, i)
+		}
+	}
+	if l.memo != nil {
+		l.res = make([]rta.Result, len(l.tasks))
+	}
+
+	for _, e := range app.Edges {
+		if l.route[e.ID] != model.RouteETtoTT {
+			continue
+		}
+		l.queue = append(l.queue, gateway.QueueMsg{
+			Name: e.Name, Size: e.Size, T: app.EdgePeriod(e.ID),
+			Priority: cfg.MsgPriority[e.ID], Trans: l.trans(e.Graph),
+		})
+		l.queueIDs = append(l.queueIDs, e.ID)
+	}
+	l.queueParams = gateway.TTPQueueParams{
+		Round: cfg.Round, GatewaySlot: cfg.Round.SlotIndexOf(arch.Gateway),
+		TickPerByte: arch.TTP.TickPerByte, Horizon: horizon,
+	}
+	return l
+}
+
+// trans maps a graph index to the transaction id used by the analysis:
+// -1 (pairwise unrelated) in offset-blind mode.
+func (l *etLayout) trans(graph int) int {
+	if l.offsetBlind {
+		return -1
+	}
+	return graph
+}
+
+// etState is the mutable state of the holistic ET-side analysis, dense
+// by ProcID and EdgeID. known marks the processes that have a result:
+// the TT processes the static table places and, once the graphs are
+// traversed, every ET process.
+type etState struct {
+	proc      []ProcResult
+	known     []bool
+	edge      []EdgeResult
+	converged bool
+}
+
+func newETState(app *model.Application) *etState {
+	return &etState{
+		proc:  make([]ProcResult, len(app.Procs)),
+		known: make([]bool, len(app.Procs)),
+		edge:  make([]EdgeResult, len(app.Edges)),
+	}
+}
+
+// procMap materializes the public per-process results.
+func (st *etState) procMap() map[model.ProcID]ProcResult {
+	n := 0
+	for _, k := range st.known {
+		if k {
+			n++
+		}
+	}
+	m := make(map[model.ProcID]ProcResult, n)
+	for p, k := range st.known {
+		if k {
+			m[model.ProcID(p)] = st.proc[p]
+		}
+	}
+	return m
+}
+
+// edgeMap materializes the public per-edge results.
+func (st *etState) edgeMap() map[model.EdgeID]EdgeResult {
+	m := make(map[model.EdgeID]EdgeResult, len(st.edge))
+	for e := range st.edge {
+		m[model.EdgeID(e)] = st.edge[e]
+	}
+	return m
+}
+
+// analyzeET runs the holistic inner loop for one static schedule:
+// offsets are fixed by the static schedule and the graph structure;
+// jitters propagate along the graphs and grow monotonically until the
+// response times stabilize. It starts from a cleared st.
+func (l *etLayout) analyzeET(st *etState, sched *tsched.Schedule) {
+	app := l.app
+	clear(st.proc)
+	clear(st.known)
+	st.converged = true
 
 	// Static facts: TT process results and TTP-leg arrivals.
 	for _, p := range app.Procs {
-		if arch.Kind(p.Node) != model.TimeTriggered {
+		if l.arch.Kind(p.Node) != model.TimeTriggered {
 			continue
 		}
 		off, spread, ok := sched.OffsetOf(app, p.ID)
@@ -278,9 +464,10 @@ func analyzeET(app *model.Application, arch *model.Architecture, cfg *Config, sc
 			continue
 		}
 		st.proc[p.ID] = ProcResult{O: off, J: spread, W: 0, R: spread + p.WCET, Converged: true}
+		st.known[p.ID] = true
 	}
 	for _, e := range app.Edges {
-		route := app.RouteOf(e.ID, arch)
+		route := l.route[e.ID]
 		er := EdgeResult{Route: route, Converged: true}
 		if route.UsesTTP() {
 			if worst, ok := sched.WorstArrivalOffset(app, e.ID); ok {
@@ -293,43 +480,42 @@ func analyzeET(app *model.Application, arch *model.Architecture, cfg *Config, sc
 		st.edge[e.ID] = er
 	}
 
-	order, err := app.TopoOrderAll()
-	if err != nil {
+	if l.orderErr != nil {
 		// Validated applications cannot get here.
 		st.converged = false
-		return st
+		return
 	}
 
 	// Holistic loop: traverse graphs to refresh O/J from current
 	// responses, then run the per-resource fixed points.
 	for it := 0; it < maxHolisticIterations; it++ {
-		st.traverse(app, arch, cfg, sched, order, rT, poll)
-		changed := st.runRTA(app, arch, cfg, canBus, horizon)
-		changed = st.runQueue(app, arch, cfg, rT, horizon) || changed
+		l.traverse(st, sched)
+		changed := l.runRTA(st)
+		changed = l.runQueue(st) || changed
 		if !changed {
-			return st
+			return
 		}
 	}
 	st.converged = false
-	return st
 }
 
 // traverse recomputes activation offsets and jitters along every graph,
 // using the current leg responses.
-func (st *etState) traverse(app *model.Application, arch *model.Architecture, cfg *Config, sched *tsched.Schedule, order []model.ProcID, rT, poll model.Time) {
-	for _, pid := range order {
+func (l *etLayout) traverse(st *etState, sched *tsched.Schedule) {
+	app := l.app
+	for _, pid := range l.order {
 		p := &app.Procs[pid]
 		// Refresh the legs of the incoming edges first, then the
 		// process itself.
-		if arch.Kind(p.Node) == model.EventTriggered {
+		if l.arch.Kind(p.Node) == model.EventTriggered {
 			var o, worst model.Time
 			first := true
 			for _, e := range app.InEdges(pid) {
-				er := st.edge[e]
+				er := &st.edge[e]
 				var co, cd model.Time // contribution offset, worst delivery
 				switch er.Route {
 				case model.RouteLocal:
-					src := st.proc[app.Edges[e].Src]
+					src := &st.proc[app.Edges[e].Src]
 					co, cd = src.O, src.Completion()
 				case model.RouteCAN, model.RouteTTtoET:
 					co, cd = er.CANO, er.CANO+er.CANR
@@ -344,7 +530,7 @@ func (st *etState) traverse(app *model.Application, arch *model.Architecture, cf
 				}
 				first = false
 			}
-			pr := st.proc[pid]
+			pr := &st.proc[pid]
 			pr.O = o
 			if worst > o {
 				pr.J = worst - o
@@ -355,89 +541,55 @@ func (st *etState) traverse(app *model.Application, arch *model.Architecture, cf
 			if pr.R < pr.J+p.WCET {
 				pr.R = pr.J + p.WCET
 			}
-			st.proc[pid] = pr
+			st.known[pid] = true
 		}
 		// Outgoing edges: set the entry offset/jitter of their legs.
-		src := st.proc[pid]
+		src := &st.proc[pid]
 		for _, e := range app.OutEdges(pid) {
-			er := st.edge[e]
+			er := &st.edge[e]
 			switch er.Route {
 			case model.RouteCAN, model.RouteETtoTT:
 				er.CANO = src.O
 				er.CANJ = src.R // completion worst = O + R
 				if er.Route == model.RouteETtoTT {
-					er.QueueJ = er.CANJ + er.CANW + canTimeOf(app, arch, e) + rT
+					er.QueueJ = er.CANJ + er.CANW + l.canTime[e] + l.rT
 				}
 			case model.RouteTTtoET:
 				off, spread, ok := sched.ArrivalOffsetOf(app, e)
 				if ok {
 					er.CANO = off
-					er.CANJ = spread + rT + poll
+					er.CANJ = spread + l.rT + l.poll
 				}
 			}
-			st.edge[e] = er
 		}
 	}
 }
 
-func canTimeOf(app *model.Application, arch *model.Architecture, e model.EdgeID) model.Time {
-	return can.TimeOf(&app.Edges[e], arch.CAN)
-}
-
-// runRTA builds the task set (ET processes per CPU, CAN legs on the
-// bus) and runs the fixed points. It returns whether any W or R changed.
-func (st *etState) runRTA(app *model.Application, arch *model.Architecture, cfg *Config, canBus int, horizon model.Time) bool {
-	var tasks []rta.Task
-	type ref struct {
-		proc model.ProcID
-		edge model.EdgeID
-		kind int // 0 = proc, 1 = edge CAN leg
-	}
-	var refs []ref
-	for _, p := range app.Procs {
-		if arch.Kind(p.Node) != model.EventTriggered {
-			continue
-		}
-		pr := st.proc[p.ID]
-		tasks = append(tasks, rta.Task{
-			Name: p.Name, Resource: int(p.Node), Priority: cfg.ProcPriority[p.ID],
-			C: p.WCET, T: app.PeriodOf(p.ID), O: pr.O, J: pr.J, Trans: st.trans(p.Graph),
-		})
-		refs = append(refs, ref{proc: p.ID, kind: 0})
-	}
-	for _, e := range app.Edges {
-		er := st.edge[e.ID]
-		if !er.Route.UsesCAN() {
-			continue
-		}
-		tasks = append(tasks, rta.Task{
-			Name: e.Name, Resource: canBus, Priority: cfg.MsgPriority[e.ID],
-			C: canTimeOf(app, arch, e.ID), T: app.EdgePeriod(e.ID),
-			O: er.CANO, J: er.CANJ, Trans: st.trans(e.Graph), NonPreemptive: true,
-		})
-		refs = append(refs, ref{edge: e.ID, kind: 1})
-	}
-	if len(tasks) == 0 {
+// runRTA refreshes O and J of the task set (ET processes per CPU, CAN
+// legs on the bus) and runs the fixed points. It returns whether any W
+// or R changed.
+func (l *etLayout) runRTA(st *etState) bool {
+	if len(l.tasks) == 0 {
 		return false
 	}
-	// Non-preemptive blocking on the CAN bus: B = max lower-priority C.
-	for i := range tasks {
-		if tasks[i].NonPreemptive {
-			tasks[i].B = rta.MaxLowerC(tasks, i)
+	for i := range l.tasks {
+		t := &l.tasks[i]
+		if i < l.procTasks {
+			pr := &st.proc[l.ids[i]]
+			t.O, t.J = pr.O, pr.J
+		} else {
+			er := &st.edge[l.ids[i]]
+			t.O, t.J = er.CANO, er.CANJ
 		}
 	}
 	var (
 		res []rta.Result
 		err error
 	)
-	if st.memo != nil {
-		// Per-resource memoized path: bit-identical to the monolithic
-		// call because interference never crosses resources and the memo
-		// reapplies the all-unconverged marking of an exhausted pass
-		// budget globally (see Memo.analyzeRTA).
-		res, _, err = st.memo.analyzeRTA(tasks, horizon)
+	if l.memo != nil {
+		res, err = l.memoRTA()
 	} else {
-		res, err = rta.Analyze(tasks, rta.Options{Horizon: horizon})
+		res, err = rta.Analyze(l.tasks, rta.Options{Horizon: l.horizon})
 	}
 	if err != nil {
 		st.converged = false
@@ -445,15 +597,14 @@ func (st *etState) runRTA(app *model.Application, arch *model.Architecture, cfg 
 	}
 	changed := false
 	for i, r := range res {
-		if refs[i].kind == 0 {
-			pr := st.proc[refs[i].proc]
+		if i < l.procTasks {
+			pr := &st.proc[l.ids[i]]
 			if pr.W != r.W || pr.R != r.R {
 				changed = true
 			}
 			pr.W, pr.R, pr.Converged = r.W, r.R, r.Converged
-			st.proc[refs[i].proc] = pr
 		} else {
-			er := st.edge[refs[i].edge]
+			er := &st.edge[l.ids[i]]
 			if er.CANW != r.W || er.CANR != r.R {
 				changed = true
 			}
@@ -462,40 +613,67 @@ func (st *etState) runRTA(app *model.Application, arch *model.Architecture, cfg 
 			if er.Route == model.RouteCAN || er.Route == model.RouteTTtoET {
 				er.Delivery = er.CANO + er.CANR
 			}
-			st.edge[refs[i].edge] = er
 		}
 	}
 	return changed
 }
 
+// memoRTA serves the fixed points per resource through the memo. It is
+// bit-identical to the monolithic rta.Analyze because interference never
+// crosses resources; the one coupling, the all-unconverged marking when
+// any resource exhausts its pass budget, is reapplied here across
+// resources. The cached results are copied, never marked in place.
+func (l *etLayout) memoRTA() ([]rta.Result, error) {
+	stable := true
+	for _, sp := range l.spans {
+		res, ok, err := l.memo.analyzeResource(sp.resource, l.tasks[sp.lo:sp.hi], l.horizon, &l.keys)
+		if err != nil {
+			return nil, err
+		}
+		stable = stable && ok
+		copy(l.res[sp.lo:sp.hi], res)
+	}
+	if !stable {
+		for i := range l.res {
+			l.res[i].Converged = false
+		}
+	}
+	return l.res, nil
+}
+
+// refreshQueue writes the current entry offsets and jitters into the
+// OutTTP vector.
+func (l *etLayout) refreshQueue(st *etState) {
+	for k, id := range l.queueIDs {
+		er := &st.edge[id]
+		l.queue[k].O, l.queue[k].J = er.CANO, er.QueueJ
+	}
+}
+
 // runQueue analyzes the OutTTP FIFO for the ET->TT messages.
-func (st *etState) runQueue(app *model.Application, arch *model.Architecture, cfg *Config, rT, horizon model.Time) bool {
-	msgs, ids := st.outTTPMsgs(app, arch, cfg)
-	if len(msgs) == 0 {
+func (l *etLayout) runQueue(st *etState) bool {
+	if len(l.queue) == 0 {
 		return false
 	}
-	slot := cfg.Round.SlotIndexOf(arch.Gateway)
-	params := gateway.TTPQueueParams{
-		Round: cfg.Round, GatewaySlot: slot,
-		TickPerByte: arch.TTP.TickPerByte, Horizon: horizon,
-	}
+	l.refreshQueue(st)
 	var (
 		res []gateway.TTPResult
 		err error
 	)
-	if st.memo != nil {
-		res, err = st.memo.analyzeQueue(msgs, params)
+	if l.memo != nil {
+		res, err = l.memo.analyzeQueue(l.queue, &l.queueParams, &l.keys)
 	} else {
-		res, err = gateway.AnalyzeOutTTP(msgs, params)
+		res, err = gateway.AnalyzeOutTTP(l.queue, l.queueParams)
 	}
 	if err != nil {
 		st.converged = false
 		return false
 	}
+	slotLen := l.cfg.Round.Slots[l.queueParams.GatewaySlot].Length
 	changed := false
 	for i, r := range res {
-		er := st.edge[ids[i]]
-		delivery := er.CANO + er.QueueJ + r.W + cfg.Round.Slots[slot].Length
+		er := &st.edge[l.queueIDs[i]]
+		delivery := er.CANO + er.QueueJ + r.W + slotLen
 		if er.QueueW != r.W || er.QueueI != r.I || er.Delivery != delivery {
 			changed = true
 		}
@@ -504,41 +682,13 @@ func (st *etState) runQueue(app *model.Application, arch *model.Architecture, cf
 		if !r.Converged {
 			er.Converged = false
 		}
-		st.edge[ids[i]] = er
 	}
 	return changed
 }
 
-// trans maps a graph index to the transaction id used by the analysis:
-// -1 (pairwise unrelated) in offset-blind mode.
-func (st *etState) trans(graph int) int {
-	if st.offsetBlind {
-		return -1
-	}
-	return graph
-}
-
-// outTTPMsgs collects the ET->TT messages as OutTTP queue entries.
-func (st *etState) outTTPMsgs(app *model.Application, arch *model.Architecture, cfg *Config) ([]gateway.QueueMsg, []model.EdgeID) {
-	var msgs []gateway.QueueMsg
-	var ids []model.EdgeID
-	for _, e := range app.Edges {
-		er := st.edge[e.ID]
-		if er.Route != model.RouteETtoTT {
-			continue
-		}
-		msgs = append(msgs, gateway.QueueMsg{
-			Name: e.Name, Size: e.Size, T: app.EdgePeriod(e.ID),
-			O: er.CANO, J: er.QueueJ,
-			Priority: cfg.MsgPriority[e.ID], Trans: st.trans(e.Graph),
-		})
-		ids = append(ids, e.ID)
-	}
-	return msgs, ids
-}
-
 // computeBuffers evaluates the §4.1 queue bounds for the final state.
-func computeBuffers(app *model.Application, arch *model.Architecture, cfg *Config, st *etState) Buffers {
+func computeBuffers(l *etLayout, st *etState) Buffers {
+	app, cfg := l.app, l.cfg
 	b := Buffers{
 		OutNode:         make(map[model.NodeID]int),
 		CriticalOutCAN:  -1,
@@ -552,19 +702,21 @@ func computeBuffers(app *model.Application, arch *model.Architecture, cfg *Confi
 	outNode := make(map[model.NodeID][]gateway.CANQueueMsg)
 	outNodeIDs := make(map[model.NodeID][]model.EdgeID)
 	for _, e := range app.Edges {
-		er := st.edge[e.ID]
+		er := &st.edge[e.ID]
+		if !er.Route.UsesCAN() {
+			continue
+		}
 		qm := gateway.CANQueueMsg{
 			QueueMsg: gateway.QueueMsg{
 				Name: e.Name, Size: e.Size, T: app.EdgePeriod(e.ID),
-				O: er.CANO, J: er.CANJ, Priority: cfg.MsgPriority[e.ID], Trans: st.trans(e.Graph),
+				O: er.CANO, J: er.CANJ, Priority: cfg.MsgPriority[e.ID], Trans: l.trans(e.Graph),
 			},
 			W: er.CANW,
 		}
-		switch er.Route {
-		case model.RouteTTtoET:
+		if er.Route == model.RouteTTtoET {
 			outCAN = append(outCAN, qm)
 			outCANIDs = append(outCANIDs, e.ID)
-		case model.RouteCAN, model.RouteETtoTT:
+		} else {
 			n := app.Procs[e.Src].Node
 			outNode[n] = append(outNode[n], qm)
 			outNodeIDs[n] = append(outNodeIDs[n], e.ID)
@@ -581,16 +733,16 @@ func computeBuffers(app *model.Application, arch *model.Architecture, cfg *Confi
 			b.CriticalOutNode[n] = outNodeIDs[n][crit]
 		}
 	}
-	msgs, ids := st.outTTPMsgs(app, arch, cfg)
-	if len(msgs) > 0 {
-		res := make([]gateway.TTPResult, len(ids))
-		for i, id := range ids {
-			er := st.edge[id]
+	if len(l.queue) > 0 {
+		l.refreshQueue(st)
+		res := make([]gateway.TTPResult, len(l.queueIDs))
+		for i, id := range l.queueIDs {
+			er := &st.edge[id]
 			res[i] = gateway.TTPResult{W: er.QueueW, I: er.QueueI}
 		}
-		b.OutTTP, crit = gateway.OutTTPBufferBound(msgs, res)
+		b.OutTTP, crit = gateway.OutTTPBufferBound(l.queue, res)
 		if crit >= 0 {
-			b.CriticalOutTTP = ids[crit]
+			b.CriticalOutTTP = l.queueIDs[crit]
 		}
 	}
 	b.Total = b.OutCAN + b.OutTTP

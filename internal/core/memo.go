@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 
 	"repro/internal/gateway"
@@ -116,72 +117,51 @@ func (m *Memo) Reset() {
 	m.queue = make(map[string][]gateway.TTPResult)
 }
 
-// DropRTAResource evicts the cached fixed points and warm-start seeds
-// of one resource (a CPU's node id, or the CAN bus id = len(nodes)).
-// Eviction is a memory-management hint from the move-aware layer
-// (internal/delta); it can never change results because lookups are
-// exact.
-func (m *Memo) DropRTAResource(resource int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	prefix := string(binary.AppendVarint(nil, int64(resource)))
-	for k := range m.rta {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			delete(m.rta, k)
-		}
-	}
-	for k := range m.shape {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			delete(m.shape, k)
-		}
-	}
-}
-
-// DropSchedules evicts the static-schedule cache (slot moves change the
-// round, so every schedule key a stale round produced is dead weight).
-func (m *Memo) DropSchedules() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sched = make(map[string]*tsched.Schedule)
-}
-
-// DropQueues evicts the OutTTP queue cache.
-func (m *Memo) DropQueues() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.queue = make(map[string][]gateway.TTPResult)
-}
-
 // --- key encoding -----------------------------------------------------
 //
 // Keys are exact binary encodings of the stage inputs. Map-typed inputs
 // are serialized in sorted key order; diagnostic-only fields (names)
 // are excluded because results do not depend on them.
+//
+// Each analysis encodes its keys into one reusable keyScratch. Lookups
+// index the caches with m[string(key)], which the compiler performs
+// without allocating; a key becomes a string only when its entry is
+// inserted.
+
+// keyScratch is one analysis's key-encoding buffer, plus the scratch
+// slices that sort map-typed inputs.
+type keyScratch struct {
+	buf   []byte
+	procs []model.ProcID
+	edges []model.EdgeID
+}
 
 func appendTime(b []byte, t model.Time) []byte { return binary.AppendVarint(b, t) }
 func appendInt(b []byte, v int) []byte         { return binary.AppendVarint(b, int64(v)) }
 
 // schedKey encodes a tsched.Build input (round + pins + releases).
-func schedKey(in *tsched.Input) string {
-	b := make([]byte, 0, 64)
+func (ks *keyScratch) schedKey(in *tsched.Input) []byte {
+	b := ks.buf[:0]
 	b = appendInt(b, len(in.Round.Slots))
 	for _, s := range in.Round.Slots {
 		b = appendInt(b, int(s.Node))
 		b = appendTime(b, s.Length)
 	}
 	b = appendTime(b, in.Round.Padding)
-	b = appendProcTimes(b, in.ReleaseOffset)
-	b = appendProcTimes(b, in.PinnedProc)
-	b = appendEdgeTimes(b, in.PinnedEdge)
-	return string(b)
+	b = ks.appendProcTimes(b, in.ReleaseOffset)
+	b = ks.appendProcTimes(b, in.PinnedProc)
+	b = ks.appendEdgeTimes(b, in.PinnedEdge)
+	ks.buf = b
+	return b
 }
 
-func appendProcTimes(b []byte, m map[model.ProcID]model.Time) []byte {
-	ids := make([]model.ProcID, 0, len(m))
+func (ks *keyScratch) appendProcTimes(b []byte, m map[model.ProcID]model.Time) []byte {
+	ids := ks.procs[:0]
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sortProcIDs(ids)
+	slices.Sort(ids)
+	ks.procs = ids
 	b = appendInt(b, len(ids))
 	for _, id := range ids {
 		b = appendInt(b, int(id))
@@ -190,12 +170,13 @@ func appendProcTimes(b []byte, m map[model.ProcID]model.Time) []byte {
 	return b
 }
 
-func appendEdgeTimes(b []byte, m map[model.EdgeID]model.Time) []byte {
-	ids := make([]model.EdgeID, 0, len(m))
+func (ks *keyScratch) appendEdgeTimes(b []byte, m map[model.EdgeID]model.Time) []byte {
+	ids := ks.edges[:0]
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sortEdgeIDs(ids)
+	slices.Sort(ids)
+	ks.edges = ids
 	b = appendInt(b, len(ids))
 	for _, id := range ids {
 		b = appendInt(b, int(id))
@@ -204,29 +185,12 @@ func appendEdgeTimes(b []byte, m map[model.EdgeID]model.Time) []byte {
 	return b
 }
 
-func sortProcIDs(ids []model.ProcID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-func sortEdgeIDs(ids []model.EdgeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-// rtaKeys encodes one resource's task vector: the exact key (all
-// analysis inputs) and the J-blind shape key that indexes the
-// warm-start seeds. Both lead with the resource id so DropRTAResource
-// can evict by prefix.
-func rtaKeys(resource int, tasks []rta.Task, horizon model.Time) (exact, shape string) {
-	b := make([]byte, 0, 16+24*len(tasks))
-	b = binary.AppendVarint(b, int64(resource))
+// rtaKey encodes one resource's task vector. The whole key is exact (all
+// analysis inputs); its first shapeLen bytes are the J-blind shape key
+// that indexes the warm-start seeds.
+func (ks *keyScratch) rtaKey(resource int, tasks []rta.Task, horizon model.Time) (key []byte, shapeLen int) {
+	b := ks.buf[:0]
+	b = appendInt(b, resource)
 	b = appendTime(b, horizon)
 	b = appendInt(b, len(tasks))
 	for i := range tasks {
@@ -243,16 +207,17 @@ func rtaKeys(resource int, tasks []rta.Task, horizon model.Time) (exact, shape s
 			b = append(b, 0)
 		}
 	}
-	shape = string(b)
+	shapeLen = len(b)
 	for i := range tasks {
 		b = appendTime(b, tasks[i].J)
 	}
-	return string(b), shape
+	ks.buf = b
+	return b, shapeLen
 }
 
 // queueKey encodes an OutTTP analysis input.
-func queueKey(msgs []gateway.QueueMsg, p *gateway.TTPQueueParams) string {
-	b := make([]byte, 0, 32+24*len(msgs))
+func (ks *keyScratch) queueKey(msgs []gateway.QueueMsg, p *gateway.TTPQueueParams) []byte {
+	b := ks.buf[:0]
 	b = appendInt(b, len(p.Round.Slots))
 	for _, s := range p.Round.Slots {
 		b = appendInt(b, int(s.Node))
@@ -272,7 +237,8 @@ func queueKey(msgs []gateway.QueueMsg, p *gateway.TTPQueueParams) string {
 		b = appendInt(b, m.Priority)
 		b = appendInt(b, m.Trans)
 	}
-	return string(b)
+	ks.buf = b
+	return b
 }
 
 // --- stage lookups ----------------------------------------------------
@@ -280,10 +246,10 @@ func queueKey(msgs []gateway.QueueMsg, p *gateway.TTPQueueParams) string {
 // buildSchedule serves tsched.Build through the schedule cache. Build
 // errors are structural (invalid round, oversized message) and are not
 // cached; they abort the analysis exactly like the uncached path.
-func (m *Memo) buildSchedule(in tsched.Input) (*tsched.Schedule, error) {
-	key := schedKey(&in)
+func (m *Memo) buildSchedule(in tsched.Input, ks *keyScratch) (*tsched.Schedule, error) {
+	key := ks.schedKey(&in)
 	m.mu.Lock()
-	if s, ok := m.sched[key]; ok {
+	if s, ok := m.sched[string(key)]; ok {
 		m.stats.ScheduleHits++
 		m.mu.Unlock()
 		return s, nil
@@ -298,69 +264,27 @@ func (m *Memo) buildSchedule(in tsched.Input) (*tsched.Schedule, error) {
 	if len(m.sched) >= memoSchedCap {
 		m.sched = make(map[string]*tsched.Schedule)
 	}
-	m.sched[key] = s
+	m.sched[string(key)] = s
 	m.mu.Unlock()
 	return s, nil
 }
 
-// analyzeRTA serves the response-time analysis through the per-resource
-// cache. tasks must already carry their blocking factors; the returned
-// slice is parallel to tasks and freshly allocated (callers may mark it
-// unconverged in place). The bool result mirrors rta.AnalyzeStable's
-// stability: false when any resource exhausted the pass budget, which
-// the caller must translate into the all-unconverged marking exactly
-// like the monolithic rta.Analyze would.
-func (m *Memo) analyzeRTA(tasks []rta.Task, horizon model.Time) ([]rta.Result, bool, error) {
-	// Group by resource, preserving in-group order. The group walk is in
-	// first-appearance order, deterministic.
-	order := make([]int, 0, 4)
-	groups := make(map[int][]int)
-	for i := range tasks {
-		r := tasks[i].Resource
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
-		}
-		groups[r] = append(groups[r], i)
-	}
-	out := make([]rta.Result, len(tasks))
-	stable := true
-	for _, r := range order {
-		idx := groups[r]
-		group := make([]rta.Task, len(idx))
-		for k, i := range idx {
-			group[k] = tasks[i]
-		}
-		res, ok, err := m.analyzeResource(r, group, horizon)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			stable = false
-		}
-		for k, i := range idx {
-			out[i] = res[k]
-		}
-	}
-	if !stable {
-		for i := range out {
-			out[i].Converged = false
-		}
-	}
-	return out, stable, nil
-}
-
-// analyzeResource runs (or recalls) one resource's fixed point.
-func (m *Memo) analyzeResource(resource int, group []rta.Task, horizon model.Time) ([]rta.Result, bool, error) {
-	exact, shape := rtaKeys(resource, group, horizon)
+// analyzeResource runs (or recalls) one resource's fixed point. group
+// must already carry its blocking factors. The returned slice may be
+// shared with the cache and must not be modified; the bool mirrors
+// rta.AnalyzeStable's stability, which the caller turns into the global
+// all-unconverged marking exactly like the monolithic rta.Analyze.
+func (m *Memo) analyzeResource(resource int, group []rta.Task, horizon model.Time, ks *keyScratch) ([]rta.Result, bool, error) {
+	key, shapeLen := ks.rtaKey(resource, group, horizon)
 	m.mu.Lock()
-	if e, ok := m.rta[exact]; ok {
+	if e, ok := m.rta[string(key)]; ok {
 		m.stats.RTAHits++
 		m.mu.Unlock()
 		return e.res, e.stable, nil
 	}
 	m.stats.RTAMisses++
 	var warm []model.Time
-	for _, se := range m.shape[shape] {
+	for _, se := range m.shape[string(key[:shapeLen])] {
 		if len(se.j) != len(group) {
 			continue
 		}
@@ -384,6 +308,13 @@ func (m *Memo) analyzeResource(resource int, group []rta.Task, horizon model.Tim
 		return nil, false, err
 	}
 
+	// One string backs both keys: the shape key is the exact key's prefix.
+	exact := string(key)
+	shape := exact[:shapeLen]
+	j := make([]model.Time, len(group))
+	for i := range group {
+		j[i] = group[i].J
+	}
 	m.mu.Lock()
 	if len(m.rta) >= memoRTACap {
 		m.rta = make(map[string]rtaMemoEntry)
@@ -392,31 +323,34 @@ func (m *Memo) analyzeResource(resource int, group []rta.Task, horizon model.Tim
 	if len(m.shape) >= memoShapeCap {
 		m.shape = make(map[string][]rtaShapeEntry)
 	}
-	ring := m.shape[shape]
-	if len(ring) >= memoShapeRing {
-		ring = ring[1:]
+	seed := rtaShapeEntry{j: j, pass1: pass1}
+	if ring, ok := m.shape[shape]; !ok {
+		ring = make([]rtaShapeEntry, 1, memoShapeRing)
+		ring[0] = seed
+		m.shape[shape] = ring
+	} else if len(ring) < memoShapeRing {
+		m.shape[shape] = append(ring, seed)
+	} else {
+		// Full: drop the oldest seed in place (every access holds mu).
+		copy(ring, ring[1:])
+		ring[len(ring)-1] = seed
 	}
-	j := make([]model.Time, len(group))
-	for i := range group {
-		j[i] = group[i].J
-	}
-	m.shape[shape] = append(ring, rtaShapeEntry{j: j, pass1: pass1})
 	m.mu.Unlock()
 	return res, stable, nil
 }
 
 // analyzeQueue serves gateway.AnalyzeOutTTP through the queue cache.
-func (m *Memo) analyzeQueue(msgs []gateway.QueueMsg, p gateway.TTPQueueParams) ([]gateway.TTPResult, error) {
-	key := queueKey(msgs, &p)
+func (m *Memo) analyzeQueue(msgs []gateway.QueueMsg, p *gateway.TTPQueueParams, ks *keyScratch) ([]gateway.TTPResult, error) {
+	key := ks.queueKey(msgs, p)
 	m.mu.Lock()
-	if r, ok := m.queue[key]; ok {
+	if r, ok := m.queue[string(key)]; ok {
 		m.stats.QueueHits++
 		m.mu.Unlock()
 		return r, nil
 	}
 	m.stats.QueueMisses++
 	m.mu.Unlock()
-	res, err := gateway.AnalyzeOutTTP(msgs, p)
+	res, err := gateway.AnalyzeOutTTP(msgs, *p)
 	if err != nil {
 		return nil, err
 	}
@@ -424,7 +358,7 @@ func (m *Memo) analyzeQueue(msgs []gateway.QueueMsg, p gateway.TTPQueueParams) (
 	if len(m.queue) >= memoQueueCap {
 		m.queue = make(map[string][]gateway.TTPResult)
 	}
-	m.queue[key] = res
+	m.queue[string(key)] = res
 	m.mu.Unlock()
 	return res, nil
 }

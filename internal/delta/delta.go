@@ -16,9 +16,8 @@
 //     own inputs. A move that touches one cluster changes exactly that
 //     cluster's keys; every other resource's entries keep hitting.
 //     Stale reuse is impossible by construction — "invalidation" is
-//     implicit in the keying — and the move-aware Touched/Invalidate
-//     matrix (invalidate.go) exists to bound memory and document the
-//     coupling, never to decide correctness.
+//     implicit in the keying — and memory stays bounded because each
+//     cache is dropped whole when it reaches its cap.
 //  3. Warm starts: RTA stage misses whose task set is identical to a
 //     cached one except for pointwise larger jitters start their
 //     first-pass fixed point from the parent's converged values

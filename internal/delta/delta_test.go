@@ -148,66 +148,9 @@ func TestConfigKey(t *testing.T) {
 	}
 }
 
-// TestTouchedMatrix pins the documented invalidation matrix (the table
-// in docs/ARCHITECTURE.md §8) move kind by move kind.
-func TestTouchedMatrix(t *testing.T) {
-	app, _ := corpusSystem(t, 0)
-	full := Touch{Schedules: true, Queues: true, CANBus: true, AllRTA: true}
-	cases := []struct {
-		move opt.Move
-		want Touch
-	}{
-		{opt.Move{Kind: opt.MoveSwapMsgPrio}, Touch{Queues: true, CANBus: true}},
-		{opt.Move{Kind: opt.MoveResizeSlot}, full},
-		{opt.Move{Kind: opt.MoveSwapSlots}, full},
-		{opt.Move{Kind: opt.MoveSetSlotLen}, full},
-		{opt.Move{Kind: opt.MovePinProc}, full},
-		{opt.Move{Kind: opt.MovePinEdge}, full},
-		{opt.Move{Kind: opt.MoveUnpinProc}, full},
-		{opt.Move{Kind: opt.MoveUnpinEdge}, full},
-		{opt.Move{Kind: opt.MoveKind(99)}, full},
-	}
-	for _, c := range cases {
-		if got := Touched(app, c.move); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Touched(%v) = %+v, want %+v", c.move.Kind, got, c.want)
-		}
-	}
-
-	// A priority swap touches exactly the processes' CPUs: one node for
-	// a same-CPU swap, both for a cross-CPU one, never the bus or the
-	// schedule.
-	var sameCPU, crossCPU bool
-	for i := range app.Procs {
-		for j := range app.Procs {
-			if i == j {
-				continue
-			}
-			m := opt.Move{Kind: opt.MoveSwapProcPrio, Proc: app.Procs[i].ID, Proc2: app.Procs[j].ID}
-			tc := Touched(app, m)
-			if tc.Schedules || tc.Queues || tc.CANBus || tc.AllRTA {
-				t.Fatalf("proc swap %v touches non-CPU state: %+v", m, tc)
-			}
-			if app.Procs[i].Node == app.Procs[j].Node {
-				sameCPU = true
-				if len(tc.Nodes) != 1 || tc.Nodes[0] != app.Procs[i].Node {
-					t.Fatalf("same-CPU swap nodes = %v", tc.Nodes)
-				}
-			} else {
-				crossCPU = true
-				if len(tc.Nodes) != 2 {
-					t.Fatalf("cross-CPU swap nodes = %v", tc.Nodes)
-				}
-			}
-		}
-	}
-	if !sameCPU || !crossCPU {
-		t.Fatal("corpus system exercised only one swap shape")
-	}
-}
-
-// TestInvalidateIsAdvisory: evicting along the Touched matrix between
-// analyses never changes a result — invalidation is a memory hint, the
-// exact keys carry correctness.
+// TestInvalidateIsAdvisory: evicting a configuration between analyses
+// never changes a result — eviction is a memory hint, the exact keys
+// carry correctness.
 func TestInvalidateIsAdvisory(t *testing.T) {
 	selfCheck(t)
 	app, arch := corpusSystem(t, 1)
@@ -232,8 +175,7 @@ func TestInvalidateIsAdvisory(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		ev.Evict(next)   // drop any full-config entry,
-		ev.Invalidate(m) // then evict the stage state the move touches
+		ev.Evict(next) // drop any full-config entry; the stage caches stay warm
 		got, err := ev.Analyze(next)
 		if err != nil {
 			continue
@@ -243,7 +185,7 @@ func TestInvalidateIsAdvisory(t *testing.T) {
 			t.Fatalf("step %d: cold: %v", step, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: analysis after Invalidate(%v) differs from cold", step, m)
+			t.Fatalf("step %d: analysis after Evict(%v) differs from cold", step, m)
 		}
 		cur, curA = next, got
 	}

@@ -13,11 +13,10 @@ import (
 
 // FuzzDeltaInvalidation replays fuzzer-chosen move sequences on corpus
 // systems through one long-lived Evaluator and cross-checks every step
-// against a cold core.AnalyzeWith. The fuzz input drives four choices
-// per step — which generated move to take, whether to evict the
-// config, whether to run the stage invalidation hint, and whether to
-// drop everything — so the fuzzer explores exactly the cache states a
-// real optimizer run can reach (and some it can't). Any divergence
+// against a cold core.AnalyzeWith. The fuzz input drives three choices
+// per step — which generated move to take, whether to evict the config,
+// and whether to drop everything — so the fuzzer explores exactly the
+// cache states a real optimizer run can reach (and some it can't). Any divergence
 // from the cold path, or a warm-start mismatch caught by rta.SelfCheck,
 // fails the target.
 func FuzzDeltaInvalidation(f *testing.F) {
@@ -67,9 +66,6 @@ func FuzzDeltaInvalidation(f *testing.F) {
 			}
 			if flags&1 != 0 {
 				ev.Evict(next)
-			}
-			if flags&2 != 0 {
-				ev.Invalidate(m)
 			}
 			if flags&4 != 0 {
 				ev.Reset()

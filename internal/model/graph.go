@@ -5,8 +5,15 @@ import "fmt"
 // TopoOrder returns the processes of graph g in a topological order.
 // The order is deterministic: among ready processes the one created
 // first comes first. An error is returned if the graph has a cycle.
+// The order is computed once with the adjacency caches; the returned
+// slice is shared and must not be modified.
 func (a *Application) TopoOrder(g int) ([]ProcID, error) {
 	a.ensureAdjacency()
+	return a.topo[g], a.topoErr[g]
+}
+
+// topoOrder computes TopoOrder(g) from the adjacency lists.
+func (a *Application) topoOrder(g int) ([]ProcID, error) {
 	members := a.Graphs[g].Procs
 	indeg := make(map[ProcID]int, len(members))
 	for _, p := range members {
@@ -37,17 +44,11 @@ func (a *Application) TopoOrder(g int) ([]ProcID, error) {
 }
 
 // TopoOrderAll returns a topological order over all processes of the
-// application (graph by graph).
+// application (graph by graph), or the first graph's cycle error. Like
+// TopoOrder, the returned slice is shared and must not be modified.
 func (a *Application) TopoOrderAll() ([]ProcID, error) {
-	var all []ProcID
-	for g := range a.Graphs {
-		o, err := a.TopoOrder(g)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, o...)
-	}
-	return all, nil
+	a.ensureAdjacency()
+	return a.topoAll, a.topoAllErr
 }
 
 // Sources returns the processes of graph g without predecessors.
@@ -87,8 +88,8 @@ func (a *Application) LongestPathToSink() (map[ProcID]Time, error) {
 		for i := len(order) - 1; i >= 0; i-- {
 			p := order[i]
 			best := Time(0)
-			for _, s := range a.Succs(p) {
-				if lp[s] > best {
+			for _, e := range a.OutEdges(p) {
+				if s := a.Edges[e].Dst; lp[s] > best {
 					best = lp[s]
 				}
 			}

@@ -206,9 +206,15 @@ type Application struct {
 	Procs  []Process `json:"procs"`
 	Edges  []Edge    `json:"edges"`
 
-	// adjacency caches, built by Finalize.
-	out [][]EdgeID
-	in  [][]EdgeID
+	// Structure caches, built by Finalize: the adjacency lists and each
+	// graph's topological order (or the cycle error that prevents one),
+	// plus their concatenation over all graphs.
+	out        [][]EdgeID
+	in         [][]EdgeID
+	topo       [][]ProcID
+	topoErr    []error
+	topoAll    []ProcID
+	topoAllErr error
 }
 
 // NewApplication returns an empty application with the given name.
@@ -219,6 +225,7 @@ func NewApplication(name string) *Application {
 // AddGraph appends a new process graph and returns its index.
 func (a *Application) AddGraph(name string, period, deadline Time) int {
 	a.Graphs = append(a.Graphs, Graph{Name: name, Period: period, Deadline: deadline})
+	a.invalidate()
 	return len(a.Graphs) - 1
 }
 
@@ -242,9 +249,9 @@ func (a *Application) AddEdge(name string, src, dst ProcID, size int) EdgeID {
 	return id
 }
 
-func (a *Application) invalidate() { a.out, a.in = nil, nil }
+func (a *Application) invalidate() { a.out, a.in, a.topo = nil, nil, nil }
 
-// Finalize builds the adjacency caches and validates the application
+// Finalize builds the structure caches and validates the application
 // against arch. It must be called (and succeed) before analysis.
 func (a *Application) Finalize(arch *Architecture) error {
 	a.buildAdjacency()
@@ -258,10 +265,23 @@ func (a *Application) buildAdjacency() {
 		a.out[e.Src] = append(a.out[e.Src], e.ID)
 		a.in[e.Dst] = append(a.in[e.Dst], e.ID)
 	}
+	a.topo = make([][]ProcID, len(a.Graphs))
+	a.topoErr = make([]error, len(a.Graphs))
+	a.topoAll, a.topoAllErr = nil, nil
+	for g := range a.Graphs {
+		a.topo[g], a.topoErr[g] = a.topoOrder(g)
+		if a.topoErr[g] != nil && a.topoAllErr == nil {
+			a.topoAllErr = a.topoErr[g]
+		}
+		a.topoAll = append(a.topoAll, a.topo[g]...)
+	}
+	if a.topoAllErr != nil {
+		a.topoAll = nil
+	}
 }
 
 func (a *Application) ensureAdjacency() {
-	if a.out == nil || a.in == nil {
+	if a.out == nil || a.in == nil || a.topo == nil {
 		a.buildAdjacency()
 	}
 }

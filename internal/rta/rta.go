@@ -27,7 +27,9 @@
 package rta
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -285,18 +287,29 @@ func AnalyzeStable(tasks []Task, opt Options) (res []Result, stable bool, pass1 
 
 // higherPriorityIndex precomputes, per task, the indices of the tasks
 // that can interfere with it (same resource, higher priority), so the
-// fixed-point loops touch only relevant tasks.
+// fixed-point loops touch only relevant tasks. Priorities are unique per
+// resource (ValidateTasks), so once the indices are sorted by resource
+// and priority, each task's list is the run of its resource before it:
+// every list is a window of one shared slice. The interference sums do
+// not depend on the order of a list.
 func higherPriorityIndex(tasks []Task) [][]int {
-	hp := make([][]int, len(tasks))
-	for i := range tasks {
-		for j := range tasks {
-			if j == i || tasks[j].Resource != tasks[i].Resource {
-				continue
-			}
-			if higher(&tasks[j], &tasks[i]) {
-				hp[i] = append(hp[i], j)
-			}
+	order := make([]int, len(tasks))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(tasks[a].Resource, tasks[b].Resource); c != 0 {
+			return c
 		}
+		return cmp.Compare(tasks[a].Priority, tasks[b].Priority)
+	})
+	hp := make([][]int, len(tasks))
+	start := 0
+	for k, i := range order {
+		if tasks[i].Resource != tasks[order[start]].Resource {
+			start = k
+		}
+		hp[i] = order[start:k:k]
 	}
 	return hp
 }
@@ -304,8 +317,6 @@ func higherPriorityIndex(tasks []Task) [][]int {
 // ValidateTasks checks the structural requirements: positive C and T,
 // non-negative J/B/O, unique priorities per resource.
 func ValidateTasks(tasks []Task) error {
-	type key struct{ res, prio int }
-	seen := make(map[key]string, len(tasks))
 	for i, t := range tasks {
 		if t.C <= 0 {
 			return fmt.Errorf("rta: task %s has non-positive C %d", name(t, i), t.C)
@@ -316,11 +327,13 @@ func ValidateTasks(tasks []Task) error {
 		if t.J < 0 || t.B < 0 || t.O < 0 {
 			return fmt.Errorf("rta: task %s has negative J/B/O", name(t, i))
 		}
-		k := key{t.Resource, t.Priority}
-		if prev, dup := seen[k]; dup {
-			return fmt.Errorf("rta: tasks %s and %s share priority %d on resource %d", prev, name(t, i), t.Priority, t.Resource)
+		// Every earlier task passed this check, so at most one of them
+		// shares t's resource and priority.
+		for j := range tasks[:i] {
+			if tasks[j].Resource == t.Resource && tasks[j].Priority == t.Priority {
+				return fmt.Errorf("rta: tasks %s and %s share priority %d on resource %d", name(tasks[j], j), name(t, i), t.Priority, t.Resource)
+			}
 		}
-		seen[k] = name(t, i)
 	}
 	return nil
 }

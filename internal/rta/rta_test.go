@@ -265,6 +265,47 @@ func TestPropertyMonotonicity(t *testing.T) {
 	}
 }
 
+// Permuting the task slice permutes the results — W, R, the converged
+// flags, the stability verdict and the first-pass delays — and changes
+// nothing else: each pass reads only the previous pass's responses, so
+// no result depends on task order. internal/core relies on this to lay
+// its task set out per resource.
+func TestPropertyOrderIndependence(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tasks := randomTaskSet(r)
+		for i := range tasks {
+			tasks[i].NonPreemptive = tasks[i].Resource == 1 && r.Intn(2) == 0
+		}
+		opt := Options{Horizon: hz}
+		if r.Intn(4) == 0 {
+			opt.Horizon = model.Time(1 + r.Intn(30)) // clamped, unconverged results
+		}
+		res, stable, pass1, err := AnalyzeStable(tasks, opt)
+		if err != nil {
+			return false
+		}
+		perm := r.Perm(len(tasks))
+		shuffled := make([]Task, len(tasks))
+		for k, i := range perm {
+			shuffled[k] = tasks[i]
+		}
+		res2, stable2, pass12, err := AnalyzeStable(shuffled, opt)
+		if err != nil || stable2 != stable {
+			return false
+		}
+		for k, i := range perm {
+			if res2[k] != res[i] || pass12[k] != pass1[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 // The response of every task is at least B + C + J, and the highest
 // priority preemptable task on a resource has w = B.
 func TestPropertyLowerBounds(t *testing.T) {

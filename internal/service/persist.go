@@ -125,8 +125,7 @@ func (s *Service) finishRestored(j *job, snap *store.JobSnapshot) {
 		// the missing result is reported, not hidden.
 		j.errMsg = "store: persisted result expired or missing; resubmit to recompute"
 	}
-	close(j.done)
-	j.cancel(nil)
+	j.release()
 	s.terminal = append(s.terminal, j.id)
 }
 
@@ -134,8 +133,6 @@ func (s *Service) finishRestored(j *job, snap *store.JobSnapshot) {
 func (s *Service) failRestored(j *job, msg string) {
 	j.state = StateFailed
 	j.errMsg = msg
-	close(j.done)
-	j.cancel(nil)
 	s.appendRecord(s.st, store.Record{
 		Op:    store.OpFinish,
 		Job:   j.id,
@@ -143,6 +140,7 @@ func (s *Service) failRestored(j *job, msg string) {
 		State: store.StateFailed,
 		Error: msg,
 	})
+	j.release()
 	s.terminal = append(s.terminal, j.id)
 }
 

@@ -438,12 +438,15 @@ func (s *Service) run(j *job) {
 // finishJob records the terminal transition: the in-memory state flip,
 // the persisted result (full, non-partial outcomes only — a canceled
 // job's best-so-far is not byte-identical to a cold run and must never
-// be served as one), the journal finish record, and retirement. The
+// be served as one), the journal finish record, the closed trace and
+// the job counters, and retirement, which releases the job last. The
 // result is stored before the finish record so a crash between the two
 // replays the job as unfinished and re-runs (or persistent-hits) it,
 // instead of leaving a done job with no loadable result.
 func (s *Service) finishJob(j *job, result *JobResult, err error) {
-	j.finish(result, err)
+	if !j.finish(result, err) {
+		return
+	}
 	j.mu.Lock()
 	state, errMsg, res := j.state, j.errMsg, j.result
 	j.mu.Unlock()
@@ -520,12 +523,15 @@ func exploreResult(res *dse.Result, err error, cacheHit bool) (*JobResult, error
 	}, err
 }
 
-// retire frees a terminal job's request payload (the decoded system is
-// the bulk of its footprint; the Solver cache keeps its own reference)
-// and evicts the oldest-finished jobs beyond the retention bound. With
-// a store, it also triggers journal compaction once the segment count
-// reaches its bound, so the journal footprint tracks live state rather
-// than traffic history.
+// retire completes a terminal transition once its effects are visible
+// (result stored, finish record journaled, trace closed, job counted).
+// It frees the request payload (the decoded system is the bulk of its
+// footprint; the Solver cache keeps its own reference), evicts the
+// oldest-finished jobs beyond the retention bound, and then releases
+// the job: Done fires and the SSE streams end. With a store, it finally
+// triggers journal compaction once the segment count reaches its
+// bound, so the journal footprint tracks live state rather than
+// traffic history.
 func (s *Service) retire(j *job) {
 	j.mu.Lock()
 	j.req = SynthesisRequest{}
@@ -539,6 +545,7 @@ func (s *Service) retire(j *job) {
 		s.terminal = s.terminal[1:]
 	}
 	s.mu.Unlock()
+	j.release()
 	if st := s.storeRef(); st != nil && st.Stats().Segments >= compactAtSegments {
 		s.compact()
 	}
@@ -578,14 +585,16 @@ func (j *job) publish(p solve.Progress) {
 	}
 }
 
-// finish records the terminal state of a job and releases its
-// subscribers and context. A non-nil result arriving with an error is
-// a best-so-far outcome and is marked Partial.
-func (j *job) finish(result *JobResult, err error) {
+// finish flips the job to its terminal state, after which no progress
+// event is published; it reports false when the job already was
+// terminal. A non-nil result arriving with an error is a best-so-far
+// outcome and is marked Partial. Subscribers, Done and the context are
+// released separately, by release, once the terminal work is visible.
+func (j *job) finish(result *JobResult, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		return
+		return false
 	}
 	if result != nil {
 		result.Partial = err != nil
@@ -603,12 +612,32 @@ func (j *job) finish(result *JobResult, err error) {
 		j.state = StateFailed
 		j.errMsg = err.Error()
 	}
+	return true
+}
+
+// release ends a terminal job's observable transition: the SSE streams
+// close, Done fires and the context is released. It runs last, so
+// "done" is a barrier: whoever sees it also sees every effect of the
+// terminal transition.
+func (j *job) release() {
+	j.mu.Lock()
 	for ch := range j.subs {
 		close(ch)
 	}
 	j.subs = make(map[chan ProgressEvent]struct{})
 	close(j.done)
+	j.mu.Unlock()
 	j.cancel(nil)
+}
+
+// releasedLocked reports whether release has run; j.mu must be held.
+func (j *job) releasedLocked() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // cancelMessage prefers the cancellation cause (client cancel vs drain)
@@ -627,6 +656,13 @@ func (s *Service) Status(id string) (*JobStatus, error) {
 		return nil, err
 	}
 	j.mu.Lock()
+	if j.state.Terminal() && !j.releasedLocked() {
+		// A terminal state is reported only once its effects are
+		// visible: wait out the (brief) terminal work.
+		j.mu.Unlock()
+		<-j.done
+		j.mu.Lock()
+	}
 	defer j.mu.Unlock()
 	name := j.strategyName
 	if name == "" {
@@ -661,7 +697,7 @@ func (s *Service) Subscribe(id string) (<-chan ProgressEvent, func(), error) {
 	for _, ev := range j.events {
 		ch <- ev
 	}
-	if j.state.Terminal() {
+	if j.releasedLocked() {
 		close(ch)
 		j.mu.Unlock()
 		return ch, func() {}, nil
@@ -680,7 +716,9 @@ func (s *Service) Subscribe(id string) (<-chan ProgressEvent, func(), error) {
 	return ch, unsubscribe, nil
 }
 
-// Done returns a channel closed when the job reaches a terminal state.
+// Done returns a channel closed when the job reaches a terminal state
+// and every effect of the transition is visible: the result is stored,
+// the finish record journaled, the trace closed and the job counted.
 func (s *Service) Done(id string) (<-chan struct{}, error) {
 	j, err := s.job(id)
 	if err != nil {
@@ -701,13 +739,7 @@ func (s *Service) Cancel(id string) error {
 	if j.state == StateQueued {
 		j.state = StateCanceled
 		j.errMsg = "canceled before running"
-		for ch := range j.subs {
-			close(ch)
-		}
-		j.subs = make(map[chan ProgressEvent]struct{})
-		close(j.done)
 		j.mu.Unlock()
-		j.cancel(nil)
 		// Queued jobs never reach finishJob (the runner skips terminal
 		// jobs), so journal the resolution and retire here.
 		if st := s.storeRef(); st != nil {
