@@ -130,9 +130,12 @@ func benchAnalyze(b *testing.B, nodes int) {
 	if err := cfg.Normalize(app); err != nil {
 		b.Fatal(err)
 	}
+	// Without the delta memo every call is a full analysis.
+	solver := newSolver(b, app, arch, WithDelta(false))
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(app, arch, cfg); err != nil {
+		if _, err := solver.Analyze(ctx, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -181,8 +184,9 @@ func BenchmarkSimulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	app, arch := sys.Application, sys.Architecture
-	res, err := Synthesize(app, arch, SynthesisOptions{Strategy: StrategyOptimizeSchedule})
+	ctx := context.Background()
+	solver := newSolver(b, sys.Application, sys.Architecture, WithStrategy(StrategyOptimizeSchedule))
+	res, err := solver.Synthesize(ctx)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -191,7 +195,7 @@ func BenchmarkSimulation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		simRes, err := Simulate(app, arch, res.Config, res.Analysis, SimOptions{Cycles: 4, Exec: ExecRandom, Seed: int64(i + 1)})
+		simRes, err := solver.Simulate(ctx, res.Config, res.Analysis, SimOptions{Cycles: 4, Exec: ExecRandom, Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}

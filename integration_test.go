@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -14,7 +15,9 @@ func TestConfigRoundTrip(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	app, arch := sys.Application, sys.Architecture
-	res, err := Synthesize(app, arch, SynthesisOptions{Strategy: StrategyOptimizeSchedule})
+	ctx := context.Background()
+	solver := newSolver(t, app, arch, WithStrategy(StrategyOptimizeSchedule))
+	res, err := solver.Synthesize(ctx)
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
@@ -27,7 +30,7 @@ func TestConfigRoundTrip(t *testing.T) {
 		t.Fatalf("LoadConfig: %v", err)
 	}
 	a1 := res.Analysis
-	a2, err := Analyze(app, arch, loaded)
+	a2, err := newSolver(t, app, arch, WithDelta(false)).Analyze(ctx, loaded)
 	if err != nil {
 		t.Fatalf("Analyze(loaded): %v", err)
 	}
@@ -57,7 +60,7 @@ func TestLoadConfigRejectsForeignSystem(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	res, err := Synthesize(sysA.Application, sysA.Architecture, SynthesisOptions{Strategy: StrategyStraightforward})
+	res, err := newSolver(t, sysA.Application, sysA.Architecture, WithStrategy(StrategyStraightforward)).Synthesize(context.Background())
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
@@ -92,14 +95,16 @@ func TestMultiRateEndToEnd(t *testing.T) {
 	if h == app.Graphs[len(app.Graphs)-1].Period && len(app.Graphs) > 1 {
 		t.Log("note: all graphs ended up with the hyperperiod-period")
 	}
-	res, err := Synthesize(app, arch, SynthesisOptions{Strategy: StrategyOptimizeSchedule})
+	ctx := context.Background()
+	solver := newSolver(t, app, arch, WithStrategy(StrategyOptimizeSchedule))
+	res, err := solver.Synthesize(ctx)
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
 	if !res.Analysis.Schedulable {
 		t.Skipf("multi-rate seed 5 unschedulable (delta=%d)", res.Analysis.Delta)
 	}
-	simRes, err := Simulate(app, arch, res.Config, res.Analysis, SimOptions{Cycles: 2})
+	simRes, err := solver.Simulate(ctx, res.Config, res.Analysis, SimOptions{Cycles: 2})
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -119,13 +124,14 @@ func TestSimulationTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CruiseController: %v", err)
 	}
-	app, arch := sys.Application, sys.Architecture
-	res, err := Synthesize(app, arch, SynthesisOptions{Strategy: StrategyOptimizeSchedule})
+	ctx := context.Background()
+	solver := newSolver(t, sys.Application, sys.Architecture, WithStrategy(StrategyOptimizeSchedule))
+	res, err := solver.Synthesize(ctx)
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
 	var trace bytes.Buffer
-	if _, err := Simulate(app, arch, res.Config, res.Analysis, SimOptions{Cycles: 1, Trace: &trace}); err != nil {
+	if _, err := solver.Simulate(ctx, res.Config, res.Analysis, SimOptions{Cycles: 1, Trace: &trace}); err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
 	out := trace.String()

@@ -32,8 +32,8 @@ func genConfig(tb testing.TB, seed int64, procsPerNode int) (*model.Application,
 // counts: a change that adds an allocation to the Fig. 5 loop fails
 // here, and a change that removes some should lower them.
 const (
-	analyzeColdAllocs = 756
-	analyzeMemoAllocs = 944
+	analyzeColdAllocs = 702
+	analyzeMemoAllocs = 810
 )
 
 // TestAnalyzeAllocs pins the allocations of a cold Analyze and of an

@@ -34,16 +34,10 @@ import (
 //     when the pass budget is exhausted, is reapplied by the caller);
 //   - the gateway OutTTP queue analysis (gateway.AnalyzeOutTTP), keyed
 //     by the message vector and the queue parameters.
-//
-// Misses of the RTA stage additionally warm-start the first-pass fixed
-// point from the converged values of a previously analyzed task set
-// that is identical except for pointwise smaller jitters (see
-// rta.Options.Pass1Warm for the monotonicity argument).
 type Memo struct {
 	mu    sync.Mutex
 	sched map[string]*tsched.Schedule
 	rta   map[string]rtaMemoEntry
-	shape map[string][]rtaShapeEntry
 	queue map[string][]gateway.TTPResult
 	stats MemoStats
 }
@@ -54,20 +48,11 @@ type rtaMemoEntry struct {
 	stable bool
 }
 
-// rtaShapeEntry seeds warm starts: the jitter vector a task-set shape
-// was analyzed with and the first-pass interference delays it produced.
-type rtaShapeEntry struct {
-	j     []model.Time
-	pass1 []model.Time
-}
-
 // MemoStats counts stage-cache traffic. Hits mean the stage was served
-// without recomputation; WarmStarts counts RTA misses that reused a
-// dominated parent's converged values as the iteration starting point.
+// without recomputation.
 type MemoStats struct {
 	ScheduleHits, ScheduleMisses int64
 	RTAHits, RTAMisses           int64
-	RTAWarmStarts                int64
 	QueueHits, QueueMisses       int64
 }
 
@@ -83,10 +68,7 @@ func (s MemoStats) Misses() int64 { return s.ScheduleMisses + s.RTAMisses + s.Qu
 const (
 	memoSchedCap = 4096
 	memoRTACap   = 16384
-	memoShapeCap = 4096
 	memoQueueCap = 8192
-	// memoShapeRing bounds the warm-start seeds kept per task-set shape.
-	memoShapeRing = 4
 )
 
 // NewMemo builds an empty stage cache for one (application,
@@ -95,7 +77,6 @@ func NewMemo() *Memo {
 	return &Memo{
 		sched: make(map[string]*tsched.Schedule),
 		rta:   make(map[string]rtaMemoEntry),
-		shape: make(map[string][]rtaShapeEntry),
 		queue: make(map[string][]gateway.TTPResult),
 	}
 }
@@ -105,16 +86,6 @@ func (m *Memo) Stats() MemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// Reset drops every cached stage result (the counters survive).
-func (m *Memo) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sched = make(map[string]*tsched.Schedule)
-	m.rta = make(map[string]rtaMemoEntry)
-	m.shape = make(map[string][]rtaShapeEntry)
-	m.queue = make(map[string][]gateway.TTPResult)
 }
 
 // --- key encoding -----------------------------------------------------
@@ -185,10 +156,8 @@ func (ks *keyScratch) appendEdgeTimes(b []byte, m map[model.EdgeID]model.Time) [
 	return b
 }
 
-// rtaKey encodes one resource's task vector. The whole key is exact (all
-// analysis inputs); its first shapeLen bytes are the J-blind shape key
-// that indexes the warm-start seeds.
-func (ks *keyScratch) rtaKey(resource int, tasks []rta.Task, horizon model.Time) (key []byte, shapeLen int) {
+// rtaKey encodes one resource's task vector (all analysis inputs).
+func (ks *keyScratch) rtaKey(resource int, tasks []rta.Task, horizon model.Time) []byte {
 	b := ks.buf[:0]
 	b = appendInt(b, resource)
 	b = appendTime(b, horizon)
@@ -199,6 +168,7 @@ func (ks *keyScratch) rtaKey(resource int, tasks []rta.Task, horizon model.Time)
 		b = appendTime(b, t.C)
 		b = appendTime(b, t.T)
 		b = appendTime(b, t.O)
+		b = appendTime(b, t.J)
 		b = appendTime(b, t.B)
 		b = appendInt(b, t.Trans)
 		if t.NonPreemptive {
@@ -207,12 +177,8 @@ func (ks *keyScratch) rtaKey(resource int, tasks []rta.Task, horizon model.Time)
 			b = append(b, 0)
 		}
 	}
-	shapeLen = len(b)
-	for i := range tasks {
-		b = appendTime(b, tasks[i].J)
-	}
 	ks.buf = b
-	return b, shapeLen
+	return b
 }
 
 // queueKey encodes an OutTTP analysis input.
@@ -275,7 +241,7 @@ func (m *Memo) buildSchedule(in tsched.Input, ks *keyScratch) (*tsched.Schedule,
 // rta.AnalyzeStable's stability, which the caller turns into the global
 // all-unconverged marking exactly like the monolithic rta.Analyze.
 func (m *Memo) analyzeResource(resource int, group []rta.Task, horizon model.Time, ks *keyScratch) ([]rta.Result, bool, error) {
-	key, shapeLen := ks.rtaKey(resource, group, horizon)
+	key := ks.rtaKey(resource, group, horizon)
 	m.mu.Lock()
 	if e, ok := m.rta[string(key)]; ok {
 		m.stats.RTAHits++
@@ -283,58 +249,16 @@ func (m *Memo) analyzeResource(resource int, group []rta.Task, horizon model.Tim
 		return e.res, e.stable, nil
 	}
 	m.stats.RTAMisses++
-	var warm []model.Time
-	for _, se := range m.shape[string(key[:shapeLen])] {
-		if len(se.j) != len(group) {
-			continue
-		}
-		dominated := true
-		for i := range group {
-			if se.j[i] > group[i].J {
-				dominated = false
-				break
-			}
-		}
-		if dominated {
-			warm = se.pass1
-			m.stats.RTAWarmStarts++
-			break
-		}
-	}
 	m.mu.Unlock()
-
-	res, stable, pass1, err := rta.AnalyzeStable(group, rta.Options{Horizon: horizon, Pass1Warm: warm})
+	res, stable, err := rta.AnalyzeStable(group, rta.Options{Horizon: horizon})
 	if err != nil {
 		return nil, false, err
-	}
-
-	// One string backs both keys: the shape key is the exact key's prefix.
-	exact := string(key)
-	shape := exact[:shapeLen]
-	j := make([]model.Time, len(group))
-	for i := range group {
-		j[i] = group[i].J
 	}
 	m.mu.Lock()
 	if len(m.rta) >= memoRTACap {
 		m.rta = make(map[string]rtaMemoEntry)
 	}
-	m.rta[exact] = rtaMemoEntry{res: res, stable: stable}
-	if len(m.shape) >= memoShapeCap {
-		m.shape = make(map[string][]rtaShapeEntry)
-	}
-	seed := rtaShapeEntry{j: j, pass1: pass1}
-	if ring, ok := m.shape[shape]; !ok {
-		ring = make([]rtaShapeEntry, 1, memoShapeRing)
-		ring[0] = seed
-		m.shape[shape] = ring
-	} else if len(ring) < memoShapeRing {
-		m.shape[shape] = append(ring, seed)
-	} else {
-		// Full: drop the oldest seed in place (every access holds mu).
-		copy(ring, ring[1:])
-		ring[len(ring)-1] = seed
-	}
+	m.rta[string(key)] = rtaMemoEntry{res: res, stable: stable}
 	m.mu.Unlock()
 	return res, stable, nil
 }

@@ -4,7 +4,7 @@
 // each differing from a parent by a single §5.1 move — so that the
 // unchanged parts of the analysis are reused instead of recomputed.
 //
-// Three layers stack up, all provably bit-identical to the cold path:
+// Two layers stack up, both provably bit-identical to the cold path:
 //
 //  1. A full-configuration memo: the canonical encoding of psi =
 //     <phi, beta, pi> keys completed analyses, so re-visited
@@ -18,12 +18,6 @@
 //     Stale reuse is impossible by construction — "invalidation" is
 //     implicit in the keying — and memory stays bounded because each
 //     cache is dropped whole when it reaches its cap.
-//  3. Warm starts: RTA stage misses whose task set is identical to a
-//     cached one except for pointwise larger jitters start their
-//     first-pass fixed point from the parent's converged values
-//     (rta.Options.Pass1Warm); monotonicity makes the trajectory's
-//     result identical, and rta.SelfCheck re-proves it per fixed point
-//     in debug builds and tests.
 //
 // Because every cache is exact-keyed, an Evaluator can be shared across
 // seeds, strategies and worker counts without breaking the repo-wide
@@ -104,24 +98,6 @@ func (ev *Evaluator) Analyze(cfg *core.Config) (*core.Analysis, error) {
 	return a, nil
 }
 
-// Evict removes one configuration from the full-configuration memo (its
-// stage-level inputs stay cached). Like all eviction here it is a
-// memory hint; a later Analyze of the same configuration recomputes the
-// identical result.
-func (ev *Evaluator) Evict(cfg *core.Config) {
-	ev.mu.Lock()
-	delete(ev.configs, ConfigKey(cfg))
-	ev.mu.Unlock()
-}
-
-// Reset drops the full-configuration memo and every stage cache.
-func (ev *Evaluator) Reset() {
-	ev.mu.Lock()
-	ev.configs = make(map[string]*core.Analysis)
-	ev.mu.Unlock()
-	ev.aopts.Memo.Reset()
-}
-
 // Stats reports the evaluator's cache traffic.
 type Stats struct {
 	// ConfigHits/ConfigMisses count full-configuration memo traffic.
@@ -152,10 +128,9 @@ func (s Stats) StageHitRate() float64 {
 
 // String renders the stats for diagnostics.
 func (s Stats) String() string {
-	return fmt.Sprintf("config %d/%d (%.0f%%), stages %d/%d (%.0f%%), warm starts %d",
+	return fmt.Sprintf("config %d/%d (%.0f%%), stages %d/%d (%.0f%%)",
 		s.ConfigHits, s.ConfigHits+s.ConfigMisses, 100*s.HitRate(),
-		s.Memo.Hits(), s.Memo.Hits()+s.Memo.Misses(), 100*s.StageHitRate(),
-		s.Memo.RTAWarmStarts)
+		s.Memo.Hits(), s.Memo.Hits()+s.Memo.Misses(), 100*s.StageHitRate())
 }
 
 // Stats returns a snapshot of the counters.

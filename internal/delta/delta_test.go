@@ -10,17 +10,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/opt"
-	"repro/internal/rta"
 )
-
-// selfCheck arms the RTA warm-start proof-of-equivalence for the
-// duration of a test: every warm-started fixed point is recomputed cold
-// and must agree exactly.
-func selfCheck(t *testing.T) {
-	t.Helper()
-	rta.SelfCheck = true
-	t.Cleanup(func() { rta.SelfCheck = false })
-}
 
 // corpusSystem materializes corpus member i of a small test corpus.
 func corpusSystem(t testing.TB, i int) (*model.Application, *model.Architecture) {
@@ -69,11 +59,9 @@ func walkConfigs(t testing.TB, app *model.Application, arch *model.Architecture,
 
 // TestAnalyzeMatchesCold is the package-level bit-identity check: over
 // corpus systems and optimizer-shaped move walks, every Evaluator
-// analysis — cold-miss, warm-started and memo-hit alike — must deep-
-// equal the reference core.Analyze result, with the RTA self-check
-// armed so warm starts prove themselves per fixed point.
+// analysis — cold miss, stage hit and memo hit alike — must deep-equal
+// the reference core.Analyze result.
 func TestAnalyzeMatchesCold(t *testing.T) {
-	selfCheck(t)
 	for i := 0; i < 3; i++ {
 		app, arch := corpusSystem(t, i)
 		ev := New(app, arch)
@@ -148,18 +136,20 @@ func TestConfigKey(t *testing.T) {
 	}
 }
 
-// TestInvalidateIsAdvisory: evicting a configuration between analyses
-// never changes a result — eviction is a memory hint, the exact keys
-// carry correctness.
-func TestInvalidateIsAdvisory(t *testing.T) {
-	selfCheck(t)
+// TestSharedMemoStageHitsMatchCold drives one core.Memo through
+// core.AnalyzeWith along a move chain, with no full-configuration memo
+// in front: every configuration is new, so each analysis mixes stage
+// hits from its predecessors with fresh misses, and must still equal
+// the cold path.
+func TestSharedMemoStageHitsMatchCold(t *testing.T) {
 	app, arch := corpusSystem(t, 1)
-	ev := New(app, arch)
+	memo := core.NewMemo()
+	aopts := core.AnalyzeOptions{Memo: memo}
 	cfg := core.DefaultConfig(app, arch)
 	if err := cfg.Normalize(app); err != nil {
 		t.Fatal(err)
 	}
-	a, err := ev.Analyze(cfg)
+	a, err := core.AnalyzeWith(app, arch, cfg, aopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +165,7 @@ func TestInvalidateIsAdvisory(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		ev.Evict(next) // drop any full-config entry; the stage caches stay warm
-		got, err := ev.Analyze(next)
+		got, err := core.AnalyzeWith(app, arch, next, aopts)
 		if err != nil {
 			continue
 		}
@@ -185,9 +174,12 @@ func TestInvalidateIsAdvisory(t *testing.T) {
 			t.Fatalf("step %d: cold: %v", step, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: analysis after Evict(%v) differs from cold", step, m)
+			t.Fatalf("step %d: memoised analysis after %v differs from cold", step, m)
 		}
 		cur, curA = next, got
+	}
+	if s := memo.Stats(); s.Hits() == 0 || s.Misses() == 0 {
+		t.Fatalf("degenerate stage traffic along the chain: %+v", s)
 	}
 }
 
@@ -273,34 +265,28 @@ func TestEvaluatorConcurrent(t *testing.T) {
 	}
 }
 
-// TestResetAndStats: Reset drops every layer; analysis afterwards still
-// matches cold and the counters keep accumulating.
-func TestResetAndStats(t *testing.T) {
+// TestStatsAccumulate: the counters count every lookup — a miss per
+// new configuration, a hit per repeat — and keep accumulating.
+func TestStatsAccumulate(t *testing.T) {
 	app, arch := corpusSystem(t, 0)
 	ev := New(app, arch)
-	cfg := core.DefaultConfig(app, arch)
-	if err := cfg.Normalize(app); err != nil {
-		t.Fatal(err)
+	cfgs := walkConfigs(t, app, arch, 3, 9)
+	for rep := 0; rep < 2; rep++ {
+		for _, cfg := range cfgs {
+			if _, err := ev.Analyze(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	want, err := ev.Analyze(cfg)
-	if err != nil {
-		t.Fatal(err)
+	n := int64(len(cfgs))
+	s := ev.Stats()
+	if s.ConfigMisses != n || s.ConfigHits != n {
+		t.Errorf("got %d hits / %d misses over %d configurations analysed twice: %v", s.ConfigHits, s.ConfigMisses, n, s)
 	}
-	ev.Reset()
-	got, err := ev.Analyze(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == want {
-		t.Fatal("Reset kept the cached analysis pointer")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("post-Reset analysis differs")
-	}
-	if s := ev.Stats(); s.ConfigMisses < 2 {
-		t.Errorf("stats lost the pre-Reset traffic: %v", s)
+	if s.Memo.Misses() == 0 {
+		t.Errorf("stage counters stayed at zero: %v", s)
 	}
 	if testing.Verbose() {
-		t.Log(ev.Stats().String())
+		t.Log(s.String())
 	}
 }

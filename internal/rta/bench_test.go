@@ -73,7 +73,7 @@ func BenchmarkAnalyzeStable(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := rta.AnalyzeStable(tasks, rta.Options{Horizon: horizon}); err != nil {
+				if _, _, err := rta.AnalyzeStable(tasks, rta.Options{Horizon: horizon}); err != nil {
 					b.Fatal(err)
 				}
 			}

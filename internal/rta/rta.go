@@ -86,23 +86,7 @@ type Options struct {
 	// Horizon caps every fixed point; a diverging w is clamped here.
 	// Required, must be positive.
 	Horizon model.Time
-	// Pass1Warm, when non-nil, warm-starts the first-pass interference
-	// fixed point of task i at Pass1Warm[i] instead of B_i. Callers must
-	// pass a proven lower bound of the first-pass fixed point — e.g. the
-	// first-pass W of a task set identical except for pointwise smaller
-	// jitters (interference is monotone in J, so the smaller system's
-	// fixed point bounds the larger one's from below). Under that
-	// contract the results are bit-identical to a cold start; SelfCheck
-	// verifies it.
-	Pass1Warm []model.Time
 }
-
-// SelfCheck, when true, recomputes every warm-started interference
-// fixed point from its cold starting point and panics on any mismatch —
-// the proof-of-equivalence check of the incremental evaluator. Tests
-// and debug builds enable it; it is off in production because it undoes
-// the warm start's savings.
-var SelfCheck bool
 
 // RelOffset returns O_ij, the phase of task j relative to task i within
 // j's period, when both belong to the same transaction; unrelated tasks
@@ -211,63 +195,38 @@ const maxResponsePasses = 64
 // interferers' response times, which start at zero and grow
 // monotonically across passes until stable.
 func Analyze(tasks []Task, opt Options) ([]Result, error) {
-	res, _, _, err := AnalyzeStable(tasks, opt)
+	res, _, err := AnalyzeStable(tasks, opt)
 	return res, err
 }
 
 // AnalyzeStable is Analyze, additionally reporting whether the global
 // fixed point stabilized within the pass budget (stable == false is the
-// condition that marks every task unconverged) and the first-pass
-// interference delays. The incremental evaluator (internal/core's memo,
-// driven by internal/delta) uses the extras: stable keeps the
-// all-unconverged marking exact when the task set is analyzed per
-// resource, and pass1 seeds the Pass1Warm warm start of near-identical
-// task sets.
+// condition that marks every task unconverged). The memoised per-resource
+// analysis (internal/core's Memo) uses it to keep the all-unconverged
+// marking exact when the task set is analyzed one resource at a time.
 //
-// The per-pass interference fixed points are themselves warm-started
-// from the previous pass's values: the response vector grows
-// monotonically across passes and the interference count is monotone in
-// it, so each pass's least fixed point bounds the next one's from
-// below. The pass trajectory — and with it every W/R value, every
-// convergence flag and the pass budget — is identical to a cold
-// iteration.
-func AnalyzeStable(tasks []Task, opt Options) (res []Result, stable bool, pass1 []model.Time, err error) {
+// The per-pass interference fixed points are warm-started from the
+// previous pass's values: the response vector grows monotonically across
+// passes and the interference count is monotone in it, so each pass's
+// least fixed point bounds the next one's from below. The pass
+// trajectory — and with it every W/R value, every convergence flag and
+// the pass budget — is identical to a cold iteration.
+func AnalyzeStable(tasks []Task, opt Options) (res []Result, stable bool, err error) {
 	if opt.Horizon <= 0 {
-		return nil, false, nil, fmt.Errorf("rta: positive horizon required, got %d", opt.Horizon)
+		return nil, false, fmt.Errorf("rta: positive horizon required, got %d", opt.Horizon)
 	}
 	if err := ValidateTasks(tasks); err != nil {
-		return nil, false, nil, err
-	}
-	if opt.Pass1Warm != nil && len(opt.Pass1Warm) != len(tasks) {
-		return nil, false, nil, fmt.Errorf("rta: Pass1Warm has %d entries for %d tasks", len(opt.Pass1Warm), len(tasks))
+		return nil, false, err
 	}
 	res = make([]Result, len(tasks))
 	resp := make([]model.Time, len(tasks))
-	warm := make([]model.Time, len(tasks))
-	for i := range tasks {
-		warm[i] = tasks[i].B
-		if opt.Pass1Warm != nil && opt.Pass1Warm[i] > warm[i] {
-			warm[i] = opt.Pass1Warm[i]
-		}
-	}
 	hp := higherPriorityIndex(tasks)
 	for pass := 0; pass < maxResponsePasses; pass++ {
 		changed := false
 		for i := range tasks {
-			res[i] = analyzeOne(tasks, i, opt.Horizon, resp, hp[i], warm[i])
-			if SelfCheck && warm[i] > tasks[i].B {
-				cold := analyzeOne(tasks, i, opt.Horizon, resp, hp[i], tasks[i].B)
-				if cold != res[i] {
-					panic(fmt.Sprintf("rta: warm start of task %s diverged from cold start: warm %+v, cold %+v", name(tasks[i], i), res[i], cold))
-				}
-			}
-			warm[i] = res[i].W
-		}
-		if pass == 0 {
-			pass1 = make([]model.Time, len(tasks))
-			for i := range res {
-				pass1[i] = res[i].W
-			}
+			// res[i].W holds the previous pass's fixed point (zero
+			// in the first pass, which analyzeOne raises to B_i).
+			res[i] = analyzeOne(tasks, i, opt.Horizon, resp, hp[i], res[i].W)
 		}
 		for i := range res {
 			if res[i].R != resp[i] {
@@ -276,13 +235,13 @@ func AnalyzeStable(tasks []Task, opt Options) (res []Result, stable bool, pass1 
 			}
 		}
 		if !changed {
-			return res, true, pass1, nil
+			return res, true, nil
 		}
 	}
 	for i := range res {
 		res[i].Converged = false
 	}
-	return res, false, pass1, nil
+	return res, false, nil
 }
 
 // higherPriorityIndex precomputes, per task, the indices of the tasks

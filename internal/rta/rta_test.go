@@ -266,8 +266,7 @@ func TestPropertyMonotonicity(t *testing.T) {
 }
 
 // Permuting the task slice permutes the results — W, R, the converged
-// flags, the stability verdict and the first-pass delays — and changes
-// nothing else: each pass reads only the previous pass's responses, so
+// flags and the stability verdict — and changes nothing else: each pass reads only the previous pass's responses, so
 // no result depends on task order. internal/core relies on this to lay
 // its task set out per resource.
 func TestPropertyOrderIndependence(t *testing.T) {
@@ -281,7 +280,7 @@ func TestPropertyOrderIndependence(t *testing.T) {
 		if r.Intn(4) == 0 {
 			opt.Horizon = model.Time(1 + r.Intn(30)) // clamped, unconverged results
 		}
-		res, stable, pass1, err := AnalyzeStable(tasks, opt)
+		res, stable, err := AnalyzeStable(tasks, opt)
 		if err != nil {
 			return false
 		}
@@ -290,18 +289,80 @@ func TestPropertyOrderIndependence(t *testing.T) {
 		for k, i := range perm {
 			shuffled[k] = tasks[i]
 		}
-		res2, stable2, pass12, err := AnalyzeStable(shuffled, opt)
+		res2, stable2, err := AnalyzeStable(shuffled, opt)
 		if err != nil || stable2 != stable {
 			return false
 		}
 		for k, i := range perm {
-			if res2[k] != res[i] || pass12[k] != pass1[i] {
+			if res2[k] != res[i] {
 				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// coldReference is AnalyzeStable without the cross-pass warm start:
+// every pass solves every interference fixed point from w = B.
+func coldReference(tasks []Task, horizon model.Time) ([]Result, bool) {
+	res := make([]Result, len(tasks))
+	resp := make([]model.Time, len(tasks))
+	hp := higherPriorityIndex(tasks)
+	for pass := 0; pass < maxResponsePasses; pass++ {
+		changed := false
+		for i := range tasks {
+			res[i] = analyzeOne(tasks, i, horizon, resp, hp[i], tasks[i].B)
+		}
+		for i := range res {
+			if res[i].R != resp[i] {
+				resp[i] = res[i].R
+				changed = true
+			}
+		}
+		if !changed {
+			return res, true
+		}
+	}
+	for i := range res {
+		res[i].Converged = false
+	}
+	return res, false
+}
+
+// Starting each pass's fixed point from the previous pass's W changes
+// nothing: AnalyzeStable matches the cold-start reference in W, R,
+// Converged and stability, also when small horizons clamp the fixed
+// points.
+func TestPropertyCrossPassWarmStartMatchesCold(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		tasks := randomTaskSet(r)
+		for i := range tasks {
+			tasks[i].NonPreemptive = tasks[i].Resource == 1 && r.Intn(2) == 0
+		}
+		horizon := model.Time(hz)
+		if r.Intn(4) == 0 {
+			horizon = model.Time(1 + r.Intn(30))
+		}
+		res, stable, err := AnalyzeStable(tasks, Options{Horizon: horizon})
+		if err != nil {
+			return false
+		}
+		want, wantStable := coldReference(tasks, horizon)
+		if stable != wantStable {
+			return false
+		}
+		for i := range want {
+			if res[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

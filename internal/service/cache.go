@@ -87,7 +87,6 @@ func (c *solverCache) deltaStats() delta.Stats {
 		agg.Memo.ScheduleMisses += st.Memo.ScheduleMisses
 		agg.Memo.RTAHits += st.Memo.RTAHits
 		agg.Memo.RTAMisses += st.Memo.RTAMisses
-		agg.Memo.RTAWarmStarts += st.Memo.RTAWarmStarts
 		agg.Memo.QueueHits += st.Memo.QueueHits
 		agg.Memo.QueueMisses += st.Memo.QueueMisses
 	}

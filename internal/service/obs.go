@@ -90,8 +90,6 @@ func (s *Service) registerMetrics() {
 		r.CounterFunc("mcs_memo_misses_total", "Stage-cache misses across cached sessions.",
 			deltaStat(stage.miss), obs.L("cache", stage.name))
 	}
-	r.CounterFunc("mcs_memo_rta_warm_starts_total", "RTA fixpoints seeded from a shape-matched prior result.",
-		deltaStat(func(d delta.Stats) int64 { return d.Memo.RTAWarmStarts }))
 
 	// Durability layer (zero-valued while running purely in memory).
 	storeStat := func(sel func(store.Stats) float64) func() float64 {

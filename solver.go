@@ -2,6 +2,7 @@ package repro
 
 import (
 	"repro/internal/delta"
+	"repro/internal/engine"
 	"repro/internal/opt"
 	"repro/internal/solve"
 )
@@ -39,6 +40,10 @@ type Progress = solve.Progress
 // SolverOptions is the normalized option set of a Solver (inspectable
 // via Solver.Options).
 type SolverOptions = solve.Options
+
+// Evaluation couples one candidate configuration with its analysis (or
+// the analysis error) in a Solver.AnalyzeAll batch.
+type Evaluation = engine.Evaluation
 
 // DeltaStats reports the incremental delta-evaluation engine's cache
 // counters (see Solver.DeltaStats and WithDelta).
