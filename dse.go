@@ -75,7 +75,3 @@ func WithExploreSeed(seed int64) DSEOption { return solve.WithExploreSeed(seed) 
 // WithWarmStart toggles the OS/OR warm start (on by default; when on,
 // the front always weakly dominates the single-objective results).
 func WithWarmStart(on bool) DSEOption { return solve.WithWarmStart(on) }
-
-// WithSeedConfigs injects extra configurations into the initial
-// population.
-func WithSeedConfigs(cfgs ...*Config) DSEOption { return solve.WithSeedConfigs(cfgs...) }

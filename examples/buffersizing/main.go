@@ -28,7 +28,7 @@ func main() {
 		app.Name, len(app.Procs), len(app.GatewayEdges(arch)))
 
 	// One Solver session serves both strategies, so the second run
-	// reuses the cached slot candidates and configuration templates.
+	// recalls every configuration the first one already analyzed.
 	ctx := context.Background()
 	solver, err := repro.NewSolver(app, arch)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // near-identical configurations that synthesis loops evaluate. One Memo
 // serves exactly one (application, architecture) pair — the keys cover
 // only the configuration-dependent inputs — and is safe for concurrent
-// use by an evaluation pool.
+// use by the workers of an evaluation batch.
 //
 // Every cache is keyed by an exact binary encoding of the stage's full
 // input, so a hit returns a result that is bit-identical to recomputing

@@ -42,7 +42,7 @@ const configCap = 8192
 
 // Evaluator is the incremental evaluator for one (application,
 // architecture, analysis-options) triple. It is safe for concurrent use
-// by an evaluation pool. Returned *core.Analysis values are shared
+// by the workers of an evaluation batch. Returned *core.Analysis values are shared
 // across callers and must be treated as read-only, which every consumer
 // in this repository already does.
 type Evaluator struct {

@@ -222,9 +222,9 @@ func TestOSScanDeltaProperty(t *testing.T) {
 	}
 }
 
-// TestEvaluatorConcurrent drives one Evaluator from a parallel pool the
-// way engine.EvaluateAllDelta does; run under -race this is the
-// evaluator's data-race coverage.
+// TestEvaluatorConcurrent drives one Evaluator from parallel workers the
+// way the optimizers' engine.Map batches do; run under -race this is
+// the evaluator's data-race coverage.
 func TestEvaluatorConcurrent(t *testing.T) {
 	app, arch := corpusSystem(t, 2)
 	ev := New(app, arch)

@@ -10,10 +10,10 @@
 //
 // The search is an NSGA-II-style population loop: per generation a
 // serial rng draws the variation (tournament parents, stacked §5.1
-// moves), the offspring are analyzed concurrently across an
-// engine.Pool, and the reduction — archive insertion, non-dominated
-// sorting, crowding-distance selection — walks the evaluations in
-// generation order. Exactly like sa.RunRestarts, the outcome is
+// moves), the offspring are analyzed concurrently by
+// engine.EvaluateAll, and the reduction — archive insertion,
+// non-dominated sorting, crowding-distance selection — walks the
+// evaluations in generation order. Exactly like sa.RunRestarts, the outcome is
 // therefore bit-identical for every worker count and fully determined
 // by the seed.
 //
@@ -57,13 +57,6 @@ type Options struct {
 	// Workers bounds the concurrent offspring evaluations (default 1 =
 	// serial). The front is bit-identical for every value.
 	Workers int
-	// Pool, when non-nil, supplies the evaluation pool (typically a
-	// session-shared one) instead of a fresh engine.New(Workers).
-	Pool *engine.Pool
-	// Seeds are extra configurations injected into the initial
-	// population (cloned and re-analyzed; their analyses count as
-	// evaluations).
-	Seeds []*core.Config
 	// SeedPoints are pre-evaluated design points injected into the
 	// initial population and the archive without re-analysis (the
 	// Solver's warm start feeds the OS/OR results through here). They
@@ -71,10 +64,6 @@ type Options struct {
 	// front always weakly dominates every seed point. Their analyses
 	// are not counted again in Result.Evaluations.
 	SeedPoints []Point
-	// BaseConfig, when non-nil, replaces core.DefaultConfig as the
-	// starting template (the Solver injects its cached template); it
-	// must return a fresh un-normalized clone per call.
-	BaseConfig func() *core.Config
 	// Eval, when non-nil, replaces core.Analyze for every offspring
 	// analysis — the Solver injects its incremental delta evaluator
 	// here. The variation operators emit §5.1 moves (see mutate), so
@@ -150,10 +139,6 @@ type individual struct {
 // returns the best-so-far front together with the context's error.
 func Explore(ctx context.Context, app *model.Application, arch *model.Architecture, opts Options) (*Result, error) {
 	opts.defaults()
-	pool := opts.Pool
-	if pool == nil {
-		pool = engine.New(opts.Workers)
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	archive := NewArchive(opts.ArchiveCap)
 	res := &Result{}
@@ -168,7 +153,7 @@ func Explore(ctx context.Context, app *model.Application, arch *model.Architectu
 		return res, err
 	}
 
-	// evalBatch analyzes a configuration batch across the pool and
+	// evalBatch analyzes a configuration batch on the workers and
 	// reduces it in input order: successful analyses are archived and
 	// become individuals, unanalyzable candidates are skipped, and a
 	// cancellation truncates the batch (stopped = true) keeping what
@@ -180,7 +165,7 @@ func Explore(ctx context.Context, app *model.Application, arch *model.Architectu
 		}
 	}
 	evalBatch := func(cfgs []*core.Config) (out []individual, stopped bool) {
-		evals, _ := engine.EvaluateAllWith(ctx, pool, engine.Analyzer(eval), cfgs)
+		evals, _ := engine.EvaluateAll(ctx, opts.Workers, engine.Analyzer(eval), cfgs)
 		for i, ev := range evals {
 			if ev.Err != nil {
 				if ctx.Err() != nil && errors.Is(ev.Err, ctx.Err()) {
@@ -197,26 +182,13 @@ func Explore(ctx context.Context, app *model.Application, arch *model.Architectu
 		return out, false
 	}
 
-	// Initial population: the normalized default template, the injected
-	// seed configurations, and the pre-evaluated seed points.
-	var baseCfg *core.Config
-	if opts.BaseConfig != nil {
-		baseCfg = opts.BaseConfig()
-	} else {
-		baseCfg = core.DefaultConfig(app, arch)
-	}
+	// Initial population: the normalized default template and the
+	// pre-evaluated seed points.
+	baseCfg := core.DefaultConfig(app, arch)
 	if err := baseCfg.Normalize(app); err != nil {
 		return nil, err
 	}
-	initial := []*core.Config{baseCfg}
-	for _, s := range opts.Seeds {
-		c := s.Clone()
-		if err := c.Normalize(app); err != nil {
-			continue // structurally incompatible seed: skip
-		}
-		initial = append(initial, c)
-	}
-	pop, stopped := evalBatch(initial)
+	pop, stopped := evalBatch([]*core.Config{baseCfg})
 	for _, p := range opts.SeedPoints {
 		archive.AddPinned(p)
 		pop = append(pop, individual{Point: p, obj: p.Objectives(), idx: nextIdx})
@@ -248,7 +220,7 @@ func Explore(ctx context.Context, app *model.Application, arch *model.Architectu
 		// Variation is drawn serially from the one rng stream (same
 		// sequence as a serial run), then scored in parallel.
 		var offspring []*core.Config
-		//mcs:allow ctxloop variation is cheap in-memory mutation; the generation loop above and the pooled evaluation below both observe ctx
+		//mcs:allow ctxloop variation is cheap in-memory mutation; the generation loop above and the batch evaluation below both observe ctx
 		for i := 0; i < opts.Population; i++ {
 			parent := tournament(rng, pop)
 			if cfg := mutate(rng, app, arch, parent.Point, &opts); cfg != nil {

@@ -52,15 +52,14 @@ func BenchmarkMapOverhead(b *testing.B) {
 	fn := func(_ context.Context, j int) (int, error) { return j, nil }
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.Map(context.Background(), engine.Serial(), 1024, fn); err != nil {
+			if _, err := engine.Map(context.Background(), 1, 1024, fn); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
-		pool := engine.New(runtime.NumCPU())
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.Map(context.Background(), pool, 1024, fn); err != nil {
+			if _, err := engine.Map(context.Background(), runtime.NumCPU(), 1024, fn); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,7 @@
 // Package engine is the concurrent evaluation engine of the synthesis
-// flow: a bounded worker pool that fans independent (configuration ->
-// analysis) evaluations out across goroutines while keeping every result
-// bit-identical to a serial run.
+// flow: batch primitives that fan independent (configuration ->
+// analysis) evaluations out across at most a given number of goroutines
+// while keeping every result bit-identical to a serial run.
 //
 // The paper's algorithms spend almost all of their time in
 // core.Analyze, and every call site evaluates *batches* of independent
@@ -13,11 +13,16 @@
 // (cf. parametric schedulability analysis, Sun et al.), so the engine
 // exposes exactly three batch primitives:
 //
-//   - Map: run fn(i) for i in [0, n) across the pool and return the
-//     results in index order, one captured error per item;
+//   - Map: run fn(i) for i in [0, n) on at most workers goroutines and
+//     return the results in index order, one captured error per item;
 //   - Sweep: Map over a list of self-contained jobs (whole experiments);
-//   - EvaluateAll: Map specialized to core.Analyze over candidate
+//   - EvaluateAll: Map specialized to an Analyzer over candidate
 //     configurations.
+//
+// The worker count is the only concurrency setting. It bounds each
+// batch on its own: every call starts its own goroutines and there is
+// no process-wide pool, so concurrent batches (say, several service
+// jobs) each run up to their own bound.
 //
 // Determinism is the contract that makes the engine safe to drop into
 // the published heuristics: callers generate the full candidate batch

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -13,11 +15,11 @@ import (
 )
 
 // TestMapOrderAndValues checks that results come back in index order
-// with the right values, for every pool size.
+// with the right values, for every worker count.
 func TestMapOrderAndValues(t *testing.T) {
 	const n = 100
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		res, err := Map(context.Background(), New(workers), n, func(_ context.Context, i int) (int, error) {
+		res, err := Map(context.Background(), workers, n, func(_ context.Context, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -43,12 +45,12 @@ func TestMapSerialParallelEquality(t *testing.T) {
 		}
 		return fmt.Sprintf("v%d", i*31%17), nil
 	}
-	serial, err := Map(context.Background(), Serial(), 200, fn)
+	serial, err := Map(context.Background(), 1, 200, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
-		par, err := Map(context.Background(), New(workers), 200, fn)
+		par, err := Map(context.Background(), workers, 200, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,10 +61,10 @@ func TestMapSerialParallelEquality(t *testing.T) {
 }
 
 // TestMapPerItemErrors checks that item errors are captured without
-// failing the batch, and that FirstError picks the lowest index.
+// failing the batch, each in its own item.
 func TestMapPerItemErrors(t *testing.T) {
 	boom := errors.New("boom")
-	res, err := Map(context.Background(), New(4), 10, func(_ context.Context, i int) (int, error) {
+	res, err := Map(context.Background(), 4, 10, func(_ context.Context, i int) (int, error) {
 		if i == 2 || i == 7 {
 			return 0, fmt.Errorf("item %d: %w", i, boom)
 		}
@@ -77,9 +79,8 @@ func TestMapPerItemErrors(t *testing.T) {
 			t.Fatalf("item %d: err=%v, want error=%v", i, r.Err, wantErr)
 		}
 	}
-	first := FirstError(res)
-	if !errors.Is(first, boom) || first.Error() != "item 2: boom" {
-		t.Fatalf("FirstError = %v, want item 2", first)
+	if !errors.Is(res[2].Err, boom) || res[2].Err.Error() != "item 2: boom" {
+		t.Fatalf("item 2 err = %v, want its own error", res[2].Err)
 	}
 }
 
@@ -91,7 +92,7 @@ func TestMapCancellation(t *testing.T) {
 		var ran int
 		var mu sync.Mutex
 		const n = 1000
-		res, err := Map(ctx, New(workers), n, func(_ context.Context, i int) (int, error) {
+		res, err := Map(ctx, workers, n, func(_ context.Context, i int) (int, error) {
 			mu.Lock()
 			ran++
 			if ran == 5 {
@@ -118,7 +119,7 @@ func TestMapCancellation(t *testing.T) {
 
 // TestMapEmpty checks the n=0 edge case.
 func TestMapEmpty(t *testing.T) {
-	res, err := Map(context.Background(), New(8), 0, func(_ context.Context, i int) (int, error) {
+	res, err := Map(context.Background(), 8, 0, func(_ context.Context, i int) (int, error) {
 		t.Fatal("fn called for empty batch")
 		return 0, nil
 	})
@@ -134,7 +135,7 @@ func TestSweep(t *testing.T) {
 		i := i
 		jobs[i] = func(context.Context) (int, error) { return 2 * i, nil }
 	}
-	res, err := Sweep(context.Background(), New(6), jobs)
+	res, err := Sweep(context.Background(), 6, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,8 @@ func TestEvaluateAllMatchesSerial(t *testing.T) {
 		}
 		cfgs = append(cfgs, cfg)
 	}
-	par, err := EvaluateAll(context.Background(), New(8), app, arch, cfgs)
+	az := func(cfg *core.Config) (*core.Analysis, error) { return core.Analyze(app, arch, cfg) }
+	par, err := EvaluateAll(context.Background(), 8, az, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,4 +185,66 @@ func TestEvaluateAllMatchesSerial(t *testing.T) {
 			t.Fatalf("cfg %d: evaluation does not carry its config", i)
 		}
 	}
+}
+
+// TestMapBoundsConcurrency checks the per-batch bound: for every worker
+// count, no more than min(workers, n) calls of fn are ever in flight,
+// for Map and Sweep alike, and a single worker runs the calls in index
+// order.
+func TestMapBoundsConcurrency(t *testing.T) {
+	const n = 64
+	for _, workers := range []int{1, 2, 3, 8} {
+		var inFlight, peak atomic.Int64
+		var order []int
+		call := func(i int) (int, error) {
+			cur := inFlight.Add(1)
+			for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+			}
+			if workers == 1 {
+				order = append(order, i) // serial path: no other goroutine
+			}
+			runtime.Gosched()
+			inFlight.Add(-1)
+			return i, nil
+		}
+		jobs := make([]func(context.Context) (int, error), n)
+		for i := range jobs {
+			jobs[i] = func(context.Context) (int, error) { return call(i) }
+		}
+		batches := []struct {
+			name string
+			run  func() error
+		}{
+			{"Map", func() error {
+				_, err := Map(context.Background(), workers, n, func(_ context.Context, i int) (int, error) { return call(i) })
+				return err
+			}},
+			{"Sweep", func() error {
+				_, err := Sweep(context.Background(), workers, jobs)
+				return err
+			}},
+		}
+		for _, b := range batches {
+			peak.Store(0)
+			order = nil
+			if err := b.run(); err != nil {
+				t.Fatal(err)
+			}
+			if got, limit := peak.Load(), int64(min(workers, n)); got > limit {
+				t.Errorf("%s workers=%d: %d calls in flight, bound %d", b.name, workers, got, limit)
+			}
+			if workers == 1 && !reflect.DeepEqual(order, indices(n)) {
+				t.Errorf("%s workers=1: calls ran in order %v, want index order", b.name, order)
+			}
+		}
+	}
+}
+
+// indices returns 0, 1, ..., n-1.
+func indices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }

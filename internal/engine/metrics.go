@@ -18,8 +18,8 @@ type Metrics struct {
 	// BatchSize observes the item count of each batch.
 	BatchSize *obs.Histogram
 	// Workers observes the effective worker count of each batch (after
-	// clamping to the item count), exposing how much of the pool a
-	// workload actually uses.
+	// clamping to the item count), exposing how much of the worker
+	// bound a workload actually uses.
 	Workers *obs.Histogram
 }
 

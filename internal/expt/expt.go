@@ -45,8 +45,9 @@ type Options struct {
 	// cell is one (size or traffic point, seed) pair, generated and
 	// synthesized independently (default 1 = serial; mcs-experiments
 	// passes runtime.NumCPU() through -workers). Within a cell the
-	// optimizers run serially, so the pool is never oversubscribed, and
-	// rows and progress output are identical for every worker count.
+	// optimizers run serially, so the sweep never runs more than Workers
+	// analyses at once, and rows and progress output are identical for
+	// every worker count.
 	Workers int
 	// Progress, when non-nil, receives one line per completed step.
 	// Lines are emitted during the deterministic reduction, in the same
@@ -83,10 +84,10 @@ func cellSolver(app *model.Application, arch *model.Architecture, opts *Options,
 		solve.WithSAIterations(opts.SAIterations))
 }
 
-// gridSweep fans one job per (point, seed) cell of a sweep out across
-// the engine pool and returns the cells as [point][seed-1], failing
-// with the first error in cell order (what a serial sweep would have
-// hit first). Each cell must be self-contained: it generates its own
+// gridSweep fans one job per (point, seed) cell of a sweep out on
+// opts.Workers goroutines and returns the cells as [point][seed-1],
+// failing with the first error in cell order (what a serial sweep
+// would have hit first). Each cell must be self-contained: it generates its own
 // system and synthesizes it, sharing nothing with its neighbours.
 // Cancelling ctx aborts the sweep with ctx's error.
 //
@@ -132,7 +133,7 @@ func gridSweep[T any](ctx context.Context, opts *Options, points int, fn func(ct
 	streamed := make(chan struct{})
 	// The cell fan-out itself rides engine.Sweep below; this goroutine
 	// is the ordered live-progress consumer running beside it, which a
-	// job-shaped pool cannot express.
+	// job-shaped batch cannot express.
 	//mcs:allow poolonly ordered progress streamer consuming cell completions beside the engine.Sweep fan-out
 	go func() {
 		defer close(streamed)
@@ -146,7 +147,7 @@ func gridSweep[T any](ctx context.Context, opts *Options, points int, fn func(ct
 			}
 		}
 	}()
-	res, _ := engine.Sweep(ctx, engine.New(opts.Workers), jobs)
+	res, _ := engine.Sweep(ctx, opts.Workers, jobs)
 	// A cell the engine skipped after cancellation never ran its job,
 	// so its done channel is still open — record the skip and close it
 	// here, or the streamer (and this function) would wait forever.
@@ -208,9 +209,9 @@ func deviationPct(value, best float64) float64 {
 // best - and keeps the better outcome. This stands in for the paper's
 // "very long and expensive runs ... the best ever solution produced has
 // been considered a close to the optimum value". The chains are
-// independent and run across an engine pool of workers goroutines
-// (pass 1 from inside an already-parallel sweep cell); the reduction
-// keeps chain order, so the outcome does not depend on the pool size.
+// independent and run on at most workers goroutines (pass 1 from
+// inside an already-parallel sweep cell); the reduction keeps chain
+// order, so the outcome does not depend on the worker count.
 func bestSA(ctx context.Context, sv *solve.Solver, osBest *opt.Result, obj sa.Objective, iters int, seed int64, workers int) (*opt.Result, int, error) {
 	app, arch := sv.Application(), sv.Architecture()
 	sf, err := sv.Straightforward(ctx)
@@ -230,7 +231,7 @@ func bestSA(ctx context.Context, sv *solve.Solver, osBest *opt.Result, obj sa.Ob
 			})
 		}
 	}
-	chains, _ := engine.Sweep(ctx, engine.New(workers), jobs)
+	chains, _ := engine.Sweep(ctx, workers, jobs)
 	evals := 0
 	var best *opt.Result
 	for _, c := range chains {

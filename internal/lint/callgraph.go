@@ -27,7 +27,7 @@ import (
 //     function to the passed callee ("the callee may invoke what I
 //     handed it"), and calls through a parameter inside the callee add
 //     no further edges — the pass site already accounted for them.
-//     This keeps callback chains (engine.Pool batches) precise instead
+//     This keeps callback chains (engine.Map/Sweep batches) precise instead
 //     of merging every call site's candidates.
 //   - Function values stored into a struct field link calls through
 //     that field to exactly the values stored into it anywhere in the

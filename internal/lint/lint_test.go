@@ -167,7 +167,7 @@ func TestWallclockHardInDetLayer(t *testing.T) {
 	runFixture(t, Wallclock, "wallclock/solve")
 }
 
-// internal/engine (the pool itself) is structurally exempt from
+// internal/engine (the batch primitives themselves) is structurally exempt from
 // poolonly: the fixture's bare go statement produces nothing.
 func TestPoolonlyEngineExempt(t *testing.T) {
 	runFixture(t, Poolonly, "poolonly/internal/engine")

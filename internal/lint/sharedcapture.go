@@ -9,9 +9,10 @@ import (
 // Sharedcapture is the static complement to the race detector, which
 // only sees the interleavings a run happens to execute. It inspects
 // the closures that actually run concurrently in this repo — function
-// literals submitted to engine.Pool batch primitives and literals
-// launched by go statements (annotated or not; poolonly polices the
-// annotation) — and flags captures that break the batch contract:
+// literals submitted to the engine.Map/Sweep/EvaluateAll batch
+// primitives and literals launched by go statements (annotated or not;
+// poolonly polices the annotation) — and flags captures that break the
+// batch contract:
 //
 //   - A pool-batch closure that directly writes a captured variable
 //     declared outside the closure. Batch items run concurrently, so
@@ -115,9 +116,10 @@ func checkSharedCapture(p *Pass, fd *ast.FuncDecl) {
 }
 
 // batchClosures collects the function literals of fd that end up in an
-// engine.Pool batch: literals passed directly as arguments to a call
-// into internal/engine, and literals stored (assigned, appended,
-// indexed) into a variable that is passed to such a call.
+// engine batch (engine.Map/Sweep/EvaluateAll): literals passed directly
+// as arguments to a call into internal/engine, and literals stored
+// (assigned, appended, indexed) into a variable that is passed to such
+// a call.
 func batchClosures(pkg *Package, fd *ast.FuncDecl) []*ast.FuncLit {
 	batchVars := map[types.Object]bool{}
 	var lits []*ast.FuncLit
@@ -203,7 +205,7 @@ func batchClosures(pkg *Package, fd *ast.FuncDecl) []*ast.FuncLit {
 }
 
 // isEngineCall reports whether the call's static callee lives in the
-// engine package (the pool's batch primitives).
+// engine package (the batch primitives).
 func isEngineCall(pkg *Package, call *ast.CallExpr) bool {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {

@@ -39,7 +39,7 @@ type Progress struct {
 type EvalFunc func(*core.Config) (*core.Analysis, error)
 
 // Hooks instruments an optimizer run and lets a long-lived session
-// inject cached derived state. The zero value disables everything.
+// inject its evaluator. The zero value disables everything.
 type Hooks struct {
 	// OnProgress, when non-nil, receives one event per reduction step.
 	OnProgress func(Progress)
@@ -48,35 +48,12 @@ type Hooks struct {
 	// the optimizers request, not what Eval recomputes, so reported
 	// Evaluations are identical with and without an injected evaluator.
 	Eval EvalFunc
-	// SlotLengths, when non-nil, replaces
-	// tsched.RecommendedSlotLengths so a session can cache the
-	// candidate sets per slot owner. It must return exactly what the
-	// tsched call would (the optimizers rely on that for determinism).
-	SlotLengths func(owner model.NodeID, max int) []model.Time
-	// BaseConfig, when non-nil, replaces core.DefaultConfig as the
-	// starting template; it must return a fresh un-normalized clone
-	// per call.
-	BaseConfig func() *core.Config
 }
 
 func (h *Hooks) progress(p Progress) {
 	if h.OnProgress != nil {
 		h.OnProgress(p)
 	}
-}
-
-func (h *Hooks) slotLengths(app *model.Application, arch *model.Architecture, owner model.NodeID, max int) []model.Time {
-	if h.SlotLengths != nil {
-		return h.SlotLengths(owner, max)
-	}
-	return tsched.RecommendedSlotLengths(app, arch, owner, max)
-}
-
-func (h *Hooks) baseConfig(app *model.Application, arch *model.Architecture) *core.Config {
-	if h.BaseConfig != nil {
-		return h.BaseConfig()
-	}
-	return core.DefaultConfig(app, arch)
 }
 
 func (h *Hooks) eval(app *model.Application, arch *model.Architecture) EvalFunc {
@@ -148,9 +125,6 @@ type OSOptions struct {
 	// serial). The result is identical for every value: candidates are
 	// generated up front and reduced in order.
 	Workers int
-	// Pool, when non-nil, supplies the evaluation pool (typically a
-	// session-shared one) instead of a fresh engine.New(Workers).
-	Pool *engine.Pool
 	// Hooks instruments the run; see Hooks.
 	Hooks Hooks
 }
@@ -204,20 +178,16 @@ type osEval struct {
 // configurations (by delta and by s_total) as seeds for the second step.
 //
 // The candidates of each position are independent, so they are
-// evaluated across an engine pool of opts.Workers goroutines; the
-// reduction walks them in generation order, which makes the outcome
-// identical to the serial walk for any worker count.
+// evaluated on at most opts.Workers goroutines; the reduction walks
+// them in generation order, which makes the outcome identical to the
+// serial walk for any worker count.
 //
 // Cancelling ctx stops the search at the next evaluation granule: the
 // returned OSResult then carries the best configuration and the seeds
 // found so far, together with ctx's error.
 func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.Architecture, opts OSOptions) (*OSResult, error) {
 	opts.defaults()
-	pool := opts.Pool
-	if pool == nil {
-		pool = engine.New(opts.Workers)
-	}
-	base := opts.Hooks.baseConfig(app, arch)
+	base := core.DefaultConfig(app, arch)
 	res := &OSResult{}
 	var seeds []*Result
 
@@ -241,7 +211,7 @@ func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.A
 		var cands []osCandidate
 		//mcs:allow ctxloop candidate generation is cheap in-memory setup; the position loop checks ctx and the batch evaluation is ctx-aware
 		for j := i; j < len(round.Slots); j++ {
-			lengths := opts.Hooks.slotLengths(app, arch, round.Slots[j].Node, opts.SlotCandidates)
+			lengths := tsched.RecommendedSlotLengths(app, arch, round.Slots[j].Node, opts.SlotCandidates)
 			for _, l := range lengths {
 				var mvs []Move
 				if j != i {
@@ -252,9 +222,9 @@ func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.A
 			}
 		}
 
-		// Fan the derivation + HOPA + analysis work out across the pool.
+		// Fan the derivation + HOPA + analysis work out to the workers.
 		eval := opts.Hooks.eval(app, arch)
-		evals, _ := engine.Map(ctx, pool, len(cands), func(_ context.Context, k int) (osEval, error) {
+		evals, _ := engine.Map(ctx, opts.Workers, len(cands), func(_ context.Context, k int) (osEval, error) {
 			cfg := parent
 			for _, mv := range cands[k].moves {
 				next, err := mv.Apply(app, arch, cfg)
@@ -383,12 +353,7 @@ type OROptions struct {
 	// serial; forwarded to the OS step unless OS.Workers is set). The
 	// hill-climbing outcome is identical for every value.
 	Workers int
-	// Pool, when non-nil, supplies the evaluation pool (typically a
-	// session-shared one) instead of a fresh engine.New(Workers); it is
-	// forwarded to the OS step unless OS.Pool is set.
-	Pool *engine.Pool
-	// Hooks instruments the hill climber; cache hooks are forwarded to
-	// the OS step unless OS.Hooks sets them.
+	// Hooks instruments the hill climber; the OS step reads OS.Hooks.
 	Hooks Hooks
 }
 
@@ -398,15 +363,6 @@ func (o *OROptions) defaults() {
 	}
 	if o.OS.Workers <= 0 {
 		o.OS.Workers = o.Workers
-	}
-	if o.OS.Pool == nil {
-		o.OS.Pool = o.Pool
-	}
-	if o.OS.Hooks.SlotLengths == nil {
-		o.OS.Hooks.SlotLengths = o.Hooks.SlotLengths
-	}
-	if o.OS.Hooks.BaseConfig == nil {
-		o.OS.Hooks.BaseConfig = o.Hooks.BaseConfig
 	}
 	o.OS.defaults()
 	if o.MaxIterations <= 0 {
@@ -462,10 +418,6 @@ func OptimizeResources(ctx context.Context, app *model.Application, arch *model.
 		return out, ctx.Err()
 	}
 	rng := rand.New(rand.NewSource(opts.RandSeed))
-	pool := opts.Pool
-	if pool == nil {
-		pool = engine.New(opts.Workers)
-	}
 	eval := opts.Hooks.eval(app, arch)
 	best := osres.Best
 	step := 0
@@ -487,16 +439,19 @@ func OptimizeResources(ctx context.Context, app *model.Application, arch *model.
 			// the typed moves derive each neighbour from the shared
 			// incumbent inside the batch.
 			moves := GenerateMoves(app, arch, cur.Config, cur.Analysis, MoveBudget{Max: opts.NeighborBudget, Rand: rng})
-			evals, _ := engine.EvaluateAllDelta(ctx, pool, engine.Analyzer(eval), cur.Config, len(moves),
-				func(k int, parent *core.Config) (*core.Config, error) {
-					return moves[k].Apply(app, arch, parent)
-				})
+			evals, _ := engine.Map(ctx, opts.Workers, len(moves), func(_ context.Context, k int) (*Result, error) {
+				cfg, err := moves[k].Apply(app, arch, cur.Config)
+				if err != nil {
+					return nil, err
+				}
+				return evaluateWith(eval, cfg)
+			})
 			var chosen *Result
 			for _, ev := range evals {
-				if ev.Err != nil || ev.Analysis == nil {
+				if ev.Err != nil {
 					continue // impossible move, unanalyzable or cancelled
 				}
-				r := &Result{Config: ev.Config, Analysis: ev.Analysis}
+				r := ev.Value
 				out.Evaluations++
 				if !r.Schedulable() {
 					continue

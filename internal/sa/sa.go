@@ -52,9 +52,6 @@ type Options struct {
 	// Workers bounds the concurrently running chains (default 1 =
 	// serial). The best-ever result is identical for every value.
 	Workers int
-	// Pool, when non-nil, supplies the chain pool (typically a
-	// session-shared one) instead of a fresh engine.New(Workers).
-	Pool *engine.Pool
 	// Eval, when non-nil, replaces core.Analyze for every analysis of
 	// the chains (and the SF start of RunSAS/RunSAR) — the Solver
 	// injects its incremental delta evaluator here. Results and
@@ -200,10 +197,10 @@ func runChain(ctx context.Context, app *model.Application, arch *model.Architect
 }
 
 // RunRestarts anneals opts.Restarts independent chains from the same
-// initial configuration, seeded opts.Seed, opts.Seed+1, ..., across an
-// engine pool of opts.Workers goroutines, and returns the best-ever
-// result over all chains (ties broken by the lowest chain index, so the
-// outcome is deterministic for every worker count). Evaluations and
+// initial configuration, seeded opts.Seed, opts.Seed+1, ..., on at
+// most opts.Workers goroutines, and returns the best-ever result over
+// all chains (ties broken by the lowest chain index, so the outcome is
+// deterministic for every worker count). Evaluations and
 // Accepted are summed over the chains.
 //
 // Cancelling ctx stops every chain at its next iteration; the returned
@@ -215,22 +212,17 @@ func RunRestarts(ctx context.Context, app *model.Application, arch *model.Archit
 	if opts.Restarts == 1 {
 		return Run(ctx, app, arch, initial, opts)
 	}
-	pool := opts.Pool
-	if pool == nil {
-		pool = engine.New(opts.Workers)
-	}
 	jobs := make([]func(context.Context) (*Result, error), opts.Restarts)
 	for i := range jobs {
 		i := i
 		chainOpts := opts
 		chainOpts.Seed = opts.Seed + int64(i)
 		chainOpts.Restarts, chainOpts.Workers = 1, 1
-		chainOpts.Pool = nil
 		jobs[i] = func(ctx context.Context) (*Result, error) {
 			return runChain(ctx, app, arch, initial, chainOpts, i)
 		}
 	}
-	chains, _ := engine.Sweep(ctx, pool, jobs)
+	chains, _ := engine.Sweep(ctx, opts.Workers, jobs)
 	out := &Result{}
 	for _, c := range chains {
 		r := c.Value

@@ -11,8 +11,8 @@ import (
 // solverCache is an LRU of base Solver sessions keyed by the canonical
 // system fingerprint alone: every option variant (strategy, seed,
 // budgets) of one system derives its per-request session from the same
-// cached base via Solver.Derive, so the seed-independent derived state
-// (templates, slot-length candidates) is shared across a whole sweep.
+// cached base via Solver.Derive, so the base's exact-keyed evaluator is
+// shared across a whole sweep.
 // A hit changes nothing about the synthesized configuration — only how
 // fast the job starts producing evaluations.
 type solverCache struct {
@@ -38,9 +38,10 @@ func newSolverCache(capacity int) *solverCache {
 
 // getOrCreate returns the cached Solver for key, building and inserting
 // one with build on a miss. The second result reports a hit. Building
-// happens under the cache lock: solve.New only normalizes options (the
-// expensive derivations are lazy), so the critical section stays short
-// and concurrent requests for the same key can never race two sessions.
+// happens under the cache lock: solve.New only normalizes options and
+// allocates an empty evaluator (analyses fill it later), so the critical
+// section stays short and concurrent requests for the same key can never
+// race two sessions.
 func (c *solverCache) getOrCreate(key string, build func() (*solve.Solver, error)) (*solve.Solver, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -13,10 +13,10 @@
 //
 //   - A Solver cache (cache.go): Solvers are cached in an LRU keyed by
 //     the canonical System.Fingerprint content hash plus the normalized
-//     solver options. Because a Solver caches only seed-independent
-//     derived state, a cache hit produces configurations bit-identical
-//     to a cold Solver (asserted by tests); the hit merely skips the
-//     re-derivation of templates and slot-length candidate sets.
+//     solver options. Because a Solver shares only its exact-keyed
+//     evaluator, a cache hit produces configurations bit-identical to a
+//     cold Solver (asserted by tests); the hit merely recalls the
+//     analyses the evaluator already holds.
 //
 //   - A bounded job queue (service.go): Submit enqueues an asynchronous
 //     synthesis job (rejecting when the queue is full), runner

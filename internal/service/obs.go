@@ -132,7 +132,7 @@ func (s *Service) registerMetrics() {
 	// per-call handle to thread a registry through), so the last service
 	// to register wins — in the one-service-per-process daemon that is
 	// exactly the running service.
-	r.GaugeFunc("mcs_engine_pool_workers", "Configured per-solver evaluation pool bound.",
+	r.GaugeFunc("mcs_engine_pool_workers", "Configured per-batch evaluation worker bound.",
 		func() float64 { return float64(s.opts.Workers) })
 	engine.SetMetrics(&engine.Metrics{
 		Batches:   r.Counter("mcs_engine_batches_total", "Evaluation batches executed."),

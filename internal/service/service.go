@@ -38,8 +38,11 @@ var errDrainCanceled = errors.New("service: drain grace period expired")
 
 // Options tunes a Service. Zero values select the documented defaults.
 type Options struct {
-	// Workers bounds each Solver's evaluation pool (default
-	// runtime.NumCPU()). Results are identical for every value.
+	// Workers bounds each evaluation batch of a job: no batch runs more
+	// than Workers analyses at once (default runtime.NumCPU()). The
+	// bound is per batch, so JobWorkers concurrent jobs may together
+	// run up to JobWorkers × Workers. Results are identical for every
+	// value.
 	Workers int
 	// JobWorkers is the number of jobs synthesized concurrently
 	// (default 2).
@@ -186,8 +189,8 @@ func New(opts Options) *Service {
 	for i := 0; i < opts.JobWorkers; i++ {
 		// Job runners are the service's long-lived queue consumers, not
 		// per-request fan-out; the per-job parallelism inside a runner
-		// rides engine.Pool via the Solver sessions.
-		//mcs:allow poolonly long-lived job-queue runners; per-job fan-out rides engine.Pool inside the Solver
+		// rides the engine's batch primitives via the Solver sessions.
+		//mcs:allow poolonly long-lived job-queue runners; per-job fan-out rides engine.Map/Sweep/EvaluateAll inside the Solver
 		go func() {
 			defer s.runners.Done()
 			for j := range s.queue {

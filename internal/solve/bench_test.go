@@ -8,10 +8,10 @@ import (
 )
 
 // The benchmarks below compare the cold-start path (a fresh Solver per
-// operation, deriving default configuration templates and slot
-// candidate sets from scratch) with the session path (one Solver
-// reused), for the analyze and synthesize entry points. CI collects
-// them into the BENCH_solver.json artifact.
+// operation, so a fresh evaluator that has analyzed nothing) with the
+// session path (one Solver reused, so its evaluator recalls every
+// configuration already analyzed), for the analyze and synthesize
+// entry points. CI collects them into the BENCH_solver.json artifact.
 
 func benchSolver(b *testing.B) *Solver {
 	b.Helper()
@@ -23,7 +23,8 @@ func benchSolver(b *testing.B) *Solver {
 	return s
 }
 
-// BenchmarkSolverAnalyzeCold builds a fresh session per analysis.
+// BenchmarkSolverAnalyzeCold builds a fresh session, and so a fresh
+// evaluator, per analysis.
 func BenchmarkSolverAnalyzeCold(b *testing.B) {
 	app, arch := system(b, 1)
 	cfg := core.DefaultConfig(app, arch)
@@ -43,7 +44,8 @@ func BenchmarkSolverAnalyzeCold(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverAnalyzeCached reuses one session for every analysis.
+// BenchmarkSolverAnalyzeCached reuses one session for every analysis:
+// from the second call on, its evaluator recalls the analysis.
 func BenchmarkSolverAnalyzeCached(b *testing.B) {
 	s := benchSolver(b)
 	cfg, err := s.normalizedBase()
@@ -60,8 +62,7 @@ func BenchmarkSolverAnalyzeCached(b *testing.B) {
 }
 
 // BenchmarkSolverSynthesizeCold runs the OS heuristic on a fresh
-// session per call: every call re-derives the slot candidate sets and
-// the configuration templates.
+// session per call: every call analyzes every candidate from scratch.
 func BenchmarkSolverSynthesizeCold(b *testing.B) {
 	app, arch := system(b, 1)
 	ctx := context.Background()
@@ -78,12 +79,13 @@ func BenchmarkSolverSynthesizeCold(b *testing.B) {
 }
 
 // BenchmarkSolverSynthesizeCached runs the OS heuristic on one session:
-// from the second call on, the derived state comes from the caches.
+// from the second call on, every candidate analysis is an evaluator
+// hit.
 func BenchmarkSolverSynthesizeCached(b *testing.B) {
 	s := benchSolver(b)
 	ctx := context.Background()
 	if _, err := s.SynthesizeWith(ctx, OptimizeSchedule); err != nil {
-		b.Fatal(err) // warm the caches outside the timer
+		b.Fatal(err) // warm the evaluator outside the timer
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

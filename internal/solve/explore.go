@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/opt"
 )
@@ -12,7 +11,7 @@ import (
 // DSEOptions tunes Solver.Explore. Zero values select the dse package
 // defaults; the seed defaults to the session seed. The options are
 // per-call (unlike the session Options) so one Solver can serve many
-// exploration budgets without rebuilding its caches.
+// exploration budgets from one evaluator.
 type DSEOptions struct {
 	// Population and Generations bound the NSGA-II loop (defaults 16
 	// and 12).
@@ -33,9 +32,6 @@ type DSEOptions struct {
 	// Enabled by default; WithWarmStart(false) disables it for a pure
 	// from-scratch exploration.
 	WarmStart bool
-	// Seeds are extra configurations injected into the initial
-	// population (re-analyzed; cloned before use).
-	Seeds []*core.Config
 }
 
 // DSEOption mutates the DSEOptions of one Explore call.
@@ -62,25 +58,19 @@ func WithExploreSeed(seed int64) DSEOption { return func(o *DSEOptions) { o.Seed
 // WithWarmStart toggles the OS/OR warm start (on by default).
 func WithWarmStart(on bool) DSEOption { return func(o *DSEOptions) { o.WarmStart = on } }
 
-// WithSeedConfigs injects extra configurations into the initial
-// population.
-func WithSeedConfigs(cfgs ...*core.Config) DSEOption {
-	return func(o *DSEOptions) { o.Seeds = append(o.Seeds, cfgs...) }
-}
-
 // Explore runs the multi-objective design-space exploration (package
 // dse) on the session: instead of a single configuration it returns a
 // Pareto front over (degree of schedulability, total buffer need,
-// reserved TTP bus bandwidth). The exploration shares the session's
-// evaluation pool and cached templates, streams "dse" progress events
-// to the session observer, and is bit-identical for every worker count
-// under a fixed seed.
+// reserved TTP bus bandwidth). The exploration analyzes through the
+// session's evaluator, streams "dse" progress events to the session
+// observer, and is bit-identical for every worker count under a fixed
+// seed.
 //
 // By default the search warm-starts from the paper's single-objective
 // heuristics: OptimizeResources runs first (with the session's OR
-// options and caches) and its results — the OR optimum, the OS optimum
-// and the OS seed solutions — are injected into the initial population
-// and the archive. The returned front therefore always contains points
+// options) and its results — the OR optimum, the OS optimum and the OS
+// seed solutions — are injected into the initial population and the
+// archive. The returned front therefore always contains points
 // that weakly dominate both the OS-only and the OR-only results;
 // Result.Evaluations includes the warm start's analyses.
 //
@@ -142,10 +132,7 @@ func (s *Solver) Explore(ctx context.Context, options ...DSEOption) (*dse.Result
 		ArchiveCap:   o.ArchiveCap,
 		Seed:         o.Seed,
 		Workers:      s.opts.Workers,
-		Pool:         s.pool,
-		Seeds:        o.Seeds,
 		SeedPoints:   warmPoints,
-		BaseConfig:   s.baseConfig,
 		Eval:         s.eval(),
 		OnProgress:   s.observeDSE(warmEvals),
 	})

@@ -20,8 +20,9 @@ type Options struct {
 	// SARestarts is the number of independent annealing chains for the
 	// SAS/SAR strategies (default 1); the best-ever solution wins.
 	SARestarts int
-	// Workers bounds the solver's shared evaluation pool (default 1 =
-	// serial; results are identical for every value).
+	// Workers bounds each evaluation batch of the solver: no batch runs
+	// more than Workers analyses at once (default 1 = serial; results
+	// are identical for every value).
 	Workers int
 	// OR tunes the OptimizeSchedule/OptimizeResources heuristics.
 	// Unset nested worker counts and the unset RandSeed inherit the
@@ -71,6 +72,18 @@ func (o *Options) Normalize() {
 // Option mutates the Options of a Solver under construction.
 type Option func(*Options)
 
+// buildOptions applies options to zero Options and normalizes them.
+func buildOptions(options []Option) Options {
+	var o Options
+	for _, fn := range options {
+		if fn != nil {
+			fn(&o)
+		}
+	}
+	o.Normalize()
+	return o
+}
+
 // WithStrategy selects the algorithm run by Synthesize.
 func WithStrategy(s Strategy) Option { return func(o *Options) { o.Strategy = s } }
 
@@ -83,7 +96,7 @@ func WithSAIterations(n int) Option { return func(o *Options) { o.SAIterations =
 // WithSARestarts sets the number of independent annealing chains.
 func WithSARestarts(n int) Option { return func(o *Options) { o.SARestarts = n } }
 
-// WithWorkers bounds the solver's shared evaluation pool; the
+// WithWorkers bounds each evaluation batch of the solver; the
 // synthesized configurations are identical for every value.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 

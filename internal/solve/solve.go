@@ -1,9 +1,11 @@
 // Package solve is the session layer of the reproduction: a Solver is
-// created once per (Application, Architecture) pair and owns everything
-// repeated operations want to share — the evaluation pool, the default
-// configuration templates and the per-node slot-length candidate sets —
-// so that interactive or iterated exploration (the ROADMAP's service
-// workload) stops re-deriving system invariants on every call.
+// created once per (Application, Architecture) pair and owns the one
+// thing repeated operations share, the exact-keyed incremental
+// evaluator (package delta), so that iterated exploration (the
+// service's workload) recalls every configuration and analysis stage
+// it has already solved. Everything else — the default configuration,
+// the slot-length candidates — is recomputed per call, which costs
+// microseconds against the milliseconds of one synthesis run.
 //
 // Every operation is context-first and cancellable at evaluation
 // granularity: a cancelled Synthesize returns the best configuration
@@ -27,7 +29,6 @@ import (
 	"repro/internal/opt"
 	"repro/internal/sa"
 	"repro/internal/sim"
-	"repro/internal/tsched"
 )
 
 // Result couples the configuration chosen by a synthesis run with its
@@ -46,89 +47,34 @@ type Solver struct {
 	app  *model.Application
 	arch *model.Architecture
 	opts Options
-	pool *engine.Pool
 
-	// cache holds the per-system derived state; derived sessions
-	// (Observed) share it, so the expensive templates are computed once
-	// per system no matter how many observers fan out.
-	cache *sysCache
+	// ev is the session's incremental evaluator. It carries only
+	// configuration-keyed, seed-independent state, so derived sessions
+	// (Derive) share it across seeds, strategies and worker counts
+	// without perturbing results; sessions built with WithDelta(false)
+	// bypass it.
+	ev *delta.Evaluator
 
 	obsMu *sync.Mutex // serializes Observer delivery across SA chains
 }
 
-// sysCache is the seed-independent derived state of one system, shared
-// by a Solver and every session derived from it.
-type sysCache struct {
-	mu       sync.Mutex
-	baseRaw  *core.Config // un-normalized DefaultConfig template
-	baseNorm *core.Config // normalized template (SF / SA starting point)
-	slotLens map[slotKey][]model.Time
-	// deltaEval is the session's incremental evaluator. Like the
-	// templates it carries only configuration-keyed, seed-independent
-	// state, so derived sessions (Observed, Derive) share it across
-	// seeds, strategies and worker counts without perturbing results;
-	// sessions built with WithDelta(false) simply bypass it.
-	deltaEval *delta.Evaluator
-}
-
-type slotKey struct {
-	owner model.NodeID
-	max   int
-}
-
 // New builds a Solver. Options normalize exactly here (worker counts,
-// seeds, iteration budgets); see Options.normalize.
+// seeds, iteration budgets); see Options.Normalize.
 func New(app *model.Application, arch *model.Architecture, options ...Option) (*Solver, error) {
 	if app == nil || arch == nil {
 		return nil, fmt.Errorf("solve: nil application or architecture")
 	}
-	s := &Solver{
-		app: app, arch: arch,
-		cache: &sysCache{slotLens: make(map[slotKey][]model.Time)},
-		obsMu: &sync.Mutex{},
-	}
-	for _, o := range options {
-		if o != nil {
-			o(&s.opts)
-		}
-	}
-	s.opts.Normalize()
-	s.pool = engine.New(s.opts.Workers)
-	return s, nil
-}
-
-// Observed returns a derived session that shares this solver's pool and
-// per-system caches but streams progress to obs instead. Since the
-// shared caches carry only seed-independent state, results from a
-// derived session are bit-identical to the parent's.
-func (s *Solver) Observed(obs Observer) *Solver {
-	d := *s
-	d.opts.Observer = obs
-	d.obsMu = &sync.Mutex{}
-	return &d
+	return &Solver{app: app, arch: arch, opts: buildOptions(options), ev: delta.New(app, arch), obsMu: &sync.Mutex{}}, nil
 }
 
 // Derive returns a session for the same system with a fresh option set
 // (applied to zero Options and normalized exactly like New's), sharing
-// the parent's seed-independent derived-state caches — and its pool,
-// when the worker counts agree. The service layer uses it to serve
-// every option variant (strategy, seed, budgets, per-job observers) of
-// one cached system without re-deriving templates; results are
-// bit-identical to a cold Solver built with the same options.
+// the parent's evaluator. The service layer uses it to serve every
+// option variant (strategy, seed, budgets, per-job observers) of one
+// cached system from one evaluator; results are bit-identical to a
+// cold Solver built with the same options.
 func (s *Solver) Derive(options ...Option) *Solver {
-	d := &Solver{app: s.app, arch: s.arch, cache: s.cache, obsMu: &sync.Mutex{}}
-	for _, o := range options {
-		if o != nil {
-			o(&d.opts)
-		}
-	}
-	d.opts.Normalize()
-	if d.opts.Workers == s.opts.Workers {
-		d.pool = s.pool
-	} else {
-		d.pool = engine.New(d.opts.Workers)
-	}
-	return d
+	return &Solver{app: s.app, arch: s.arch, opts: buildOptions(options), ev: s.ev, obsMu: &sync.Mutex{}}
 }
 
 // Application returns the session's application.
@@ -140,74 +86,22 @@ func (s *Solver) Architecture() *model.Architecture { return s.arch }
 // Options returns a copy of the solver's normalized options.
 func (s *Solver) Options() Options { return s.opts }
 
-// baseConfig returns a fresh clone of the cached un-normalized default
-// configuration (the OptimizeSchedule starting template).
-func (s *Solver) baseConfig() *core.Config {
-	c := s.cache
-	c.mu.Lock()
-	if c.baseRaw == nil {
-		c.baseRaw = core.DefaultConfig(s.app, s.arch)
-	}
-	cfg := c.baseRaw.Clone()
-	c.mu.Unlock()
-	return cfg
-}
-
-// normalizedBase returns a fresh clone of the cached normalized default
-// configuration (the SF result shape and the annealers' start point).
+// normalizedBase returns the normalized default configuration (the SF
+// result shape and the annealers' start point).
 func (s *Solver) normalizedBase() (*core.Config, error) {
-	c := s.cache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.baseNorm == nil {
-		cfg := core.DefaultConfig(s.app, s.arch)
-		if err := cfg.Normalize(s.app); err != nil {
-			return nil, err
-		}
-		c.baseNorm = cfg
+	cfg := core.DefaultConfig(s.app, s.arch)
+	if err := cfg.Normalize(s.app); err != nil {
+		return nil, err
 	}
-	return c.baseNorm.Clone(), nil
-}
-
-// slotLengths is the cached tsched.RecommendedSlotLengths: the
-// candidate sets depend only on the application's traffic per owner, so
-// one derivation serves every OptimizeSchedule position and every
-// Synthesize call of the session.
-func (s *Solver) slotLengths(owner model.NodeID, max int) []model.Time {
-	k := slotKey{owner: owner, max: max}
-	c := s.cache
-	c.mu.Lock()
-	lengths, ok := c.slotLens[k]
-	if !ok {
-		lengths = tsched.RecommendedSlotLengths(s.app, s.arch, owner, max)
-		c.slotLens[k] = lengths
-	}
-	c.mu.Unlock()
-	return lengths
-}
-
-// evaluator returns the shared incremental evaluator, creating it on
-// first use, or nil when the session runs with delta-eval disabled.
-func (s *Solver) evaluator() *delta.Evaluator {
-	if s.opts.NoDelta {
-		return nil
-	}
-	c := s.cache
-	c.mu.Lock()
-	if c.deltaEval == nil {
-		c.deltaEval = delta.New(s.app, s.arch)
-	}
-	ev := c.deltaEval
-	c.mu.Unlock()
-	return ev
+	return cfg, nil
 }
 
 // eval is the session's analysis function: the incremental evaluator
 // when delta-eval is on (the default), the cold core.Analyze otherwise.
 // Results are bit-identical either way.
 func (s *Solver) eval() opt.EvalFunc {
-	if ev := s.evaluator(); ev != nil {
-		return ev.Analyze
+	if !s.opts.NoDelta {
+		return s.ev.Analyze
 	}
 	return func(cfg *core.Config) (*core.Analysis, error) {
 		return core.Analyze(s.app, s.arch, cfg)
@@ -222,14 +116,7 @@ func (s *Solver) DeltaStats() delta.Stats {
 	if s.opts.NoDelta {
 		return delta.Stats{}
 	}
-	c := s.cache
-	c.mu.Lock()
-	ev := c.deltaEval
-	c.mu.Unlock()
-	if ev == nil {
-		return delta.Stats{}
-	}
-	return ev.Stats()
+	return s.ev.Stats()
 }
 
 // emit serializes an event to the observer, if any.
@@ -275,32 +162,13 @@ func (s *Solver) observeSA(strat Strategy) func(sa.Progress) {
 	}
 }
 
-// hooks builds the opt instrumentation for one run: progress to the
-// observer, derived state from the session caches.
-func (s *Solver) hooks(strat Strategy) opt.Hooks {
-	return opt.Hooks{
-		OnProgress:  s.observeOpt(strat),
-		SlotLengths: s.slotLengths,
-		BaseConfig:  s.baseConfig,
-		Eval:        s.eval(),
-	}
-}
-
 // orOptions assembles the OR/OS options of one run from the session
-// options, the shared pool and the instrumentation hooks. The session
-// pool is injected only where the nested worker count matches the
-// session's, so an explicit per-optimizer override (WithOROptions with
-// Workers set) still bounds that optimizer's own pool.
+// options and the instrumentation hooks: progress to the observer,
+// analyses through the session evaluator.
 func (s *Solver) orOptions(strat Strategy) opt.OROptions {
 	o := s.opts.OR
-	o.Hooks = s.hooks(strat)
+	o.Hooks = opt.Hooks{OnProgress: s.observeOpt(strat), Eval: s.eval()}
 	o.OS.Hooks = o.Hooks
-	if o.Workers == s.opts.Workers {
-		o.Pool = s.pool
-	}
-	if o.OS.Workers == s.opts.Workers {
-		o.OS.Pool = s.pool
-	}
 	return o
 }
 
@@ -314,10 +182,11 @@ func (s *Solver) Analyze(ctx context.Context, cfg *core.Config) (*core.Analysis,
 }
 
 // AnalyzeAll analyzes a batch of independent candidate configurations
-// across the session pool, in input order (identical to analyzing them
-// serially); per-configuration failures are captured per item.
+// on at most the session's Workers goroutines, in input order
+// (identical to analyzing them serially); per-configuration failures
+// are captured per item.
 func (s *Solver) AnalyzeAll(ctx context.Context, cfgs []*core.Config) ([]engine.Evaluation, error) {
-	return engine.EvaluateAllWith(ctx, s.pool, engine.Analyzer(s.eval()), cfgs)
+	return engine.EvaluateAll(ctx, s.opts.Workers, engine.Analyzer(s.eval()), cfgs)
 }
 
 // Simulate executes a configuration in the discrete-event simulator.
@@ -333,7 +202,7 @@ func (s *Solver) Simulate(ctx context.Context, cfg *core.Config, a *core.Analysi
 	return sim.RunContext(ctx, s.app, s.arch, cfg, a, opts)
 }
 
-// Straightforward evaluates the SF baseline from the cached template.
+// Straightforward evaluates the SF baseline from the default template.
 func (s *Solver) Straightforward(ctx context.Context) (*opt.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -350,7 +219,7 @@ func (s *Solver) Straightforward(ctx context.Context) (*opt.Result, error) {
 }
 
 // OptimizeSchedule runs the Fig. 8 slot search with the session's
-// options, pool and caches, exposing the full internal result (seeds
+// options and evaluator, exposing the full internal result (seeds
 // included) for experiment sweeps.
 func (s *Solver) OptimizeSchedule(ctx context.Context) (*opt.OSResult, error) {
 	o := s.orOptions(OptimizeSchedule)
@@ -358,7 +227,7 @@ func (s *Solver) OptimizeSchedule(ctx context.Context) (*opt.OSResult, error) {
 }
 
 // OptimizeResources runs the Fig. 7 two-step optimization with the
-// session's options, pool and caches, exposing the full internal
+// session's options and evaluator, exposing the full internal
 // result (the OS sub-result included) for experiment sweeps.
 func (s *Solver) OptimizeResources(ctx context.Context) (*opt.ORResult, error) {
 	return opt.OptimizeResources(ctx, s.app, s.arch, s.orOptions(OptimizeResources))
@@ -373,7 +242,7 @@ func (s *Solver) Anneal(ctx context.Context, obj sa.Objective, initial *core.Con
 	}
 	return sa.RunRestarts(ctx, s.app, s.arch, initial, sa.Options{
 		Objective: obj, Iterations: s.opts.SAIterations, Seed: seed,
-		Restarts: s.opts.SARestarts, Workers: s.opts.Workers, Pool: s.pool,
+		Restarts: s.opts.SARestarts, Workers: s.opts.Workers,
 		Eval:       s.eval(),
 		OnProgress: s.observeSA(strat),
 	})
@@ -388,7 +257,7 @@ func (s *Solver) Synthesize(ctx context.Context) (*Result, error) {
 }
 
 // SynthesizeWith is Synthesize with an explicit strategy, letting one
-// session compare algorithms without rebuilding its caches.
+// session compare algorithms on one evaluator.
 func (s *Solver) SynthesizeWith(ctx context.Context, strat Strategy) (*Result, error) {
 	switch strat {
 	case Straightforward:

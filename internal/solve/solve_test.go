@@ -140,7 +140,7 @@ func TestStrategyRoundTrip(t *testing.T) {
 
 // TestSolverReuseBitIdentical: repeated Synthesize calls on one session
 // are bit-identical to fresh one-shot sessions, for every strategy —
-// the cached derived state must never leak into the results.
+// the shared evaluator must never leak into the results.
 func TestSolverReuseBitIdentical(t *testing.T) {
 	app, arch := system(t, 2)
 	ctx := context.Background()
@@ -338,9 +338,9 @@ func TestSimulateCancellation(t *testing.T) {
 func sim0() sim.Options { return sim.Options{Cycles: 1} }
 
 // TestObservedSharesCachesStreamsOwnEvents checks the derived-session
-// contract behind the service layer's per-job observers: Observed
-// shares the parent's derived-state caches (same template pointers),
-// streams events only to its own observer, and synthesizes a result
+// contract behind the service layer's per-job observers: a session
+// derived with its own observer shares the parent's evaluator, streams
+// events only to its own observer, and synthesizes a result
 // bit-identical to the parent's.
 func TestObservedSharesCachesStreamsOwnEvents(t *testing.T) {
 	app, arch := system(t, 3)
@@ -362,12 +362,10 @@ func TestObservedSharesCachesStreamsOwnEvents(t *testing.T) {
 	}
 
 	var derivedEvents []Progress
-	derived := parent.Observed(ObserverFunc(func(p Progress) { derivedEvents = append(derivedEvents, p) }))
-	if derived.cache != parent.cache {
-		t.Error("derived session does not share the parent's cache")
-	}
-	if derived.pool != parent.pool {
-		t.Error("derived session does not share the parent's pool")
+	derived := parent.Derive(WithStrategy(OptimizeResources),
+		WithObserver(ObserverFunc(func(p Progress) { derivedEvents = append(derivedEvents, p) })))
+	if derived.ev != parent.ev {
+		t.Error("derived session does not share the parent's evaluator")
 	}
 	got, err := derived.Synthesize(ctx)
 	if err != nil {
@@ -385,10 +383,10 @@ func TestObservedSharesCachesStreamsOwnEvents(t *testing.T) {
 }
 
 // TestDeriveBitIdenticalToColdSolver checks the service layer's
-// cache-sharing contract: a session derived from a base Solver with a
+// evaluator-sharing contract: a session derived from a base Solver with a
 // fresh option set produces results bit-identical to a cold Solver
 // built with those options, for every strategy, while sharing the
-// base's derived-state caches.
+// base's evaluator.
 func TestDeriveBitIdenticalToColdSolver(t *testing.T) {
 	app, arch := system(t, 2)
 	base, err := New(app, arch) // plain base, as the service caches it
@@ -399,11 +397,8 @@ func TestDeriveBitIdenticalToColdSolver(t *testing.T) {
 	for _, strat := range Strategies() {
 		opts := []Option{WithStrategy(strat), WithSeed(7), WithSAIterations(40), WithSARestarts(2)}
 		derived := base.Derive(opts...)
-		if derived.cache != base.cache {
-			t.Fatalf("%v: derived session does not share the base cache", strat)
-		}
-		if derived.pool != base.pool {
-			t.Fatalf("%v: derived session does not share the base pool (same workers)", strat)
+		if derived.ev != base.ev {
+			t.Fatalf("%v: derived session does not share the base evaluator", strat)
 		}
 		cold, err := New(app, arch, opts...)
 		if err != nil {

@@ -8,10 +8,9 @@ import (
 )
 
 // Solver is a reusable synthesis session for one (application,
-// architecture) pair: it owns a shared evaluation pool and caches the
-// system's derived state (default configuration templates, slot-length
-// candidate sets), so repeated Analyze/Synthesize/Simulate calls stop
-// re-deriving invariants. Create one with NewSolver; it is safe for
+// architecture) pair: it owns one exact-keyed incremental evaluator, so
+// repeated Analyze/Synthesize/Simulate calls recall every configuration
+// already analyzed. Create one with NewSolver; it is safe for
 // concurrent use, and every operation is context-first:
 //
 //	solver, _ := repro.NewSolver(sys.Application, sys.Architecture,
@@ -72,9 +71,9 @@ func WithSAIterations(n int) Option { return solve.WithSAIterations(n) }
 // the SAS/SAR strategies (default 1); the best-ever solution wins.
 func WithSARestarts(n int) Option { return solve.WithSARestarts(n) }
 
-// WithWorkers bounds the solver's shared evaluation pool (default 1 =
-// serial). The synthesized configurations are identical for every
-// value.
+// WithWorkers bounds each evaluation batch of the solver: no batch runs
+// more than n analyses at once (default 1 = serial). The synthesized
+// configurations are identical for every value.
 func WithWorkers(n int) Option { return solve.WithWorkers(n) }
 
 // WithObserver streams progress events to obs while operations run.
