@@ -83,20 +83,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *graph {
-		if len(pkgs) == 0 {
-			return
-		}
-		mod := &lint.Module{Pkgs: pkgs}
-		fmt.Print(mod.Graph().Dump(pkgs[0].Fset))
-		return
-	}
-
 	relativize := func(file string) string {
 		if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
 			return rel
 		}
 		return file
+	}
+	if *graph {
+		if len(pkgs) == 0 {
+			return
+		}
+		mod := &lint.Module{Pkgs: pkgs}
+		fmt.Print(mod.Graph().Dump(pkgs[0].Fset, relativize))
+		return
 	}
 	diags := lint.Run(pkgs, analyzers)
 	for i := range diags {

@@ -63,8 +63,9 @@ const (
 // method, or a function literal.
 type Node struct {
 	// Name is the diagnostic display name: "opt.OptimizeSchedule",
-	// "(*service.Service).Drain", or "solve.Explore$1" for the first
-	// literal inside Explore.
+	// "(*service.Service).Drain", "solve.Explore$1" for the first
+	// literal inside Explore, or "util.Clock$1" for the first literal
+	// in package-level var Clock's initializer.
 	Name string
 	// Obj is the declared *types.Func (nil for literals).
 	Obj *types.Func
@@ -119,6 +120,19 @@ func (g *Graph) NodeFor(fn *types.Func) *Node { return g.byObj[fn] }
 // NodeForLit returns the graph node of a function literal.
 func (g *Graph) NodeForLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
 
+// nodeOf returns the graph node of a declaration or literal of pkg
+// (nil for anything else, including a nil fn).
+func (g *Graph) nodeOf(pkg *Package, fn ast.Node) *Node {
+	switch fn := fn.(type) {
+	case *ast.FuncDecl:
+		obj, _ := pkg.Info.Defs[fn.Name].(*types.Func)
+		return g.NodeFor(obj)
+	case *ast.FuncLit:
+		return g.NodeForLit(fn)
+	}
+	return nil
+}
+
 // buildGraph constructs the call graph over pkgs in two passes: first
 // index every function and collect stores/escapes, then resolve the
 // call sites (which need the complete store and address-taken sets).
@@ -152,6 +166,10 @@ func buildGraph(pkgs []*Package) *Graph {
 func (g *Graph) indexPackage(pkg *Package) {
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				g.indexVarLiterals(pkg, gd)
+				continue
+			}
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
@@ -171,15 +189,28 @@ func (g *Graph) indexPackage(pkg *Package) {
 			n.params = paramObjects(pkg, fd.Type, fd.Recv)
 			g.byObj[obj] = n
 			g.Nodes = append(g.Nodes, n)
-			g.indexLiterals(pkg, n, fd.Body)
+			g.indexLiterals(pkg, n.Name, n, fd.Body)
+		}
+	}
+}
+
+// indexVarLiterals creates nodes for the function literals in a
+// package-level var declaration's initializers, named after the spec's
+// first variable ("util.Clock$1"), so calls through package-level
+// function variables reach their bodies. They have no enclosing node.
+func (g *Graph) indexVarLiterals(pkg *Package, gd *ast.GenDecl) {
+	for _, spec := range gd.Specs {
+		if vs, ok := spec.(*ast.ValueSpec); ok {
+			g.indexLiterals(pkg, pkgShortName(pkg)+"."+vs.Names[0].Name, nil, vs)
 		}
 	}
 }
 
 // indexLiterals creates nodes for the function literals inside body,
-// owned by the enclosing node, stopping at each literal's boundary
-// (nested literals belong to their parent literal's node).
-func (g *Graph) indexLiterals(pkg *Package, enclosing *Node, body ast.Node) {
+// named prefix$1, prefix$2, ... and owned by the enclosing node,
+// stopping at each literal's boundary (nested literals belong to their
+// parent literal's node).
+func (g *Graph) indexLiterals(pkg *Package, prefix string, enclosing *Node, body ast.Node) {
 	count := 0
 	inspectOwn(body, func(n ast.Node) bool {
 		lit, ok := n.(*ast.FuncLit)
@@ -188,7 +219,7 @@ func (g *Graph) indexLiterals(pkg *Package, enclosing *Node, body ast.Node) {
 		}
 		count++
 		ln := &Node{
-			Name:      fmt.Sprintf("%s$%d", enclosing.Name, count),
+			Name:      fmt.Sprintf("%s$%d", prefix, count),
 			Lit:       lit,
 			Pkg:       pkg,
 			Pos:       lit.Pos(),
@@ -201,7 +232,7 @@ func (g *Graph) indexLiterals(pkg *Package, enclosing *Node, body ast.Node) {
 		ln.params = paramObjects(pkg, lit.Type, nil)
 		g.byLit[lit] = ln
 		g.Nodes = append(g.Nodes, ln)
-		g.indexLiterals(pkg, ln, lit.Body)
+		g.indexLiterals(pkg, ln.Name, ln, lit.Body)
 		return false
 	})
 }
@@ -245,12 +276,14 @@ func paramObjects(pkg *Package, ft *ast.FuncType, recv *ast.FieldList) map[types
 	return out
 }
 
+// pkgShortName is the last segment of pkg's import path.
+func pkgShortName(pkg *Package) string {
+	return pkg.Path[strings.LastIndex(pkg.Path, "/")+1:]
+}
+
 // displayName renders "pkg.Func", "(*pkg.T).Method", or "(pkg.T).Method".
 func displayName(pkg *Package, fn *types.Func) string {
-	short := pkg.Path
-	if i := strings.LastIndex(short, "/"); i >= 0 {
-		short = short[i+1:]
-	}
+	short := pkgShortName(pkg)
 	sig, _ := fn.Type().(*types.Signature)
 	if sig == nil || sig.Recv() == nil {
 		return short + "." + fn.Name()
@@ -680,11 +713,13 @@ func (g *Graph) sortNodes() {
 	})
 }
 
-// Dump renders the graph in a stable, greppable text form:
+// Dump renders the graph in a stable, greppable text form, passing
+// each file name through rel (the driver makes them module-relative,
+// so dumps from two checkouts diff cleanly):
 //
 //	pkg.Func (address-taken)
 //	  -> callee [kind] at file:line
-func (g *Graph) Dump(fset *token.FileSet) string {
+func (g *Graph) Dump(fset *token.FileSet, rel func(string) string) string {
 	g.sortNodes()
 	var b strings.Builder
 	for _, n := range g.Nodes {
@@ -695,7 +730,7 @@ func (g *Graph) Dump(fset *token.FileSet) string {
 		b.WriteString("\n")
 		for _, e := range n.Edges {
 			pos := fset.Position(e.Pos)
-			fmt.Fprintf(&b, "  -> %s [%s] at %s:%d\n", e.Callee.Name, e.Kind, pos.Filename, pos.Line)
+			fmt.Fprintf(&b, "  -> %s [%s] at %s:%d\n", e.Callee.Name, e.Kind, rel(pos.Filename), pos.Line)
 		}
 	}
 	return b.String()

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -117,20 +119,35 @@ func TestReachChain(t *testing.T) {
 
 // TestGraphDumpDeterministic builds the graph twice and compares the
 // dumps byte for byte — the graph itself must honour the determinism
-// invariants it helps enforce.
+// invariants it helps enforce — and checks that every file name goes
+// through the relativizer, so dumps from two checkouts diff cleanly.
 func TestGraphDumpDeterministic(t *testing.T) {
 	loader := sharedLoader(t)
 	pkgs, err := loader.Load("./internal/lint/testdata/src/callgraph/a", "./internal/lint/testdata/src/detreach/core")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := buildGraph(pkgs).Dump(pkgs[0].Fset)
-	b := buildGraph(pkgs).Dump(pkgs[0].Fset)
+	root := moduleRoot(t)
+	rel := func(file string) string {
+		r, err := filepath.Rel(root, file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	a := buildGraph(pkgs).Dump(pkgs[0].Fset, rel)
+	b := buildGraph(pkgs).Dump(pkgs[0].Fset, rel)
 	if a != b {
 		t.Error("two builds of the same graph dumped differently")
 	}
 	if a == "" {
 		t.Error("dump is empty")
+	}
+	if strings.Contains(a, root) {
+		t.Errorf("dump names files by absolute path:\n%s", a)
+	}
+	if !strings.Contains(a, "at internal/lint/testdata/src/detreach/core/core.go:") {
+		t.Errorf("dump lacks module-relative edge positions:\n%s", a)
 	}
 }
 

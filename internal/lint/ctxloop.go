@@ -28,7 +28,7 @@ var Ctxloop = &Analyzer{
 				if !ok || fd.Body == nil || !fd.Name.IsExported() {
 					continue
 				}
-				if !hasCtxParam(p, fd) {
+				if !fieldListHasCtx(p.Pkg, fd.Type.Params) {
 					continue
 				}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -45,16 +45,6 @@ var Ctxloop = &Analyzer{
 			}
 		}
 	},
-}
-
-// hasCtxParam reports whether fd takes a context.Context parameter.
-func hasCtxParam(p *Pass, fd *ast.FuncDecl) bool {
-	for _, field := range fd.Type.Params.List {
-		if tv, ok := p.Pkg.Info.Types[field.Type]; ok && isContextType(tv.Type) {
-			return true
-		}
-	}
-	return false
 }
 
 // isContextType reports whether t is context.Context.

@@ -1,10 +1,5 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
-
 // randConstructors are the math/rand entry points that build an
 // explicitly seeded source — the only sanctioned way randomness enters
 // the system. Everything else at package level (Intn, Float64, Perm,
@@ -27,29 +22,8 @@ var Detrand = &Analyzer{
 		"randomness must flow through an injected *rand.Rand built via rand.New(rand.NewSource(seed))",
 	Hard: inDetLayer,
 	Run: func(p *Pass) {
-		for _, f := range p.Pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				fn, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-				if !ok || fn.Pkg() == nil {
-					return true
-				}
-				path := fn.Pkg().Path()
-				if path != "math/rand" && path != "math/rand/v2" {
-					return true
-				}
-				if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-					return true // methods on an injected *rand.Rand are the sanctioned path
-				}
-				if randConstructors[fn.Name()] {
-					return true
-				}
-				p.Reportf(sel.Pos(), "global %s.%s uses the shared auto-seeded source — inject a *rand.Rand seeded from the centralized seed instead", path, fn.Name())
-				return true
-			})
-		}
+		reportSinks(p, func(s sink) string {
+			return "global " + s.desc + " uses the shared auto-seeded source — inject a *rand.Rand seeded from the centralized seed instead"
+		})
 	},
 }

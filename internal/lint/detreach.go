@@ -2,8 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
 	"strings"
 )
 
@@ -40,18 +38,26 @@ var Detreach = &Analyzer{
 			return
 		}
 		graph := p.Module.Graph()
-		sinks := moduleSinks(p.Module)
+		sinks := map[*Node][]sink{}
+		for _, pkg := range p.Module.Pkgs {
+			for _, s := range p.Module.sinksOf(pkg) {
+				// A reasoned maporder directive is an order-independence
+				// proof — valid for callers too, so not a sink.
+				if s.analyzer == "maporder" && s.allowed {
+					continue
+				}
+				if n := graph.nodeOf(pkg, s.fn); n != nil {
+					sinks[n] = append(sinks[n], s)
+				}
+			}
+		}
 		for _, f := range p.Pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || !fd.Name.IsExported() {
+				if !ok || !fd.Name.IsExported() {
 					continue
 				}
-				obj, _ := p.Pkg.Info.Defs[fd.Name].(*types.Func)
-				if obj == nil {
-					continue
-				}
-				entry := graph.NodeFor(obj)
+				entry := graph.nodeOf(p.Pkg, fd)
 				if entry == nil {
 					continue
 				}
@@ -82,100 +88,4 @@ var Detreach = &Analyzer{
 			}
 		}
 	},
-}
-
-// sink is one nondeterministic site inside a function body.
-type sink struct {
-	desc    string    // "time.Now", "math/rand.Intn", "os.Getenv", "unsorted map range"
-	pos     token.Pos // the site
-	allowed bool      // an //mcs:allow covered the site locally
-}
-
-// moduleSinks computes (once per Run, cached on the Module) the
-// nondeterministic sinks directly contained in each graph node's own
-// statements.
-func moduleSinks(m *Module) map[*Node][]sink {
-	return m.fact("detreach.sinks", func() interface{} {
-		graph := m.Graph()
-		out := map[*Node][]sink{}
-		for _, pkg := range m.Pkgs {
-			dirs := parseDirectives(pkg)
-			allowedAt := func(name string, pos token.Pos) bool {
-				position := pkg.Fset.Position(pos)
-				for _, d := range dirs {
-					if d.analyzer == name && d.reason != "" &&
-						d.target == position.Line && d.pos.Filename == position.Filename {
-						return true
-					}
-				}
-				return false
-			}
-			for _, n := range graph.Nodes {
-				if n.Pkg != pkg {
-					continue
-				}
-				out[n] = append(out[n], nodeSinks(pkg, n, allowedAt)...)
-			}
-		}
-		return out
-	}).(map[*Node][]sink)
-}
-
-// nodeSinks scans one node's own statements (not nested literals —
-// those are their own nodes) for nondeterministic primitives.
-func nodeSinks(pkg *Package, n *Node, allowedAt func(string, token.Pos) bool) []sink {
-	var out []sink
-	inspectOwn(n.body, func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.SelectorExpr:
-			fn, ok := pkg.Info.Uses[node.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil {
-				return true
-			}
-			if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-				return true
-			}
-			switch fn.Pkg().Path() {
-			case "time":
-				if wallclockFuncs[fn.Name()] {
-					out = append(out, sink{
-						desc:    "time." + fn.Name(),
-						pos:     node.Pos(),
-						allowed: allowedAt("wallclock", node.Pos()),
-					})
-				}
-			case "math/rand", "math/rand/v2":
-				if !randConstructors[fn.Name()] {
-					out = append(out, sink{
-						desc:    fn.Pkg().Path() + "." + fn.Name(),
-						pos:     node.Pos(),
-						allowed: allowedAt("detrand", node.Pos()),
-					})
-				}
-			case "os":
-				switch fn.Name() {
-				case "Getenv", "LookupEnv", "Environ":
-					out = append(out, sink{desc: "os." + fn.Name(), pos: node.Pos()})
-				}
-			}
-		case *ast.RangeStmt:
-			if !rangesOverMap(pkg, node) {
-				return true
-			}
-			if orderSensitiveSink(pkg, node.Body) == "" {
-				return true
-			}
-			if sortedAfter(pkg, n.body, node.End()) {
-				return true
-			}
-			// A reasoned maporder directive is an order-independence
-			// proof — valid for callers too, so not a sink.
-			if allowedAt("maporder", node.Pos()) {
-				return true
-			}
-			out = append(out, sink{desc: "unsorted map range", pos: node.Pos()})
-		}
-		return true
-	})
-	return out
 }

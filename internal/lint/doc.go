@@ -18,6 +18,18 @@
 //     goroutines are annotated, never silently exempted.
 //   - ctxloop: counter- or condition-driven work loops in exported
 //     entry points that take a context must observe the context.
+//   - detreach: no exported entry point of a deterministic layer may
+//     reach a wall-clock read, global math/rand, os.Getenv or unsorted
+//     map range through any call chain of the module call graph.
+//   - ctxflow: a function holding a context passes it on, never a
+//     fresh context.Background/TODO, to context-aware callees.
+//   - sharedcapture: closures run concurrently by the engine batches
+//     or go statements must not write shared captured variables or
+//     capture loop variables shared across batch items.
+//
+// detrand, wallclock, maporder and detreach read one sink table per
+// package (sinks.go), scanned once per Run; detreach alone walks the
+// call graph (callgraph.go).
 //
 // Findings at legitimate sites are suppressed with a directive on the
 // offending line or on its own line immediately above:

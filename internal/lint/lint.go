@@ -23,8 +23,8 @@ type Analyzer struct {
 }
 
 // All returns the full analyzer suite in reporting order: the five
-// intraprocedural checks, then the three interprocedural ones that
-// ride the shared call graph.
+// intraprocedural checks, then detreach, which rides the shared call
+// graph, and the function-local ctxflow and sharedcapture checks.
 func All() []*Analyzer {
 	return []*Analyzer{Detrand, Maporder, Wallclock, Poolonly, Ctxloop, Detreach, Ctxflow, Sharedcapture}
 }
@@ -87,14 +87,15 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", d.File, d.Line, d.Column, d.Message, d.Analyzer)
 }
 
-// Module is the shared per-run state: the loaded packages and the
-// lazily built call graph. The graph is constructed at most once per
-// Run, on first use, and reused by every interprocedural analyzer —
-// type-checking and call resolution are never repeated per analyzer.
+// Module is the shared per-run state: the loaded packages, the lazily
+// built call graph and the per-package sink tables. Each is built at
+// most once per Run, on first use, and reused by every analyzer that
+// reads it — type-checking, call resolution and the sink scan are
+// never repeated per analyzer.
 type Module struct {
 	Pkgs  []*Package
 	graph *Graph
-	facts map[string]interface{}
+	sinks map[*Package][]sink
 }
 
 // Graph returns the module call graph, building it on first use.
@@ -103,21 +104,6 @@ func (m *Module) Graph() *Graph {
 		m.graph = buildGraph(m.Pkgs)
 	}
 	return m.graph
-}
-
-// fact memoizes a module-wide computation under key so analyzers can
-// share derived state (sink tables, directive indexes) across the
-// per-package pass loop without recomputing it.
-func (m *Module) fact(key string, build func() interface{}) interface{} {
-	if m.facts == nil {
-		m.facts = map[string]interface{}{}
-	}
-	if v, ok := m.facts[key]; ok {
-		return v
-	}
-	v := build()
-	m.facts[key] = v
-	return v
 }
 
 // Pass carries one analyzer's run over one package. Module gives

@@ -28,59 +28,10 @@ var Maporder = &Analyzer{
 		"write output, or feed a hash/encoder without an intervening sort — iterate " +
 		"slices.Sorted(maps.Keys(m)) or sort the collected result",
 	Run: func(p *Pass) {
-		for _, f := range p.Pkg.Files {
-			// Walk with explicit function tracking so each range can be
-			// checked for a sort later in its innermost enclosing
-			// function body.
-			var walk func(n ast.Node, fn ast.Node)
-			walk = func(n ast.Node, fn ast.Node) {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					if n.Body != nil {
-						walk(n.Body, n.Body)
-					}
-					return
-				case *ast.FuncLit:
-					walk(n.Body, n.Body)
-					return
-				case *ast.RangeStmt:
-					if fn != nil {
-						checkRange(p, n, fn)
-					}
-				case nil:
-					return
-				}
-				ast.Inspect(n, func(c ast.Node) bool {
-					if c == n {
-						return true
-					}
-					switch c.(type) {
-					case *ast.FuncDecl, *ast.FuncLit, *ast.RangeStmt:
-						walk(c, fn)
-						return false
-					}
-					return true
-				})
-			}
-			walk(f, nil)
-		}
+		reportSinks(p, func(s sink) string {
+			return "range over map feeds " + s.detail + " without a deterministic order — iterate slices.Sorted(maps.Keys(m)), sort the collected result, or prove order-independence with //mcs:allow maporder <reason>"
+		})
 	},
-}
-
-func checkRange(p *Pass, rs *ast.RangeStmt, fn ast.Node) {
-	if !rangesOverMap(p.Pkg, rs) {
-		return
-	}
-	sink := orderSensitiveSink(p.Pkg, rs.Body)
-	if sink == "" {
-		return
-	}
-	if sortedAfter(p.Pkg, fn, rs.End()) {
-		return
-	}
-	p.Reportf(rs.Pos(), "range over map feeds %s without a deterministic order — iterate slices.Sorted(maps.Keys(m)), sort the collected result, or prove order-independence with //mcs:allow maporder <reason>", sink)
-	// Descend into the body anyway so nested ranges still get their own
-	// checks via the outer walker (Inspect there recurses past us).
 }
 
 // rangesOverMap reports whether the range statement draws from
@@ -113,7 +64,7 @@ func rangesOverMap(pkg *Package, rs *ast.RangeStmt) bool {
 	return false
 }
 
-// orderSensitiveSinks are call names whose results depend on call
+// orderSensitivePrefixes start the call names whose results depend on call
 // order: stream writers, printers, and hash/encoder feeds.
 var orderSensitivePrefixes = []string{"Write", "Print", "Fprint", "Encode", "Sum"}
 

@@ -84,6 +84,19 @@ func parseDirectives(pkg *Package) []*directive {
 	return out
 }
 
+// directiveFor returns the reasoned directive naming analyzer that
+// targets the line at pos, or nil. Suppression and the sink table's
+// allowed flag both match through it.
+func directiveFor(dirs []*directive, analyzer string, pos token.Position) *directive {
+	for _, d := range dirs {
+		if d.analyzer == analyzer && d.reason != "" &&
+			d.target == pos.Line && d.pos.Filename == pos.Filename {
+			return d
+		}
+	}
+	return nil
+}
+
 // applySuppression drops raw diagnostics matched by a well-formed
 // directive, keeps (and flags) ones whose analyzer refuses suppression
 // in this package, and appends directive-hygiene findings: missing
@@ -103,14 +116,7 @@ func applySuppression(pkg *Package, raw []Diagnostic, ran []*Analyzer) []Diagnos
 
 	var out []Diagnostic
 	for _, diag := range raw {
-		var match *directive
-		for _, d := range dirs {
-			if d.analyzer == diag.Analyzer && d.reason != "" &&
-				d.target == diag.Line && d.pos.Filename == diag.File {
-				match = d
-				break
-			}
-		}
+		match := directiveFor(dirs, diag.Analyzer, diag.Pos)
 		if match == nil {
 			out = append(out, diag)
 			continue

@@ -25,3 +25,6 @@ func Suppressed() float64 {
 	//mcs:allow detrand demo jitter for a backoff example, never reaches analysis results
 	return rand.Float64()
 }
+
+// salt is drawn once at package initialization, outside any function.
+var salt = rand.Int63() // want `global math/rand.Int63 uses the shared auto-seeded source`

@@ -22,3 +22,6 @@ func Allowed() time.Time {
 func Pure(d time.Duration) string {
 	return d.Round(time.Millisecond).String()
 }
+
+// started is read once at package initialization, outside any function.
+var started = time.Now() // want `wall-clock call time.Now`

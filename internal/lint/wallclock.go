@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "fmt"
 
 // wallclockFuncs are the time-package entry points that read the wall
 // clock or schedule on it. Any of them inside an analysis makes results
@@ -26,29 +23,11 @@ var Wallclock = &Analyzer{
 		"deterministic layers, annotation-gated everywhere else",
 	Hard: inDetLayer,
 	Run: func(p *Pass) {
-		for _, f := range p.Pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				fn, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
-					return true
-				}
-				if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-					return true // Duration/Time methods are pure value arithmetic
-				}
-				if !wallclockFuncs[fn.Name()] {
-					return true
-				}
-				if inDetLayer(p.Pkg.Path) {
-					p.Reportf(sel.Pos(), "time.%s in deterministic layer %s — wall-clock reads break bit-identical replay; thread timing in from the caller", fn.Name(), p.Pkg.Path)
-				} else {
-					p.Reportf(sel.Pos(), "wall-clock call time.%s — keep timing confined to reporting and annotate with //mcs:allow wallclock <reason>", fn.Name())
-				}
-				return true
-			})
-		}
+		reportSinks(p, func(s sink) string {
+			if inDetLayer(p.Pkg.Path) {
+				return fmt.Sprintf("%s in deterministic layer %s — wall-clock reads break bit-identical replay; thread timing in from the caller", s.desc, p.Pkg.Path)
+			}
+			return fmt.Sprintf("wall-clock call %s — keep timing confined to reporting and annotate with //mcs:allow wallclock <reason>", s.desc)
+		})
 	},
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/solve"
 	"repro/internal/store"
 )
 
@@ -264,6 +265,55 @@ func TestPersistDuplicateSubmissionServedFromStore(t *testing.T) {
 	other := waitDone(t, svc, third.ID)
 	if other.State != StateDone || other.Result.PersistentHit {
 		t.Fatalf("distinct options served from the store: state %s, persistentHit %v", other.State, other.Result.PersistentHit)
+	}
+}
+
+// TestSynthesisKeyFromNormalizedOptions: requests whose options
+// normalize to the same Solver options share a result key; a distinct
+// seed does not.
+func TestSynthesisKeyFromNormalizedOptions(t *testing.T) {
+	key := func(r SynthesisRequest) string { return r.key(solve.SAS, "fp") }
+	for _, pair := range [][2]SynthesisRequest{
+		{{Seed: 0}, {Seed: 1}},
+		{{SAIterations: 0}, {SAIterations: 300}},
+		{{SARestarts: 0}, {SARestarts: 1}},
+	} {
+		if a, b := key(pair[0]), key(pair[1]); a != b {
+			t.Errorf("%+v and %+v: keys %s and %s, want one shared key", pair[0], pair[1], a, b)
+		}
+	}
+	if key(SynthesisRequest{Seed: 1}) == key(SynthesisRequest{Seed: 2}) {
+		t.Error("seeds 1 and 2 share a key")
+	}
+}
+
+// TestPersistDefaultSpellingServedFromStore: a {seed: 0} resubmission
+// of a {seed: 1} job runs the same synthesis, so the file store serves
+// it instead of recomputing.
+func TestPersistDefaultSpellingServedFromStore(t *testing.T) {
+	clk := newTestClock()
+	st := openTestStore(t, t.TempDir(), clk, store.Options{})
+	svc := New(Options{Workers: 1, JobWorkers: 1, Store: st, Clock: clk})
+	defer svc.Close()
+
+	first, err := svc.Submit(SynthesisRequest{System: testSystem(t, 45), Strategy: "os", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := waitDone(t, svc, first.ID)
+	if cold.State != StateDone || cold.Result.PersistentHit {
+		t.Fatalf("first run: state %s, persistentHit %v", cold.State, cold.Result.PersistentHit)
+	}
+	second, err := svc.Submit(SynthesisRequest{System: testSystem(t, 45), Strategy: "os"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := waitDone(t, svc, second.ID)
+	if dup.State != StateDone || !dup.Result.PersistentHit {
+		t.Fatalf("seed-0 resubmission: state %s, persistentHit %v, want a persistent serve", dup.State, dup.Result.PersistentHit)
+	}
+	if !bytes.Equal(canonicalBytes(t, dup.Result), canonicalBytes(t, cold.Result)) {
+		t.Fatal("persistent serve differs from the run that produced it")
 	}
 }
 

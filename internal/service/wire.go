@@ -57,15 +57,18 @@ func (r *SynthesisRequest) normalize() (solve.Strategy, string, error) {
 
 // key derives the persistent result cache key of a normalized request:
 // the system fingerprint plus a digest of every option that affects the
-// result. Two submissions share a key exactly when synthesis is
-// guaranteed to produce byte-identical results for them.
+// result. Two submissions share a key when their normalized options are
+// equal ({seed: 0} and {seed: 1} run the same synthesis), so every
+// spelling of the defaults hits the same stored result.
 func (r *SynthesisRequest) key(strat solve.Strategy, fp string) string {
+	o := solve.Options{Seed: r.Seed, SAIterations: r.SAIterations, SARestarts: r.SARestarts}
+	o.Normalize()
 	return requestKey(KindSynthesize, fp, struct {
 		Strategy     string
 		Seed         int64
 		SAIterations int
 		SARestarts   int
-	}{strat.String(), r.Seed, r.SAIterations, r.SARestarts})
+	}{strat.String(), o.Seed, o.SAIterations, o.SARestarts})
 }
 
 // solverOptions maps the request onto the session API's functional
