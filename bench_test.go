@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/opt"
 	"repro/internal/sa"
@@ -93,13 +94,14 @@ func BenchmarkCruiseSynthesis(b *testing.B) {
 		b.Fatal(err)
 	}
 	app, arch := sys.Application, sys.Architecture
+	eval := core.Evaluator(app, arch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sf, err := opt.Straightforward(app, arch)
+		sf, err := opt.StraightforwardWith(app, arch, eval)
 		if err != nil {
 			b.Fatal(err)
 		}
-		orres, err := opt.OptimizeResources(context.Background(), app, arch, opt.OROptions{})
+		orres, err := opt.OptimizeResources(context.Background(), app, arch, opt.OROptions{Hooks: opt.Hooks{Eval: eval}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,9 +147,10 @@ func benchAnalyze(b *testing.B, nodes int) {
 // side) on an 80-process application.
 func BenchmarkOptimizeSchedule(b *testing.B) {
 	app, arch := benchSystem(b, 2)
+	hooks := opt.Hooks{Eval: core.Evaluator(app, arch)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{}); err != nil {
+		if _, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{Hooks: hooks}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,22 +159,28 @@ func BenchmarkOptimizeSchedule(b *testing.B) {
 // BenchmarkOptimizeResources measures the full OS+OR pipeline (E5).
 func BenchmarkOptimizeResources(b *testing.B) {
 	app, arch := benchSystem(b, 2)
+	hooks := opt.Hooks{Eval: core.Evaluator(app, arch)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := opt.OptimizeResources(context.Background(), app, arch, opt.OROptions{MaxIterations: 10}); err != nil {
+		if _, err := opt.OptimizeResources(context.Background(), app, arch, opt.OROptions{MaxIterations: 10, Hooks: hooks}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSimulatedAnnealing measures 300 SA iterations on the same
-// application (E5, baseline side): compare the per-solution cost with
-// the heuristics above.
+// BenchmarkSimulatedAnnealing measures 300 SAS iterations from the SF
+// configuration on the same application (E5, baseline side): compare
+// the per-solution cost with the heuristics above.
 func BenchmarkSimulatedAnnealing(b *testing.B) {
 	app, arch := benchSystem(b, 2)
+	eval := core.Evaluator(app, arch)
+	sf, err := opt.StraightforwardWith(app, arch, eval)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sa.RunSAS(context.Background(), app, arch, sa.Options{Iterations: 300, Seed: int64(i + 1)}); err != nil {
+		if _, err := sa.Run(context.Background(), app, arch, sf.Config, sa.Options{Objective: sa.MinimizeDelta, Iterations: 300, Seed: int64(i + 1), Eval: eval}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -125,6 +125,23 @@ func Analyze(app *model.Application, arch *model.Architecture, cfg *Config) (*An
 	return AnalyzeWith(app, arch, cfg, AnalyzeOptions{})
 }
 
+// EvalFunc analyzes one configuration of a fixed (application,
+// architecture) pair. It is the one evaluation seam of the optimizers
+// (OS, OR, HOPA, SA, DSE) and the engine's batches: Evaluator is the
+// cold reference, delta.(*Evaluator).Analyze the incremental one.
+// Implementations must be safe for concurrent use and return identical
+// results for identical configurations, so batches stay worker-count
+// independent.
+type EvalFunc func(*Config) (*Analysis, error)
+
+// Evaluator is Analyze partially applied to app and arch: the cold
+// EvalFunc.
+func Evaluator(app *model.Application, arch *model.Architecture) EvalFunc {
+	return func(cfg *Config) (*Analysis, error) {
+		return Analyze(app, arch, cfg)
+	}
+}
+
 // AnalyzeOffsetBlind runs the analysis with the offset refinement
 // disabled (see AnalyzeOptions.OffsetBlind).
 func AnalyzeOffsetBlind(app *model.Application, arch *model.Architecture, cfg *Config) (*Analysis, error) {

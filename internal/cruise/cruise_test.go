@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/opt"
 	"repro/internal/sim"
@@ -73,7 +74,7 @@ func TestPublishedBehaviourShape(t *testing.T) {
 	}
 	app, arch := sys.Application, sys.Architecture
 
-	sf, err := opt.Straightforward(app, arch)
+	sf, err := opt.StraightforwardWith(app, arch, core.Evaluator(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
@@ -84,7 +85,7 @@ func TestPublishedBehaviourShape(t *testing.T) {
 		t.Errorf("SF response = %d, want > 250", sf.Analysis.GraphResp[0])
 	}
 
-	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{})
+	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{Hooks: opt.Hooks{Eval: core.Evaluator(app, arch)}})
 	if err != nil {
 		t.Fatalf("OptimizeSchedule: %v", err)
 	}
@@ -98,7 +99,7 @@ func TestPublishedBehaviourShape(t *testing.T) {
 		t.Errorf("OS (%d) must beat SF (%d)", osres.Best.Analysis.GraphResp[0], sf.Analysis.GraphResp[0])
 	}
 
-	orres, err := opt.OptimizeResources(context.Background(), app, arch, opt.OROptions{})
+	orres, err := opt.OptimizeResources(context.Background(), app, arch, opt.OROptions{Hooks: opt.Hooks{Eval: core.Evaluator(app, arch)}})
 	if err != nil {
 		t.Fatalf("OptimizeResources: %v", err)
 	}
@@ -119,7 +120,7 @@ func TestCruiseSimulation(t *testing.T) {
 		t.Fatalf("System: %v", err)
 	}
 	app, arch := sys.Application, sys.Architecture
-	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{})
+	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{Hooks: opt.Hooks{Eval: core.Evaluator(app, arch)}})
 	if err != nil {
 		t.Fatalf("OptimizeSchedule: %v", err)
 	}

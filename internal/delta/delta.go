@@ -41,14 +41,14 @@ import (
 const configCap = 8192
 
 // Evaluator is the incremental evaluator for one (application,
-// architecture, analysis-options) triple. It is safe for concurrent use
-// by the workers of an evaluation batch. Returned *core.Analysis values are shared
-// across callers and must be treated as read-only, which every consumer
-// in this repository already does.
+// architecture) pair. It is safe for concurrent use by the workers of
+// an evaluation batch. Returned *core.Analysis values are shared across
+// callers and must be treated as read-only, which every consumer in
+// this repository already does.
 type Evaluator struct {
-	app   *model.Application
-	arch  *model.Architecture
-	aopts core.AnalyzeOptions
+	app  *model.Application
+	arch *model.Architecture
+	memo *core.Memo
 
 	mu      sync.Mutex
 	configs map[string]*core.Analysis
@@ -56,24 +56,16 @@ type Evaluator struct {
 	misses  int64
 }
 
-// New builds an Evaluator with default analysis options.
+// New builds an Evaluator for app and arch.
 func New(app *model.Application, arch *model.Architecture) *Evaluator {
-	return NewWith(app, arch, core.AnalyzeOptions{})
-}
-
-// NewWith builds an Evaluator for explicit analysis options (the Memo
-// field is ignored; the Evaluator installs its own).
-func NewWith(app *model.Application, arch *model.Architecture, aopts core.AnalyzeOptions) *Evaluator {
-	aopts.Memo = core.NewMemo()
 	return &Evaluator{
-		app: app, arch: arch, aopts: aopts,
+		app: app, arch: arch, memo: core.NewMemo(),
 		configs: make(map[string]*core.Analysis),
 	}
 }
 
 // Analyze runs (or recalls) the multi-cluster analysis of cfg. The
-// result is bit-identical to core.AnalyzeWith with the same options and
-// Memo == nil. Errors are never cached.
+// result is bit-identical to core.Analyze. Errors are never cached.
 func (ev *Evaluator) Analyze(cfg *core.Config) (*core.Analysis, error) {
 	key := ConfigKey(cfg)
 	ev.mu.Lock()
@@ -85,7 +77,7 @@ func (ev *Evaluator) Analyze(cfg *core.Config) (*core.Analysis, error) {
 	ev.misses++
 	ev.mu.Unlock()
 
-	a, err := core.AnalyzeWith(ev.app, ev.arch, cfg, ev.aopts)
+	a, err := core.AnalyzeWith(ev.app, ev.arch, cfg, core.AnalyzeOptions{Memo: ev.memo})
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +130,7 @@ func (ev *Evaluator) Stats() Stats {
 	ev.mu.Lock()
 	s := Stats{ConfigHits: ev.hits, ConfigMisses: ev.misses}
 	ev.mu.Unlock()
-	s.Memo = ev.aopts.Memo.Stats()
+	s.Memo = ev.memo.Stats()
 	return s
 }
 

@@ -192,7 +192,7 @@ func TestOSScanDeltaProperty(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		app, arch := corpusSystem(t, i)
 
-		cold, err := opt.OptimizeSchedule(ctx, app, arch, opt.OSOptions{})
+		cold, err := opt.OptimizeSchedule(ctx, app, arch, opt.OSOptions{Hooks: opt.Hooks{Eval: core.Evaluator(app, arch)}})
 		if err != nil {
 			t.Fatalf("system %d: cold OS: %v", i, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/gen"
 )
@@ -21,7 +22,8 @@ func benchmarkExplore(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{Population: 12, Generations: 6, Seed: 3, Workers: workers}
+	opts := Options{Population: 12, Generations: 6, Seed: 3, Workers: workers,
+		Eval: core.Evaluator(sys.Application, sys.Architecture)}
 	var res *Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -55,7 +57,7 @@ func benchmarkExploreDelta(b *testing.B, useDelta bool) {
 	var stats delta.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts := Options{Population: 12, Generations: 6, Seed: 3}
+		opts := Options{Population: 12, Generations: 6, Seed: 3, Eval: core.Evaluator(sys.Application, sys.Architecture)}
 		var ev *delta.Evaluator
 		if useDelta {
 			ev = delta.New(sys.Application, sys.Architecture)

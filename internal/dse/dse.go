@@ -64,19 +64,22 @@ type Options struct {
 	// front always weakly dominates every seed point. Their analyses
 	// are not counted again in Result.Evaluations.
 	SeedPoints []Point
-	// Eval, when non-nil, replaces core.Analyze for every offspring
-	// analysis — the Solver injects its incremental delta evaluator
-	// here. The variation operators emit §5.1 moves (see mutate), so
-	// generations step through move-derived neighbours the evaluator
-	// can serve from its caches; fronts, hypervolumes and Evaluations
-	// counts are identical either way.
-	Eval opt.EvalFunc
+	// Eval analyzes every offspring; it is required. core.Evaluator is
+	// the cold reference, the Solver passes its incremental delta
+	// evaluator. The variation operators emit §5.1 moves (see mutate),
+	// so generations step through move-derived neighbours the delta
+	// evaluator can serve from its caches; fronts, hypervolumes and
+	// Evaluations counts are identical for every evaluator.
+	Eval core.EvalFunc
 	// OnProgress, when non-nil, receives one event per generation,
 	// emitted from the serial reducing loop.
 	OnProgress func(Progress)
 }
 
-func (o *Options) defaults() {
+// Normalize fills the documented defaults into zero values. Explore
+// calls it; the service also calls it to key results by the options a
+// run actually uses.
+func (o *Options) Normalize() {
 	if o.Population <= 0 {
 		o.Population = 16
 	}
@@ -138,7 +141,7 @@ type individual struct {
 // per seed and identical for every worker count; cancelling ctx
 // returns the best-so-far front together with the context's error.
 func Explore(ctx context.Context, app *model.Application, arch *model.Architecture, opts Options) (*Result, error) {
-	opts.defaults()
+	opts.Normalize()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	archive := NewArchive(opts.ArchiveCap)
 	res := &Result{}
@@ -158,14 +161,8 @@ func Explore(ctx context.Context, app *model.Application, arch *model.Architectu
 	// become individuals, unanalyzable candidates are skipped, and a
 	// cancellation truncates the batch (stopped = true) keeping what
 	// finished.
-	eval := opts.Eval
-	if eval == nil {
-		eval = func(cfg *core.Config) (*core.Analysis, error) {
-			return core.Analyze(app, arch, cfg)
-		}
-	}
 	evalBatch := func(cfgs []*core.Config) (out []individual, stopped bool) {
-		evals, _ := engine.EvaluateAll(ctx, opts.Workers, engine.Analyzer(eval), cfgs)
+		evals, _ := engine.EvaluateAll(ctx, opts.Workers, opts.Eval, cfgs)
 		for i, ev := range evals {
 			if ev.Err != nil {
 				if ctx.Err() != nil && errors.Is(ev.Err, ctx.Err()) {

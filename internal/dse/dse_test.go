@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/opt"
@@ -22,8 +23,10 @@ func system(t testing.TB, seed int64) (*model.Application, *model.Architecture) 
 	return sys.Application, sys.Architecture
 }
 
+// explore runs Explore through the reference evaluator.
 func explore(t testing.TB, app *model.Application, arch *model.Architecture, opts Options) *Result {
 	t.Helper()
+	opts.Eval = core.Evaluator(app, arch)
 	res, err := Explore(context.Background(), app, arch, opts)
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
@@ -61,7 +64,7 @@ func TestExploreFrontMutuallyNonDominated(t *testing.T) {
 // in every objective at once.
 func TestExploreFrontWeaklyDominatesSF(t *testing.T) {
 	app, arch := system(t, 4)
-	sf, err := opt.Straightforward(app, arch)
+	sf, err := opt.StraightforwardWith(app, arch, core.Evaluator(app, arch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func TestExploreCancellationReturnsBestSoFar(t *testing.T) {
 	evals := 0
 	ctx, cancel := context.WithCancel(context.Background())
 	res, err := Explore(ctx, app, arch, Options{
-		Population: 8, Generations: 1000, Seed: 5,
+		Population: 8, Generations: 1000, Seed: 5, Eval: core.Evaluator(app, arch),
 		OnProgress: func(p Progress) {
 			evals = p.Evaluations
 			if p.Generation >= 2 {
@@ -176,7 +179,7 @@ func TestExploreCancellationReturnsBestSoFar(t *testing.T) {
 // front always weakly dominates them.
 func TestExploreSeedPointsEnterArchive(t *testing.T) {
 	app, arch := system(t, 3)
-	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{})
+	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{Hooks: opt.Hooks{Eval: core.Evaluator(app, arch)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +206,7 @@ func TestExploreImmediateCancel(t *testing.T) {
 	app, arch := system(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Explore(ctx, app, arch, Options{Population: 4, Generations: 2})
+	res, err := Explore(ctx, app, arch, Options{Population: 4, Generations: 2, Eval: core.Evaluator(app, arch)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

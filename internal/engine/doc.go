@@ -16,8 +16,12 @@
 //   - Map: run fn(i) for i in [0, n) on at most workers goroutines and
 //     return the results in index order, one captured error per item;
 //   - Sweep: Map over a list of self-contained jobs (whole experiments);
-//   - EvaluateAll: Map specialized to an Analyzer over candidate
+//   - EvaluateAll: Map specialized to a core.EvalFunc over candidate
 //     configurations.
+//
+// EvaluateAll analyzes through the caller's core.EvalFunc: the cold
+// core.Evaluator or a session's incremental delta evaluator. The engine
+// has no evaluator of its own.
 //
 // The worker count is the only concurrency setting. It bounds each
 // batch on its own: every call starts its own goroutines and there is

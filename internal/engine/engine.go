@@ -102,21 +102,13 @@ type Evaluation struct {
 // failed).
 func (e *Evaluation) Schedulable() bool { return e.Err == nil && e.Analysis.Schedulable }
 
-// Analyzer evaluates one configuration (application and architecture
-// are captured by the closure). core.Analyze partially applied is the
-// cold implementation; delta.(*Evaluator).Analyze is the incremental
-// one. Analyzers must be safe for concurrent use and must return
-// identical results for identical configurations, so batches stay
-// worker-count independent.
-type Analyzer func(cfg *core.Config) (*core.Analysis, error)
-
-// EvaluateAll analyzes every candidate configuration through az on at
-// most workers goroutines and returns the evaluations in candidate
+// EvaluateAll analyzes every candidate configuration through eval on
+// at most workers goroutines and returns the evaluations in candidate
 // order. Each configuration must be an independent value (as produced
 // by Config.Clone or Move.Apply).
-func EvaluateAll(ctx context.Context, workers int, az Analyzer, cfgs []*core.Config) ([]Evaluation, error) {
+func EvaluateAll(ctx context.Context, workers int, eval core.EvalFunc, cfgs []*core.Config) ([]Evaluation, error) {
 	results, err := Map(ctx, workers, len(cfgs), func(_ context.Context, i int) (*core.Analysis, error) {
-		return az(cfgs[i])
+		return eval(cfgs[i])
 	})
 	out := make([]Evaluation, len(cfgs))
 	for i, r := range results {

@@ -165,8 +165,7 @@ func TestEvaluateAllMatchesSerial(t *testing.T) {
 		}
 		cfgs = append(cfgs, cfg)
 	}
-	az := func(cfg *core.Config) (*core.Analysis, error) { return core.Analyze(app, arch, cfg) }
-	par, err := EvaluateAll(context.Background(), 8, az, cfgs)
+	par, err := EvaluateAll(context.Background(), 8, core.Evaluator(app, arch), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}

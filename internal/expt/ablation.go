@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/hopa"
-	"repro/internal/model"
 	"repro/internal/opt"
 )
 
@@ -74,7 +73,7 @@ func Ablation(ctx context.Context, opts Options) ([]AblationRow, error) {
 		if err := base.Normalize(app); err != nil {
 			return cell{}, err
 		}
-		pr, err := hopa.Assign(app, arch, base.Round, opts.OR.OS.HOPAIterations)
+		pr, err := hopa.Assign(app, arch, base.Round, opts.OR.OS.HOPAIterations, core.Evaluator(app, arch))
 		if err != nil {
 			return cell{}, err
 		}
@@ -85,10 +84,11 @@ func Ablation(ctx context.Context, opts Options) ([]AblationRow, error) {
 			return cell{}, err
 		}
 
-		// Full heuristic, offset-blind analysis: zeroing the
-		// transaction IDs makes every activity pairwise unrelated,
-		// which drops all offset separation (O_ij = 0 everywhere).
-		aNoOff, err := analyzeOffsetBlind(app, arch, full.Best.Config)
+		// Full heuristic, offset-blind analysis: every activity is
+		// treated as phase-unrelated, the classic critical-instant
+		// assumption (O_ij = 0 everywhere). The gap to the full analysis
+		// is the value of §4's offset refinement.
+		aNoOff, err := core.AnalyzeOffsetBlind(app, arch, full.Best.Config)
 		if err != nil {
 			return cell{}, err
 		}
@@ -131,15 +131,6 @@ func Ablation(ctx context.Context, opts Options) ([]AblationRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// analyzeOffsetBlind re-runs the analysis with the offset-based
-// interference reduction disabled (core.AnalyzeOffsetBlind): every
-// activity is treated as phase-unrelated, the classic critical-instant
-// assumption. The gap to the full analysis is the value of §4's offset
-// refinement.
-func analyzeOffsetBlind(app *model.Application, arch *model.Architecture, cfg *core.Config) (*core.Analysis, error) {
-	return core.AnalyzeOffsetBlind(app, arch, cfg)
 }
 
 // PrintAblation renders the ablation table.

@@ -36,30 +36,18 @@ type Result struct {
 }
 
 // DefaultIterations is the number of redistribution rounds when the
-// caller passes 0.
-const DefaultIterations = 4
+// caller passes 0 (the value OptimizeSchedule uses).
+const DefaultIterations = 2
 
-// Assign computes priorities for the given TDMA round. The round is not
-// modified; it only parameterizes the analysis. iterations <= 0 selects
-// DefaultIterations.
-func Assign(app *model.Application, arch *model.Architecture, round ttp.Round, iterations int) (*Result, error) {
-	return AssignWith(app, arch, round, iterations, nil)
-}
-
-// AssignWith is Assign through an explicit analysis function (nil falls
-// back to core.Analyze). Sessions route the redistribution loop's
-// analyses through their incremental evaluator this way; Evaluations
-// still counts every analysis the loop requests, whether or not the
-// evaluator served it from cache, so reports stay comparable.
-func AssignWith(app *model.Application, arch *model.Architecture, round ttp.Round, iterations int,
-	eval func(*core.Config) (*core.Analysis, error)) (*Result, error) {
+// Assign computes priorities for the given TDMA round, analyzing every
+// candidate assignment through eval. The round is not modified; it only
+// parameterizes the analysis. iterations <= 0 selects
+// DefaultIterations. Evaluations counts every analysis the loop
+// requests, whether or not eval served it from a cache, so reports stay
+// comparable across evaluators.
+func Assign(app *model.Application, arch *model.Architecture, round ttp.Round, iterations int, eval core.EvalFunc) (*Result, error) {
 	if iterations <= 0 {
 		iterations = DefaultIterations
-	}
-	if eval == nil {
-		eval = func(cfg *core.Config) (*core.Analysis, error) {
-			return core.Analyze(app, arch, cfg)
-		}
 	}
 	ld, err := initialLocalDeadlines(app, arch, round)
 	if err != nil {

@@ -46,7 +46,7 @@ func fig4(t *testing.T) (*model.Application, *model.Architecture, ttp.Round) {
 // end up with higher priority than P3 (the paper's Fig. 4c insight).
 func TestAssignFindsSchedulableFig4(t *testing.T) {
 	app, arch, round := fig4(t)
-	res, err := Assign(app, arch, round, 0)
+	res, err := Assign(app, arch, round, 0, core.Evaluator(app, arch))
 	if err != nil {
 		t.Fatalf("Assign: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestAssignFindsSchedulableFig4(t *testing.T) {
 // valid configuration (unique per resource, complete).
 func TestAssignProducesValidConfig(t *testing.T) {
 	app, arch, round := fig4(t)
-	res, err := Assign(app, arch, round, 2)
+	res, err := Assign(app, arch, round, 2, core.Evaluator(app, arch))
 	if err != nil {
 		t.Fatalf("Assign: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestAssignProducesValidConfig(t *testing.T) {
 // be worse.
 func TestAssignBeatsCreationOrder(t *testing.T) {
 	app, arch, round := fig4(t)
-	res, err := Assign(app, arch, round, 0)
+	res, err := Assign(app, arch, round, 0, core.Evaluator(app, arch))
 	if err != nil {
 		t.Fatalf("Assign: %v", err)
 	}

@@ -487,7 +487,7 @@ func (g *Graph) valueCandidates(pkg *Package, expr ast.Expr) []*Node {
 			}
 		}
 		// Conversions wrap a function value without changing it
-		// (engine.Analyzer(fn)).
+		// (core.EvalFunc(fn)).
 		if tv, ok := pkg.Info.Types[expr.Fun]; ok && tv.IsType() && len(expr.Args) == 1 {
 			return g.valueCandidates(pkg, expr.Args[0])
 		}

@@ -145,7 +145,7 @@ func batchClosures(pkg *Package, fd *ast.FuncDecl) []*ast.FuncLit {
 					batchVars[obj] = true
 				}
 			case *ast.CallExpr:
-				// engine.Analyzer(fn) style conversions and wrappers:
+				// core.EvalFunc(fn) style conversions and wrappers:
 				// a literal inside still reaches the pool.
 				ast.Inspect(arg, func(c ast.Node) bool {
 					if l, ok := c.(*ast.FuncLit); ok {

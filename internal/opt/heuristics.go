@@ -32,36 +32,21 @@ type Progress struct {
 	Best        *Result
 }
 
-// EvalFunc analyzes one configuration. The cold implementation is
-// core.Analyze partially applied; sessions inject their incremental
-// delta evaluator, which must return identical results (the delta
-// package's differential harness proves it does).
-type EvalFunc func(*core.Config) (*core.Analysis, error)
-
-// Hooks instruments an optimizer run and lets a long-lived session
-// inject its evaluator. The zero value disables everything.
+// Hooks carries an optimizer run's evaluator and instrumentation.
 type Hooks struct {
 	// OnProgress, when non-nil, receives one event per reduction step.
 	OnProgress func(Progress)
-	// Eval, when non-nil, replaces core.Analyze for every candidate
-	// analysis, HOPA's included. Evaluation counters count the analyses
-	// the optimizers request, not what Eval recomputes, so reported
-	// Evaluations are identical with and without an injected evaluator.
-	Eval EvalFunc
+	// Eval analyzes every candidate, HOPA's included; it is required.
+	// core.Evaluator is the cold reference, a session passes its
+	// incremental delta evaluator. Evaluation counters count the
+	// analyses the optimizers request, not what Eval recomputes, so
+	// reported Evaluations are identical for every evaluator.
+	Eval core.EvalFunc
 }
 
 func (h *Hooks) progress(p Progress) {
 	if h.OnProgress != nil {
 		h.OnProgress(p)
-	}
-}
-
-func (h *Hooks) eval(app *model.Application, arch *model.Architecture) EvalFunc {
-	if h.Eval != nil {
-		return h.Eval
-	}
-	return func(cfg *core.Config) (*core.Analysis, error) {
-		return core.Analyze(app, arch, cfg)
 	}
 }
 
@@ -81,7 +66,7 @@ func (r *Result) STotal() int { return r.Analysis.Buffers.Total }
 func (r *Result) Schedulable() bool { return r.Analysis.Schedulable }
 
 // evaluateWith analyzes a configuration through the run's evaluator.
-func evaluateWith(eval EvalFunc, cfg *core.Config) (*Result, error) {
+func evaluateWith(eval core.EvalFunc, cfg *core.Config) (*Result, error) {
 	a, err := eval(cfg)
 	if err != nil {
 		return nil, err
@@ -89,32 +74,25 @@ func evaluateWith(eval EvalFunc, cfg *core.Config) (*Result, error) {
 	return &Result{Config: cfg, Analysis: a}, nil
 }
 
-// Straightforward is the SF baseline of §6: nodes allocated to the TDMA
-// slots in ascending architecture order, slot lengths fixed at the
-// minimum that accommodates the largest message of each node, priorities
-// left at their declaration order, and the system scheduled by
-// MultiClusterScheduling. Priority optimization (HOPA) is part of
-// OptimizeSchedule, not of the baseline (§5.1).
-func Straightforward(app *model.Application, arch *model.Architecture) (*Result, error) {
-	return StraightforwardWith(app, arch, nil)
-}
-
-// StraightforwardWith is Straightforward through an explicit evaluator
-// (nil falls back to core.Analyze).
-func StraightforwardWith(app *model.Application, arch *model.Architecture, eval EvalFunc) (*Result, error) {
+// StraightforwardWith is the SF baseline of §6, analyzed through eval:
+// nodes allocated to the TDMA slots in ascending architecture order,
+// slot lengths fixed at the minimum that accommodates the largest
+// message of each node, priorities left at their declaration order,
+// and the system scheduled by MultiClusterScheduling. Priority
+// optimization (HOPA) is part of OptimizeSchedule, not of the baseline
+// (§5.1).
+func StraightforwardWith(app *model.Application, arch *model.Architecture, eval core.EvalFunc) (*Result, error) {
 	cfg := core.DefaultConfig(app, arch)
 	if err := cfg.Normalize(app); err != nil {
 		return nil, err
-	}
-	if eval == nil {
-		eval = (&Hooks{}).eval(app, arch)
 	}
 	return evaluateWith(eval, cfg)
 }
 
 // OSOptions tunes OptimizeSchedule.
 type OSOptions struct {
-	// HOPAIterations per candidate configuration (default 2).
+	// HOPAIterations per candidate configuration (default
+	// hopa.DefaultIterations).
 	HOPAIterations int
 	// SlotCandidates caps the recommended lengths tried per slot
 	// (default 3).
@@ -125,14 +103,11 @@ type OSOptions struct {
 	// serial). The result is identical for every value: candidates are
 	// generated up front and reduced in order.
 	Workers int
-	// Hooks instruments the run; see Hooks.
+	// Hooks carries the run's evaluator (required) and progress hook.
 	Hooks Hooks
 }
 
 func (o *OSOptions) defaults() {
-	if o.HOPAIterations <= 0 {
-		o.HOPAIterations = 2
-	}
 	if o.SlotCandidates <= 0 {
 		o.SlotCandidates = 3
 	}
@@ -223,7 +198,6 @@ func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.A
 		}
 
 		// Fan the derivation + HOPA + analysis work out to the workers.
-		eval := opts.Hooks.eval(app, arch)
 		evals, _ := engine.Map(ctx, opts.Workers, len(cands), func(_ context.Context, k int) (osEval, error) {
 			cfg := parent
 			for _, mv := range cands[k].moves {
@@ -233,7 +207,7 @@ func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.A
 				}
 				cfg = next
 			}
-			pr, err := hopa.AssignWith(app, arch, cfg.Round, opts.HOPAIterations, eval)
+			pr, err := hopa.Assign(app, arch, cfg.Round, opts.HOPAIterations, opts.Hooks.Eval)
 			if err != nil {
 				return osEval{}, err
 			}
@@ -243,7 +217,7 @@ func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.A
 			if err := full.Normalize(app); err != nil {
 				return osEval{hopaEvals: pr.Evaluations}, err
 			}
-			r, err := evaluateWith(eval, full)
+			r, err := evaluateWith(opts.Hooks.Eval, full)
 			if err != nil {
 				return osEval{hopaEvals: pr.Evaluations}, err
 			}
@@ -353,7 +327,8 @@ type OROptions struct {
 	// serial; forwarded to the OS step unless OS.Workers is set). The
 	// hill-climbing outcome is identical for every value.
 	Workers int
-	// Hooks instruments the hill climber; the OS step reads OS.Hooks.
+	// Hooks carries the run's evaluator (required) and progress hook;
+	// the OS step runs with the same Hooks.
 	Hooks Hooks
 }
 
@@ -364,6 +339,7 @@ func (o *OROptions) defaults() {
 	if o.OS.Workers <= 0 {
 		o.OS.Workers = o.Workers
 	}
+	o.OS.Hooks = o.Hooks
 	o.OS.defaults()
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 40
@@ -418,7 +394,6 @@ func OptimizeResources(ctx context.Context, app *model.Application, arch *model.
 		return out, ctx.Err()
 	}
 	rng := rand.New(rand.NewSource(opts.RandSeed))
-	eval := opts.Hooks.eval(app, arch)
 	best := osres.Best
 	step := 0
 	for si, seed := range osres.Seeds {
@@ -444,7 +419,7 @@ func OptimizeResources(ctx context.Context, app *model.Application, arch *model.
 				if err != nil {
 					return nil, err
 				}
-				return evaluateWith(eval, cfg)
+				return evaluateWith(opts.Hooks.Eval, cfg)
 			})
 			var chosen *Result
 			for _, ev := range evals {

@@ -51,9 +51,14 @@ func small(t *testing.T, seed int64) (*model.Application, *model.Architecture) {
 	return sys.Application, sys.Architecture
 }
 
+// cold runs an optimizer through the reference evaluator.
+func cold(app *model.Application, arch *model.Architecture) Hooks {
+	return Hooks{Eval: core.Evaluator(app, arch)}
+}
+
 func TestStraightforward(t *testing.T) {
 	app, arch := fig4(t)
-	r, err := Straightforward(app, arch)
+	r, err := StraightforwardWith(app, arch, core.Evaluator(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
@@ -67,11 +72,11 @@ func TestStraightforward(t *testing.T) {
 
 func TestOptimizeScheduleBeatsSF(t *testing.T) {
 	app, arch := fig4(t)
-	sf, err := Straightforward(app, arch)
+	sf, err := StraightforwardWith(app, arch, core.Evaluator(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
-	osres, err := OptimizeSchedule(context.Background(), app, arch, OSOptions{})
+	osres, err := OptimizeSchedule(context.Background(), app, arch, OSOptions{Hooks: cold(app, arch)})
 	if err != nil {
 		t.Fatalf("OptimizeSchedule: %v", err)
 	}
@@ -100,7 +105,7 @@ func TestOptimizeScheduleBeatsSF(t *testing.T) {
 func TestOptimizeResourcesReducesBuffers(t *testing.T) {
 	app, arch := small(t, 21)
 	orres, err := OptimizeResources(context.Background(), app, arch, OROptions{
-		MaxIterations: 10, NeighborBudget: 12, Seeds: 2,
+		MaxIterations: 10, NeighborBudget: 12, Seeds: 2, Hooks: cold(app, arch),
 	})
 	if err != nil {
 		t.Fatalf("OptimizeResources: %v", err)
@@ -123,7 +128,7 @@ func TestOptimizeResourcesReducesBuffers(t *testing.T) {
 
 func TestGenerateMovesDeterministicAndBounded(t *testing.T) {
 	app, arch := fig4(t)
-	sf, err := Straightforward(app, arch)
+	sf, err := StraightforwardWith(app, arch, core.Evaluator(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
@@ -153,7 +158,7 @@ func TestGenerateMovesDeterministicAndBounded(t *testing.T) {
 
 func TestMovesApplyAndValidate(t *testing.T) {
 	app, arch := fig4(t)
-	sf, err := Straightforward(app, arch)
+	sf, err := StraightforwardWith(app, arch, core.Evaluator(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
@@ -290,7 +295,7 @@ func TestORImprovesCruiseBuffers(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	app, arch := sys.Application, sys.Architecture
-	orres, err := OptimizeResources(context.Background(), app, arch, OROptions{MaxIterations: 20, NeighborBudget: 16, Seeds: 3})
+	orres, err := OptimizeResources(context.Background(), app, arch, OROptions{MaxIterations: 20, NeighborBudget: 16, Seeds: 3, Hooks: cold(app, arch)})
 	if err != nil {
 		t.Fatalf("OptimizeResources: %v", err)
 	}
@@ -306,7 +311,7 @@ func TestORImprovesCruiseBuffers(t *testing.T) {
 // system must keep the analysis well-formed and the pin observable.
 func TestMovePinWithinInterval(t *testing.T) {
 	app, arch := fig4(t)
-	osres, err := OptimizeSchedule(context.Background(), app, arch, OSOptions{})
+	osres, err := OptimizeSchedule(context.Background(), app, arch, OSOptions{Hooks: cold(app, arch)})
 	if err != nil {
 		t.Fatalf("OptimizeSchedule: %v", err)
 	}

@@ -11,12 +11,12 @@ import (
 // of a parallel run is identical to the serial run's.
 func TestOptimizeScheduleParallelEqualsSerial(t *testing.T) {
 	app, arch := small(t, 7)
-	serial, err := OptimizeSchedule(context.Background(), app, arch, OSOptions{Workers: 1})
+	serial, err := OptimizeSchedule(context.Background(), app, arch, OSOptions{Workers: 1, Hooks: cold(app, arch)})
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := OptimizeSchedule(context.Background(), app, arch, OSOptions{Workers: workers})
+		par, err := OptimizeSchedule(context.Background(), app, arch, OSOptions{Workers: workers, Hooks: cold(app, arch)})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -45,7 +45,7 @@ func TestOptimizeScheduleParallelEqualsSerial(t *testing.T) {
 // does not depend on the worker count.
 func TestOptimizeResourcesParallelEqualsSerial(t *testing.T) {
 	app, arch := small(t, 3)
-	opts := OROptions{MaxIterations: 6, NeighborBudget: 12, RandSeed: 5}
+	opts := OROptions{MaxIterations: 6, NeighborBudget: 12, RandSeed: 5, Hooks: cold(app, arch)}
 	serialOpts := opts
 	serialOpts.Workers = 1
 	serial, err := OptimizeResources(context.Background(), app, arch, serialOpts)

@@ -17,7 +17,7 @@ func TestRunRestartsParallelEqualsSerial(t *testing.T) {
 	if err := initial.Normalize(app); err != nil {
 		t.Fatalf("Normalize: %v", err)
 	}
-	base := Options{Objective: MinimizeBuffers, Iterations: 60, Seed: 2, Restarts: 4}
+	base := Options{Objective: MinimizeBuffers, Iterations: 60, Seed: 2, Restarts: 4, Eval: core.Evaluator(app, arch)}
 	serialOpts := base
 	serialOpts.Workers = 1
 	serial, err := RunRestarts(context.Background(), app, arch, initial, serialOpts)
@@ -50,11 +50,11 @@ func TestRunRestartsImprovesOnSingleChain(t *testing.T) {
 	if err := initial.Normalize(app); err != nil {
 		t.Fatalf("Normalize: %v", err)
 	}
-	one, err := RunRestarts(context.Background(), app, arch, initial, Options{Objective: MinimizeBuffers, Iterations: 60, Seed: 2})
+	one, err := RunRestarts(context.Background(), app, arch, initial, Options{Objective: MinimizeBuffers, Iterations: 60, Seed: 2, Eval: core.Evaluator(app, arch)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := RunRestarts(context.Background(), app, arch, initial, Options{Objective: MinimizeBuffers, Iterations: 60, Seed: 2, Restarts: 4, Workers: 4})
+	many, err := RunRestarts(context.Background(), app, arch, initial, Options{Objective: MinimizeBuffers, Iterations: 60, Seed: 2, Restarts: 4, Workers: 4, Eval: core.Evaluator(app, arch)})
 	if err != nil {
 		t.Fatal(err)
 	}

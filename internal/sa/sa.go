@@ -52,12 +52,12 @@ type Options struct {
 	// Workers bounds the concurrently running chains (default 1 =
 	// serial). The best-ever result is identical for every value.
 	Workers int
-	// Eval, when non-nil, replaces core.Analyze for every analysis of
-	// the chains (and the SF start of RunSAS/RunSAR) — the Solver
-	// injects its incremental delta evaluator here. Results and
-	// Evaluations counts are identical either way; successive chain
-	// steps share the parent state through the evaluator's caches.
-	Eval opt.EvalFunc
+	// Eval analyzes every configuration of the chains; it is required.
+	// core.Evaluator is the cold reference, the Solver passes its
+	// incremental delta evaluator. Results and Evaluations counts are
+	// identical for every evaluator; with the delta evaluator,
+	// successive chain steps share the parent state through its caches.
+	Eval core.EvalFunc
 	// OnProgress, when non-nil, receives one event per evaluated move.
 	// With several restart chains the callback runs concurrently and
 	// must be safe for concurrent use; Chain tells the events apart.
@@ -139,14 +139,8 @@ func Run(ctx context.Context, app *model.Application, arch *model.Architecture, 
 
 func runChain(ctx context.Context, app *model.Application, arch *model.Architecture, initial *core.Config, opts Options, chain int) (*Result, error) {
 	opts.defaults()
-	eval := opts.Eval
-	if eval == nil {
-		eval = func(cfg *core.Config) (*core.Analysis, error) {
-			return core.Analyze(app, arch, cfg)
-		}
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	curA, err := eval(initial)
+	curA, err := opts.Eval(initial)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +162,7 @@ func runChain(ctx context.Context, app *model.Application, arch *model.Architect
 		if err != nil {
 			continue // impossible move: try another
 		}
-		a, err := eval(cfg)
+		a, err := opts.Eval(cfg)
 		if err != nil {
 			continue
 		}
@@ -243,33 +237,4 @@ func RunRestarts(ctx context.Context, app *model.Application, arch *model.Archit
 		}
 	}
 	return out, ctx.Err()
-}
-
-// RunSAS anneals for the degree of schedulability from the SF starting
-// point (the paper's SA Schedule baseline).
-func RunSAS(ctx context.Context, app *model.Application, arch *model.Architecture, opts Options) (*Result, error) {
-	opts.Objective = MinimizeDelta
-	return runFromSF(ctx, app, arch, opts)
-}
-
-// RunSAR anneals for the total buffer need (the paper's SA Resources
-// baseline).
-func RunSAR(ctx context.Context, app *model.Application, arch *model.Architecture, opts Options) (*Result, error) {
-	opts.Objective = MinimizeBuffers
-	return runFromSF(ctx, app, arch, opts)
-}
-
-func runFromSF(ctx context.Context, app *model.Application, arch *model.Architecture, opts Options) (*Result, error) {
-	sf, err := opt.StraightforwardWith(app, arch, opts.Eval)
-	if err != nil {
-		return nil, err
-	}
-	res, err := RunRestarts(ctx, app, arch, sf.Config, opts)
-	if res != nil {
-		// Count the SF starting analysis even when the anneal was
-		// canceled, so partial and completed runs report comparable
-		// evaluation totals.
-		res.Evaluations += sf.Analysis.Iterations
-	}
-	return res, err
 }

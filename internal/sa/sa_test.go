@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/opt"
@@ -37,15 +38,22 @@ func fig4(t *testing.T) (*model.Application, *model.Architecture) {
 	return app, arch
 }
 
-func TestSASImprovesDelta(t *testing.T) {
-	app, arch := fig4(t)
-	sf, err := opt.Straightforward(app, arch)
+// straightforward analyzes the SF baseline, the SAS/SAR start point.
+func straightforward(t *testing.T, app *model.Application, arch *model.Architecture) *opt.Result {
+	t.Helper()
+	sf, err := opt.StraightforwardWith(app, arch, core.Evaluator(app, arch))
 	if err != nil {
 		t.Fatalf("Straightforward: %v", err)
 	}
-	res, err := RunSAS(context.Background(), app, arch, Options{Iterations: 120, Seed: 3})
+	return sf
+}
+
+func TestSASImprovesDelta(t *testing.T) {
+	app, arch := fig4(t)
+	sf := straightforward(t, app, arch)
+	res, err := Run(context.Background(), app, arch, sf.Config, Options{Objective: MinimizeDelta, Iterations: 120, Seed: 3, Eval: core.Evaluator(app, arch)})
 	if err != nil {
-		t.Fatalf("RunSAS: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.Best.Delta() > sf.Delta() {
 		t.Errorf("SAS best delta %d worse than its SF start %d", res.Best.Delta(), sf.Delta())
@@ -64,9 +72,10 @@ func TestSARMinimizesBuffersKeepingSchedulability(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	app, arch := sys.Application, sys.Architecture
-	res, err := RunSAR(context.Background(), app, arch, Options{Iterations: 80, Seed: 4})
+	sf := straightforward(t, app, arch)
+	res, err := Run(context.Background(), app, arch, sf.Config, Options{Objective: MinimizeBuffers, Iterations: 80, Seed: 4, Eval: core.Evaluator(app, arch)})
 	if err != nil {
-		t.Fatalf("RunSAR: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.Best == nil {
 		t.Fatal("no best result")
@@ -82,13 +91,15 @@ func TestSARMinimizesBuffersKeepingSchedulability(t *testing.T) {
 
 func TestDeterminismWithSeed(t *testing.T) {
 	app, arch := fig4(t)
-	a, err := RunSAS(context.Background(), app, arch, Options{Iterations: 60, Seed: 9})
+	sf := straightforward(t, app, arch)
+	opts := Options{Objective: MinimizeDelta, Iterations: 60, Seed: 9, Eval: core.Evaluator(app, arch)}
+	a, err := Run(context.Background(), app, arch, sf.Config, opts)
 	if err != nil {
-		t.Fatalf("RunSAS: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	b, err := RunSAS(context.Background(), app, arch, Options{Iterations: 60, Seed: 9})
+	b, err := Run(context.Background(), app, arch, sf.Config, opts)
 	if err != nil {
-		t.Fatalf("RunSAS: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if a.Best.Delta() != b.Best.Delta() || a.Accepted != b.Accepted || a.Evaluations != b.Evaluations {
 		t.Errorf("same seed diverged: delta %d/%d accepted %d/%d evals %d/%d",
@@ -98,10 +109,7 @@ func TestDeterminismWithSeed(t *testing.T) {
 
 func TestObjectiveCosts(t *testing.T) {
 	app, arch := fig4(t)
-	sf, err := opt.Straightforward(app, arch)
-	if err != nil {
-		t.Fatalf("Straightforward: %v", err)
-	}
+	sf := straightforward(t, app, arch)
 	cDelta := cost(MinimizeDelta, sf)
 	if cDelta != float64(sf.Delta()) {
 		t.Errorf("SAS cost = %v, want %v", cDelta, sf.Delta())
@@ -131,12 +139,9 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestBestNeverWorseThanStart(t *testing.T) {
 	app, arch := fig4(t)
-	sf, err := opt.Straightforward(app, arch)
-	if err != nil {
-		t.Fatalf("Straightforward: %v", err)
-	}
+	sf := straightforward(t, app, arch)
 	for _, obj := range []Objective{MinimizeDelta, MinimizeBuffers} {
-		res, err := Run(context.Background(), app, arch, sf.Config, Options{Objective: obj, Iterations: 50, Seed: 7})
+		res, err := Run(context.Background(), app, arch, sf.Config, Options{Objective: obj, Iterations: 50, Seed: 7, Eval: core.Evaluator(app, arch)})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}

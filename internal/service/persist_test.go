@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dse"
 	"repro/internal/solve"
 	"repro/internal/store"
 )
@@ -458,5 +459,51 @@ func TestPersistStoreStatsSurface(t *testing.T) {
 		if !bytes.Contains(blob, []byte(field)) {
 			t.Fatalf("stats JSON missing %s: %s", field, blob)
 		}
+	}
+}
+
+// TestExploreKeyFromNormalizedOptions: exploration requests whose
+// options normalize to the same dse options share a result key; a
+// distinct seed or a disabled warm start does not.
+func TestExploreKeyFromNormalizedOptions(t *testing.T) {
+	key := func(r ExploreRequest) string { return r.key("fp") }
+	spelled := ExploreRequest{Seed: 1, Population: 16, Generations: 12, MoveBudget: 16, MaxMutations: 3, ArchiveCap: dse.DefaultArchiveCap}
+	if a, b := key(ExploreRequest{}), key(spelled); a != b {
+		t.Errorf("{} and the spelled-out defaults: keys %s and %s, want one shared key", a, b)
+	}
+	for _, other := range []ExploreRequest{{Seed: 2}, {NoWarmStart: true}} {
+		if key(other) == key(ExploreRequest{}) {
+			t.Errorf("%+v shares the default request's key", other)
+		}
+	}
+}
+
+// TestPersistExploreDefaultSpellingServedFromStore: a {} resubmission
+// of a {seed: 1} explore job runs the same exploration, so the file
+// store serves it instead of recomputing.
+func TestPersistExploreDefaultSpellingServedFromStore(t *testing.T) {
+	clk := newTestClock()
+	st := openTestStore(t, t.TempDir(), clk, store.Options{})
+	svc := New(Options{Workers: 1, JobWorkers: 1, Store: st, Clock: clk})
+	defer svc.Close()
+
+	first, err := svc.SubmitExplore(ExploreRequest{System: testSystem(t, 46), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := waitDone(t, svc, first.ID)
+	if cold.State != StateDone || cold.Result.PersistentHit {
+		t.Fatalf("first run: state %s, persistentHit %v", cold.State, cold.Result.PersistentHit)
+	}
+	second, err := svc.SubmitExplore(ExploreRequest{System: testSystem(t, 46)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := waitDone(t, svc, second.ID)
+	if dup.State != StateDone || !dup.Result.PersistentHit {
+		t.Fatalf("{} resubmission: state %s, persistentHit %v, want a persistent serve", dup.State, dup.Result.PersistentHit)
+	}
+	if !bytes.Equal(canonicalBytes(t, dup.Result), canonicalBytes(t, cold.Result)) {
+		t.Fatal("persistent serve differs from the run that produced it")
 	}
 }

@@ -122,8 +122,13 @@ func (r *ExploreRequest) normalize() (string, error) {
 }
 
 // key derives the persistent result cache key of a normalized
-// exploration request (see SynthesisRequest.key).
+// exploration request from the options the exploration actually runs
+// with (see SynthesisRequest.key). Seed 0 normalizes to 1, which is
+// also the service sessions' seed that Solver.Explore falls back to.
 func (r *ExploreRequest) key(fp string) string {
+	o := dse.Options{Seed: r.Seed, Population: r.Population, Generations: r.Generations,
+		MoveBudget: r.MoveBudget, MaxMutations: r.MaxMutations, ArchiveCap: r.ArchiveCap}
+	o.Normalize()
 	return requestKey(KindExplore, fp, struct {
 		Seed         int64
 		Population   int
@@ -132,7 +137,7 @@ func (r *ExploreRequest) key(fp string) string {
 		MaxMutations int
 		ArchiveCap   int
 		NoWarmStart  bool
-	}{r.Seed, r.Population, r.Generations, r.MoveBudget, r.MaxMutations, r.ArchiveCap, r.NoWarmStart})
+	}{o.Seed, o.Population, o.Generations, o.MoveBudget, o.MaxMutations, o.ArchiveCap, r.NoWarmStart})
 }
 
 // requestKey composes a result cache key: the full system fingerprint

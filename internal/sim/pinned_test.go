@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/opt"
 )
@@ -29,6 +30,7 @@ func TestAnalysisDominatesSimulationWithPins(t *testing.T) {
 		app, arch := sys.Application, sys.Architecture
 		orres, err := opt.OptimizeResources(context.Background(), app, arch, opt.OROptions{
 			MaxIterations: 12, NeighborBudget: 16, Seeds: 2,
+			Hooks: opt.Hooks{Eval: core.Evaluator(app, arch)},
 		})
 		if err != nil {
 			t.Fatalf("OptimizeResources: %v", err)

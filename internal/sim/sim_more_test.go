@@ -41,7 +41,7 @@ func twinSystem(t *testing.T) (*model.Application, *model.Architecture, *core.Co
 	if err := app.Finalize(arch); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{})
+	osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{Hooks: opt.Hooks{Eval: core.Evaluator(app, arch)}})
 	if err != nil {
 		t.Fatalf("OptimizeSchedule: %v", err)
 	}

@@ -225,7 +225,7 @@ func TestAnalysisDominatesSimulationGenerated(t *testing.T) {
 			t.Fatalf("Generate: %v", err)
 		}
 		app, arch := sys.Application, sys.Architecture
-		osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{HOPAIterations: 2, SlotCandidates: 2})
+		osres, err := opt.OptimizeSchedule(context.Background(), app, arch, opt.OSOptions{HOPAIterations: 2, SlotCandidates: 2, Hooks: opt.Hooks{Eval: core.Evaluator(app, arch)}})
 		if err != nil {
 			t.Fatalf("OptimizeSchedule: %v", err)
 		}

@@ -24,9 +24,9 @@ type Options struct {
 	// more than Workers analyses at once (default 1 = serial; results
 	// are identical for every value).
 	Workers int
-	// OR tunes the OptimizeSchedule/OptimizeResources heuristics.
-	// Unset nested worker counts and the unset RandSeed inherit the
-	// top-level Workers and Seed.
+	// OR tunes the OptimizeSchedule/OptimizeResources budgets. Its
+	// run-wide settings (OR.Workers, OR.OS.Workers, OR.RandSeed) are
+	// always the top-level Workers and Seed.
 	OR opt.OROptions
 	// NoDelta disables the incremental delta-evaluation engine
 	// (internal/delta): every analysis then runs the cold
@@ -43,8 +43,7 @@ type Options struct {
 // top-level ones. New calls it, so constructed Solvers always see
 // normalized options; the service layer also calls it directly to
 // derive canonical cache keys from request fields. After it returns,
-// Workers, OR.Workers and OR.OS.Workers agree unless the caller
-// explicitly set them apart.
+// Workers, OR.Workers and OR.OS.Workers agree and OR.RandSeed is Seed.
 func (o *Options) Normalize() {
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -58,15 +57,8 @@ func (o *Options) Normalize() {
 	if o.SARestarts <= 0 {
 		o.SARestarts = 1
 	}
-	if o.OR.Workers <= 0 {
-		o.OR.Workers = o.Workers
-	}
-	if o.OR.OS.Workers <= 0 {
-		o.OR.OS.Workers = o.OR.Workers
-	}
-	if o.OR.RandSeed == 0 {
-		o.OR.RandSeed = o.Seed
-	}
+	o.OR.Workers, o.OR.OS.Workers = o.Workers, o.Workers
+	o.OR.RandSeed = o.Seed
 }
 
 // Option mutates the Options of a Solver under construction.
@@ -107,7 +99,7 @@ func WithObserver(obs Observer) Option { return func(o *Options) { o.Observer = 
 // default; results are bit-identical either way).
 func WithDelta(on bool) Option { return func(o *Options) { o.NoDelta = !on } }
 
-// WithOROptions tunes the OS/OR heuristics (iteration caps, seed
-// limits, neighbour budgets). Unset nested worker counts still inherit
-// the top-level WithWorkers value.
+// WithOROptions tunes the OS/OR budgets (iteration caps, seed limits,
+// neighbour budgets). Worker counts and the random seed come from
+// WithWorkers and WithSeed.
 func WithOROptions(or opt.OROptions) Option { return func(o *Options) { o.OR = or } }

@@ -86,8 +86,8 @@ func (s *Solver) Architecture() *model.Architecture { return s.arch }
 // Options returns a copy of the solver's normalized options.
 func (s *Solver) Options() Options { return s.opts }
 
-// normalizedBase returns the normalized default configuration (the SF
-// result shape and the annealers' start point).
+// normalizedBase returns the normalized default configuration, the
+// annealers' start point.
 func (s *Solver) normalizedBase() (*core.Config, error) {
 	cfg := core.DefaultConfig(s.app, s.arch)
 	if err := cfg.Normalize(s.app); err != nil {
@@ -96,16 +96,15 @@ func (s *Solver) normalizedBase() (*core.Config, error) {
 	return cfg, nil
 }
 
-// eval is the session's analysis function: the incremental evaluator
-// when delta-eval is on (the default), the cold core.Analyze otherwise.
-// Results are bit-identical either way.
-func (s *Solver) eval() opt.EvalFunc {
+// eval is the session's analysis function, the one place that picks
+// an evaluator: the incremental evaluator when delta-eval is on (the
+// default), the cold core.Evaluator otherwise. Results are
+// bit-identical either way.
+func (s *Solver) eval() core.EvalFunc {
 	if !s.opts.NoDelta {
 		return s.ev.Analyze
 	}
-	return func(cfg *core.Config) (*core.Analysis, error) {
-		return core.Analyze(s.app, s.arch, cfg)
-	}
+	return core.Evaluator(s.app, s.arch)
 }
 
 // DeltaStats reports the incremental evaluator's cache counters (the
@@ -162,13 +161,17 @@ func (s *Solver) observeSA(strat Strategy) func(sa.Progress) {
 	}
 }
 
-// orOptions assembles the OR/OS options of one run from the session
-// options and the instrumentation hooks: progress to the observer,
+// hooks are the OS/OR hooks of one run: progress to the observer,
 // analyses through the session evaluator.
+func (s *Solver) hooks(strat Strategy) opt.Hooks {
+	return opt.Hooks{OnProgress: s.observeOpt(strat), Eval: s.eval()}
+}
+
+// orOptions assembles the OR options of one run from the session
+// options and the run's hooks (opt hands them on to the OS step).
 func (s *Solver) orOptions(strat Strategy) opt.OROptions {
 	o := s.opts.OR
-	o.Hooks = opt.Hooks{OnProgress: s.observeOpt(strat), Eval: s.eval()}
-	o.OS.Hooks = o.Hooks
+	o.Hooks = s.hooks(strat)
 	return o
 }
 
@@ -186,7 +189,7 @@ func (s *Solver) Analyze(ctx context.Context, cfg *core.Config) (*core.Analysis,
 // (identical to analyzing them serially); per-configuration failures
 // are captured per item.
 func (s *Solver) AnalyzeAll(ctx context.Context, cfgs []*core.Config) ([]engine.Evaluation, error) {
-	return engine.EvaluateAll(ctx, s.opts.Workers, engine.Analyzer(s.eval()), cfgs)
+	return engine.EvaluateAll(ctx, s.opts.Workers, s.eval(), cfgs)
 }
 
 // Simulate executes a configuration in the discrete-event simulator.
@@ -207,23 +210,16 @@ func (s *Solver) Straightforward(ctx context.Context) (*opt.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg, err := s.normalizedBase()
-	if err != nil {
-		return nil, err
-	}
-	a, err := s.eval()(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &opt.Result{Config: cfg, Analysis: a}, nil
+	return opt.StraightforwardWith(s.app, s.arch, s.eval())
 }
 
 // OptimizeSchedule runs the Fig. 8 slot search with the session's
 // options and evaluator, exposing the full internal result (seeds
 // included) for experiment sweeps.
 func (s *Solver) OptimizeSchedule(ctx context.Context) (*opt.OSResult, error) {
-	o := s.orOptions(OptimizeSchedule)
-	return opt.OptimizeSchedule(ctx, s.app, s.arch, o.OS)
+	o := s.opts.OR.OS
+	o.Hooks = s.hooks(OptimizeSchedule)
+	return opt.OptimizeSchedule(ctx, s.app, s.arch, o)
 }
 
 // OptimizeResources runs the Fig. 7 two-step optimization with the

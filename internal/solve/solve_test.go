@@ -30,7 +30,7 @@ func system(t testing.TB, seed int64) (*model.Application, *model.Architecture) 
 // facade's forwarding footgun, where Workers was copied into OR.Workers
 // and OR.OS.Workers independently and the three could end up disagreeing.
 // Normalization happens in exactly one place (New), and the nested
-// counts inherit top-down.
+// counts are always the top-level one.
 func TestOptionsNormalizeWorkersAgree(t *testing.T) {
 	app, arch := system(t, 1)
 	cases := []struct {
@@ -40,8 +40,8 @@ func TestOptionsNormalizeWorkersAgree(t *testing.T) {
 	}{
 		{"defaults", nil, 1, 1, 1},
 		{"top-level only", []Option{WithWorkers(8)}, 8, 8, 8},
-		{"or overrides", []Option{WithWorkers(8), WithOROptions(opt.OROptions{Workers: 5})}, 8, 5, 5},
 		{"negative is serial", []Option{WithWorkers(-3)}, 1, 1, 1},
+		{"or budgets only", []Option{WithWorkers(8), WithOROptions(opt.OROptions{Workers: 5, OS: opt.OSOptions{Workers: 3}})}, 8, 8, 8},
 	}
 	for _, c := range cases {
 		s, err := New(app, arch, c.opts...)
@@ -53,9 +53,9 @@ func TestOptionsNormalizeWorkersAgree(t *testing.T) {
 			t.Errorf("%s: workers (top=%d or=%d os=%d), want (%d, %d, %d)",
 				c.name, o.Workers, o.OR.Workers, o.OR.OS.Workers, c.top, c.or, c.os)
 		}
-		// The invariant the old plumbing violated: when the caller only
-		// sets the top-level count, the nested counts cannot disagree.
-		if len(c.opts) < 2 && (o.OR.Workers != o.Workers || o.OR.OS.Workers != o.OR.Workers) {
+		// The invariant the old plumbing violated: the nested counts
+		// cannot disagree with the top-level one.
+		if o.OR.Workers != o.Workers || o.OR.OS.Workers != o.OR.Workers {
 			t.Errorf("%s: nested worker counts disagree: %d/%d/%d", c.name, o.Workers, o.OR.Workers, o.OR.OS.Workers)
 		}
 	}
@@ -83,12 +83,12 @@ func TestOptionsSeedCentralized(t *testing.T) {
 	if got := seeded.Options().OR.RandSeed; got != 7 {
 		t.Errorf("OR.RandSeed inherited %d, want the session seed 7", got)
 	}
-	explicit, err := New(app, arch, WithSeed(7), WithOROptions(opt.OROptions{RandSeed: 3}))
+	budgets, err := New(app, arch, WithSeed(7), WithOROptions(opt.OROptions{RandSeed: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := explicit.Options().OR.RandSeed; got != 3 {
-		t.Errorf("explicit OR.RandSeed overridden to %d, want 3", got)
+	if got := budgets.Options().OR.RandSeed; got != 7 {
+		t.Errorf("WithOROptions set OR.RandSeed to %d, want the session seed 7", got)
 	}
 
 	// The default and the explicit seed 1 must behave identically on a

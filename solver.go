@@ -79,9 +79,9 @@ func WithWorkers(n int) Option { return solve.WithWorkers(n) }
 // WithObserver streams progress events to obs while operations run.
 func WithObserver(obs Observer) Option { return solve.WithObserver(obs) }
 
-// WithOROptions tunes the OS/OR heuristics (iteration caps, seed
-// limits, neighbour budgets). Unset nested worker counts inherit the
-// WithWorkers value; an unset RandSeed inherits WithSeed.
+// WithOROptions tunes the OS/OR budgets (iteration caps, seed limits,
+// neighbour budgets). Worker counts and the random seed come from
+// WithWorkers and WithSeed.
 func WithOROptions(or opt.OROptions) Option { return solve.WithOROptions(or) }
 
 // WithDelta toggles the incremental delta-evaluation engine (on by
