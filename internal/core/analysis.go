@@ -290,12 +290,14 @@ type etLayout struct {
 	// spans delimit the resources for the per-resource memo lookups;
 	// res assembles their results. The analysis reads only the previous
 	// pass's responses, so results never depend on the task order and
-	// the nil-memo path can run the same grouped slice monolithically.
+	// the nil-memo path can run the same grouped slice monolithically,
+	// with hp, the higher-priority index of the whole set.
 	tasks     []rta.Task
 	ids       []int
 	procTasks int
 	spans     []resourceSpan
 	res       []rta.Result
+	hp        [][]int
 
 	// queue is the OutTTP vector (the ET->TT messages in edge order),
 	// queueIDs its edges.
@@ -307,9 +309,13 @@ type etLayout struct {
 	keys keyScratch
 }
 
-// resourceSpan is one resource's contiguous run tasks[lo:hi].
+// resourceSpan is one resource's contiguous run tasks[lo:hi]. hp is the
+// run's higher-priority index, built on the span's first memo miss: it
+// depends only on priorities, which one analysis never changes, and a
+// memo hit does not need it.
 type resourceSpan struct {
 	resource, lo, hi int
+	hp               [][]int
 }
 
 func newETLayout(app *model.Application, arch *model.Architecture, cfg *Config, horizon model.Time, aopts AnalyzeOptions) *etLayout {
@@ -388,6 +394,8 @@ func newETLayout(app *model.Application, arch *model.Architecture, cfg *Config, 
 	}
 	if l.memo != nil {
 		l.res = make([]rta.Result, len(l.tasks))
+	} else if len(l.tasks) > 0 {
+		l.hp = rta.HigherPriorityIndex(l.tasks)
 	}
 
 	for _, e := range app.Edges {
@@ -606,7 +614,7 @@ func (l *etLayout) runRTA(st *etState) bool {
 	if l.memo != nil {
 		res, err = l.memoRTA()
 	} else {
-		res, err = rta.Analyze(l.tasks, rta.Options{Horizon: l.horizon})
+		res, _, err = rta.AnalyzeStable(l.tasks, l.hp, rta.Options{Horizon: l.horizon})
 	}
 	if err != nil {
 		st.converged = false
@@ -636,14 +644,15 @@ func (l *etLayout) runRTA(st *etState) bool {
 }
 
 // memoRTA serves the fixed points per resource through the memo. It is
-// bit-identical to the monolithic rta.Analyze because interference never
+// bit-identical to the monolithic rta.AnalyzeStable because interference never
 // crosses resources; the one coupling, the all-unconverged marking when
 // any resource exhausts its pass budget, is reapplied here across
 // resources. The cached results are copied, never marked in place.
 func (l *etLayout) memoRTA() ([]rta.Result, error) {
 	stable := true
-	for _, sp := range l.spans {
-		res, ok, err := l.memo.analyzeResource(sp.resource, l.tasks[sp.lo:sp.hi], l.horizon, &l.keys)
+	for k := range l.spans {
+		sp := &l.spans[k]
+		res, ok, err := l.memo.analyzeResource(sp, l.tasks[sp.lo:sp.hi], l.horizon, &l.keys)
 		if err != nil {
 			return nil, err
 		}

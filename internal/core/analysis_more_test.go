@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -225,5 +226,60 @@ func TestPropertyAnalysisMonotoneInWCET(t *testing.T) {
 			t.Errorf("seed %d: delta improved from %d to %d after growing %s",
 				seed, base.Delta, more.Delta, app.Procs[grown].Name)
 		}
+	}
+}
+
+// TestAnalyzeSeesInPlaceEditsAfterFinalize guards the Finalize caches:
+// a WCET and a graph period changed in place after Finalize (and after
+// an analysis has used the caches) must give the same configuration and
+// analysis as a freshly generated copy with the same edits, finalized
+// afterwards.
+func TestAnalyzeSeesInPlaceEditsAfterFinalize(t *testing.T) {
+	spec := gen.Spec{Seed: 3, TTNodes: 2, ETNodes: 2, ProcsPerNode: 6, InterClusterMsgs: 4}
+	edit := func(app *model.Application) {
+		app.Procs[0].WCET += 3
+		app.Graphs[0].Period *= 3
+	}
+	// The configuration's round does not divide the hyper-period, so
+	// Normalize has to search the divisors for its padding.
+	run := func(app *model.Application, arch *model.Architecture) (*Config, *Analysis) {
+		cfg := unpaddedConfig(t, app, DefaultConfig(app, arch))
+		if err := cfg.Normalize(app); err != nil {
+			t.Fatalf("Normalize: %v", err)
+		}
+		a, err := Analyze(app, arch, cfg)
+		if err != nil {
+			t.Fatalf("Analyze: %v", err)
+		}
+		return cfg, a
+	}
+
+	sys, err := gen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, arch := sys.Application, sys.Architecture
+	run(app, arch)
+	before, _ := app.Hyperperiod()
+	edit(app)
+	if after, _ := app.Hyperperiod(); after == before {
+		t.Fatalf("the period edit left the hyper-period at %d", before)
+	}
+	cfg, got := run(app, arch)
+
+	fresh, err := gen.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(fresh.Application)
+	if err := fresh.Application.Finalize(fresh.Architecture); err != nil {
+		t.Fatalf("Finalize: %v", err)
+	}
+	wantCfg, want := run(fresh.Application, fresh.Architecture)
+	if !reflect.DeepEqual(cfg, wantCfg) {
+		t.Errorf("in-place edits: config %v, fresh copy %v", cfg.Round, wantCfg.Round)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("in-place edits: analysis differs from the fresh copy (delta %d vs %d)", got.Delta, want.Delta)
 	}
 }

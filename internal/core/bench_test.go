@@ -32,8 +32,8 @@ func genConfig(tb testing.TB, seed int64, procsPerNode int) (*model.Application,
 // counts: a change that adds an allocation to the Fig. 5 loop fails
 // here, and a change that removes some should lower them.
 const (
-	analyzeColdAllocs = 702
-	analyzeMemoAllocs = 810
+	analyzeColdAllocs = 235
+	analyzeMemoAllocs = 317
 )
 
 // TestAnalyzeAllocs pins the allocations of a cold Analyze and of an
@@ -57,6 +57,70 @@ func TestAnalyzeAllocs(t *testing.T) {
 	}
 	if memo > analyzeMemoAllocs {
 		t.Errorf("AnalyzeWith(fresh Memo): %v allocs/op, ceiling %d", memo, analyzeMemoAllocs)
+	}
+}
+
+// unpaddedConfig returns cfg with its first slot grown until the round
+// no longer divides the hyper-period, so Normalize has to search the
+// divisors for the padding.
+func unpaddedConfig(tb testing.TB, app *model.Application, cfg *Config) *Config {
+	tb.Helper()
+	hyper, err := app.Hyperperiod()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := cfg.Clone()
+	c.Round.Padding = 0
+	c.Round.Slots[0].Length++
+	for hyper%c.Round.Period() == 0 {
+		c.Round.Slots[0].Length++
+	}
+	return c
+}
+
+// TestNormalizeAllocs: on a finalized application Config.Normalize
+// searches the cached divisors of the hyper-period and allocates
+// nothing, on the divide fast path and on the padding search alike.
+func TestNormalizeAllocs(t *testing.T) {
+	app, _, cfg := genConfig(t, 7, 10)
+	for name, c := range map[string]*Config{"divides": cfg.Clone(), "padded": unpaddedConfig(t, app, cfg)} {
+		got := testing.AllocsPerRun(10, func() {
+			if err := c.Normalize(app); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: Normalize %v allocs/op, want 0", name, got)
+		}
+	}
+	if c := unpaddedConfig(t, app, cfg); c.Normalize(app) != nil || c.Round.Padding == 0 {
+		t.Errorf("padded round got no padding: %v", c.Round)
+	}
+}
+
+// fig9Nodes are the node counts of the paper's Fig. 9 systems, 40
+// processes per node: 80 to 400 processes.
+var fig9Nodes = []int{2, 4, 6, 8, 10}
+
+// BenchmarkNormalize times Config.Normalize of a move that changed a
+// slot length (the padding search) on the Fig. 9 systems.
+func BenchmarkNormalize(b *testing.B) {
+	for _, nodes := range fig9Nodes {
+		b.Run(fmt.Sprintf("procs=%d", 40*nodes), func(b *testing.B) {
+			sys, err := gen.Paper(nodes, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			app, arch := sys.Application, sys.Architecture
+			c := unpaddedConfig(b, app, DefaultConfig(app, arch))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.Normalize(app); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

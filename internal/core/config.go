@@ -86,23 +86,27 @@ func DefaultConfig(app *model.Application, arch *model.Architecture) *Config {
 }
 
 // Normalize pads the round so its period divides the hyper-period.
-// Call it after every slot-length or slot-order change.
+// Call it after every slot-length or slot-order change. On a finalized
+// application it searches the cached divisor list and allocates nothing.
 func (c *Config) Normalize(app *model.Application) error {
-	h, err := app.Hyperperiod()
+	h, divs, err := app.HyperDivisors()
 	if err != nil {
 		return err
 	}
-	return c.Round.PadToDivide(h)
+	return c.Round.PadToDivide(h, divs)
 }
 
 // Validate checks the configuration against the application: one slot
 // per owner, every ET process and CAN message has a priority, priorities
 // unique per resource.
 func (c *Config) Validate(app *model.Application, arch *model.Architecture) error {
-	if err := c.Round.Validate(arch.SlotOwners()); err != nil {
+	var owners [16]model.NodeID
+	if err := c.Round.Validate(arch.AppendSlotOwners(owners[:0])); err != nil {
 		return err
 	}
-	seenProc := make(map[[2]int]model.ProcID)
+	// Every earlier claim passed the uniqueness check, so at most one of
+	// them shares the resource and priority of the next.
+	claims := make([]prioClaim, 0, max(len(c.ProcPriority), len(c.MsgPriority)))
 	for _, p := range app.Procs {
 		if arch.Kind(p.Node) != model.EventTriggered {
 			continue
@@ -111,13 +115,12 @@ func (c *Config) Validate(app *model.Application, arch *model.Architecture) erro
 		if !ok {
 			return fmt.Errorf("core: ET process %q has no priority", p.Name)
 		}
-		key := [2]int{int(p.Node), prio}
-		if prev, dup := seenProc[key]; dup {
+		if prev, dup := claimant(claims, int(p.Node), prio); dup {
 			return fmt.Errorf("core: processes %q and %q share priority %d on node %d", app.Procs[prev].Name, p.Name, prio, p.Node)
 		}
-		seenProc[key] = p.ID
+		claims = append(claims, prioClaim{resource: int(p.Node), prio: prio, id: int(p.ID)})
 	}
-	seenMsg := make(map[int]model.EdgeID)
+	claims = claims[:0]
 	for _, e := range app.Edges {
 		if !app.RouteOf(e.ID, arch).UsesCAN() {
 			continue
@@ -126,12 +129,25 @@ func (c *Config) Validate(app *model.Application, arch *model.Architecture) erro
 		if !ok {
 			return fmt.Errorf("core: CAN message %q has no priority", e.Name)
 		}
-		if prev, dup := seenMsg[prio]; dup {
+		if prev, dup := claimant(claims, 0, prio); dup {
 			return fmt.Errorf("core: messages %q and %q share CAN priority %d", app.Edges[prev].Name, e.Name, prio)
 		}
-		seenMsg[prio] = e.ID
+		claims = append(claims, prioClaim{prio: prio, id: int(e.ID)})
 	}
 	return nil
+}
+
+// prioClaim is one process's or message's priority on its resource.
+type prioClaim struct{ resource, prio, id int }
+
+// claimant returns the id that already claims prio on resource.
+func claimant(claims []prioClaim, resource, prio int) (int, bool) {
+	for _, c := range claims {
+		if c.resource == resource && c.prio == prio {
+			return c.id, true
+		}
+	}
+	return 0, false
 }
 
 // PinProc returns a copy with an additional TT process pin.

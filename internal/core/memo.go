@@ -235,13 +235,14 @@ func (m *Memo) buildSchedule(in tsched.Input, ks *keyScratch) (*tsched.Schedule,
 	return s, nil
 }
 
-// analyzeResource runs (or recalls) one resource's fixed point. group
-// must already carry its blocking factors. The returned slice may be
-// shared with the cache and must not be modified; the bool mirrors
-// rta.AnalyzeStable's stability, which the caller turns into the global
-// all-unconverged marking exactly like the monolithic rta.Analyze.
-func (m *Memo) analyzeResource(resource int, group []rta.Task, horizon model.Time, ks *keyScratch) ([]rta.Result, bool, error) {
-	key := ks.rtaKey(resource, group, horizon)
+// analyzeResource runs (or recalls) the fixed point of span sp, whose
+// tasks are group. group must already carry its blocking factors. A miss
+// builds the span's priority index if it has none yet. The returned
+// slice may be shared with the cache and must not be modified; the bool
+// mirrors rta.AnalyzeStable's stability, which the caller turns into the
+// global all-unconverged marking exactly like the monolithic analysis.
+func (m *Memo) analyzeResource(sp *resourceSpan, group []rta.Task, horizon model.Time, ks *keyScratch) ([]rta.Result, bool, error) {
+	key := ks.rtaKey(sp.resource, group, horizon)
 	m.mu.Lock()
 	if e, ok := m.rta[string(key)]; ok {
 		m.stats.RTAHits++
@@ -250,7 +251,10 @@ func (m *Memo) analyzeResource(resource int, group []rta.Task, horizon model.Tim
 	}
 	m.stats.RTAMisses++
 	m.mu.Unlock()
-	res, stable, err := rta.AnalyzeStable(group, rta.Options{Horizon: horizon})
+	if sp.hp == nil {
+		sp.hp = rta.HigherPriorityIndex(group)
+	}
+	res, stable, err := rta.AnalyzeStable(group, sp.hp, rta.Options{Horizon: horizon})
 	if err != nil {
 		return nil, false, err
 	}

@@ -29,7 +29,7 @@ package delta
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -146,37 +146,26 @@ func ConfigKey(cfg *core.Config) string {
 		b = binary.AppendVarint(b, s.Length)
 	}
 	b = binary.AppendVarint(b, cfg.Round.Padding)
-	b = appendSortedProcs(b, cfg.ProcPriority, func(v int) int64 { return int64(v) })
-	b = appendSortedEdges(b, cfg.MsgPriority, func(v int) int64 { return int64(v) })
-	b = appendSortedProcs(b, cfg.PinnedProc, func(v model.Time) int64 { return v })
-	b = appendSortedEdges(b, cfg.PinnedEdge, func(v model.Time) int64 { return v })
+	ids := make([]int, 0, max(len(cfg.ProcPriority), len(cfg.MsgPriority), len(cfg.PinnedProc), len(cfg.PinnedEdge)))
+	b = appendSorted(b, ids, cfg.ProcPriority, func(v int) int64 { return int64(v) })
+	b = appendSorted(b, ids, cfg.MsgPriority, func(v int) int64 { return int64(v) })
+	b = appendSorted(b, ids, cfg.PinnedProc, func(v model.Time) int64 { return v })
+	b = appendSorted(b, ids, cfg.PinnedEdge, func(v model.Time) int64 { return v })
 	return string(b)
 }
 
-func appendSortedProcs[V any](b []byte, m map[model.ProcID]V, enc func(V) int64) []byte {
-	ids := make([]model.ProcID, 0, len(m))
+// appendSorted appends the length of m and its entries in ascending key
+// order, sorting the keys in ids, a scratch buffer with room for them.
+func appendSorted[K ~int, V any](b []byte, ids []int, m map[K]V, enc func(V) int64) []byte {
+	keys := ids[:0]
 	for id := range m {
-		ids = append(ids, id)
+		keys = append(keys, int(id))
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	b = binary.AppendVarint(b, int64(len(ids)))
-	for _, id := range ids {
+	slices.Sort(keys)
+	b = binary.AppendVarint(b, int64(len(keys)))
+	for _, id := range keys {
 		b = binary.AppendVarint(b, int64(id))
-		b = binary.AppendVarint(b, enc(m[id]))
-	}
-	return b
-}
-
-func appendSortedEdges[V any](b []byte, m map[model.EdgeID]V, enc func(V) int64) []byte {
-	ids := make([]model.EdgeID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	b = binary.AppendVarint(b, int64(len(ids)))
-	for _, id := range ids {
-		b = binary.AppendVarint(b, int64(id))
-		b = binary.AppendVarint(b, enc(m[id]))
+		b = binary.AppendVarint(b, enc(m[K(id)]))
 	}
 	return b
 }

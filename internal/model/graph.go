@@ -76,25 +76,25 @@ func (a *Application) Sinks(g int) []ProcID {
 
 // LongestPathToSink returns, for every process, the length of the longest
 // WCET-weighted path from that process (inclusive) to any sink of its
-// graph. Communication costs are not included; the value is used as the
-// partial-critical-path priority of the list scheduler.
-func (a *Application) LongestPathToSink() (map[ProcID]Time, error) {
-	lp := make(map[ProcID]Time, len(a.Procs))
-	for g := range a.Graphs {
-		order, err := a.TopoOrder(g)
-		if err != nil {
-			return nil, err
-		}
-		for i := len(order) - 1; i >= 0; i-- {
-			p := order[i]
-			best := Time(0)
-			for _, e := range a.OutEdges(p) {
-				if s := a.Edges[e].Dst; lp[s] > best {
-					best = lp[s]
-				}
+// graph, indexed by ProcID. Communication costs are not included; the
+// value is used as the partial-critical-path priority of the list
+// scheduler. It is recomputed on every call because it depends on the
+// WCETs, which callers may change after Finalize.
+func (a *Application) LongestPathToSink() ([]Time, error) {
+	order, err := a.TopoOrderAll()
+	if err != nil {
+		return nil, err
+	}
+	lp := make([]Time, len(a.Procs))
+	for i := len(order) - 1; i >= 0; i-- {
+		p := order[i]
+		best := Time(0)
+		for _, e := range a.OutEdges(p) {
+			if s := a.Edges[e].Dst; lp[s] > best {
+				best = lp[s]
 			}
-			lp[p] = best + a.Procs[p].WCET
 		}
+		lp[p] = best + a.Procs[p].WCET
 	}
 	return lp, nil
 }
@@ -135,6 +135,39 @@ func GCD(a, b Time) Time {
 		a, b = b, a%b
 	}
 	return a
+}
+
+// HyperDivisors returns the hyper-period and its positive divisors in
+// ascending order. Finalize caches the list; when a graph period has
+// changed since, the hyper-period no longer matches the cached one and
+// the divisors are computed afresh. The returned slice is shared and must
+// not be modified.
+func (a *Application) HyperDivisors() (Time, []Time, error) {
+	h, err := a.Hyperperiod()
+	if err != nil {
+		return 0, nil, err
+	}
+	if a.divisors != nil && a.divisorsOf == h {
+		return h, a.divisors, nil
+	}
+	return h, Divisors(h), nil
+}
+
+// Divisors returns all positive divisors of n in ascending order.
+func Divisors(n Time) []Time {
+	var lo, hi []Time
+	for d := Time(1); d*d <= n; d++ {
+		if n%d == 0 {
+			lo = append(lo, d)
+			if d != n/d {
+				hi = append(hi, n/d)
+			}
+		}
+	}
+	for i := len(hi) - 1; i >= 0; i-- {
+		lo = append(lo, hi[i])
+	}
+	return lo
 }
 
 // LCM returns the least common multiple of two positive times, failing on

@@ -136,14 +136,18 @@ func (a *Architecture) Kind(id NodeID) ClusterKind {
 // SlotOwners returns the nodes that own a TDMA slot on the TTP bus: all
 // TT nodes plus the gateway, in architecture order. Every TDMA round
 // contains exactly one slot per owner.
-func (a *Architecture) SlotOwners() []NodeID {
-	var ids []NodeID
+func (a *Architecture) SlotOwners() []NodeID { return a.AppendSlotOwners(nil) }
+
+// AppendSlotOwners appends the slot owners to dst and returns the
+// extended slice, so that per-analysis checks can list them into a
+// caller-owned buffer instead of a fresh slice.
+func (a *Architecture) AppendSlotOwners(dst []NodeID) []NodeID {
 	for _, n := range a.Nodes {
 		if n.Kind == TimeTriggered || n.Kind == GatewayNode {
-			ids = append(ids, n.ID)
+			dst = append(dst, n.ID)
 		}
 	}
-	return ids
+	return dst
 }
 
 // Process is a node of a process graph, statically mapped on a platform
@@ -208,13 +212,16 @@ type Application struct {
 
 	// Structure caches, built by Finalize: the adjacency lists and each
 	// graph's topological order (or the cycle error that prevents one),
-	// plus their concatenation over all graphs.
+	// plus their concatenation over all graphs, and the divisors of the
+	// hyper-period divisorsOf (see HyperDivisors).
 	out        [][]EdgeID
 	in         [][]EdgeID
 	topo       [][]ProcID
 	topoErr    []error
 	topoAll    []ProcID
 	topoAllErr error
+	divisors   []Time
+	divisorsOf Time
 }
 
 // NewApplication returns an empty application with the given name.
@@ -249,10 +256,19 @@ func (a *Application) AddEdge(name string, src, dst ProcID, size int) EdgeID {
 	return id
 }
 
-func (a *Application) invalidate() { a.out, a.in, a.topo = nil, nil, nil }
+func (a *Application) invalidate() { a.out, a.in, a.topo, a.divisors = nil, nil, nil, nil }
 
 // Finalize builds the structure caches and validates the application
 // against arch. It must be called (and succeed) before analysis.
+//
+// The caches hold what depends only on the graph structure and the
+// periods: the adjacency lists, the topological orders and the divisors
+// of the hyper-period (which Config.Normalize searches for the round
+// padding). Adding a graph, process or edge drops them. Tables weighted
+// by WCETs, such as LongestPathToSink, are recomputed on every use, so a
+// WCET changed in place after Finalize is always seen. A period changed
+// in place is seen too: HyperDivisors checks the cached list against the
+// current hyper-period and recomputes it on a mismatch.
 func (a *Application) Finalize(arch *Architecture) error {
 	a.buildAdjacency()
 	return a.Validate(arch)
@@ -277,6 +293,10 @@ func (a *Application) buildAdjacency() {
 	}
 	if a.topoAllErr != nil {
 		a.topoAll = nil
+	}
+	a.divisors, a.divisorsOf = nil, 0
+	if h, err := a.Hyperperiod(); err == nil {
+		a.divisors, a.divisorsOf = Divisors(h), h
 	}
 }
 

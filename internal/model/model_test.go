@@ -392,6 +392,22 @@ func TestPropertyTopoOrderValid(t *testing.T) {
 	}
 }
 
+func TestDivisors(t *testing.T) {
+	got := Divisors(12)
+	want := []Time{1, 2, 3, 4, 6, 12}
+	if len(got) != len(want) {
+		t.Fatalf("Divisors(12) = %v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Divisors(12) = %v, want %v", got, want)
+		}
+	}
+	if d := Divisors(7); len(d) != 2 || d[0] != 1 || d[1] != 7 {
+		t.Errorf("Divisors(7) = %v", d)
+	}
+}
+
 func TestPropertyLongestPathDominatesSuccessors(t *testing.T) {
 	arch := testArch(t)
 	f := func(seed int64) bool {

@@ -185,25 +185,24 @@ func ceilDiv(a, b model.Time) model.Time {
 // back into the lingering-instance windows of same-transaction tasks.
 const maxResponsePasses = 64
 
-// Analyze computes the response times of all tasks. The jitters J are
-// taken as inputs (the holistic propagation of jitters along process
+// AnalyzeStable computes the response times of all tasks. The jitters J
+// are taken as inputs (the holistic propagation of jitters along process
 // graphs is driven by the caller, see internal/core). The returned slice
 // is parallel to tasks.
 //
 // Internally the analysis runs to a global fixed point: the lingering
 // window of same-transaction interference (see CountArrivals) needs the
 // interferers' response times, which start at zero and grow
-// monotonically across passes until stable.
-func Analyze(tasks []Task, opt Options) ([]Result, error) {
-	res, _, err := AnalyzeStable(tasks, opt)
-	return res, err
-}
-
-// AnalyzeStable is Analyze, additionally reporting whether the global
-// fixed point stabilized within the pass budget (stable == false is the
-// condition that marks every task unconverged). The memoised per-resource
-// analysis (internal/core's Memo) uses it to keep the all-unconverged
-// marking exact when the task set is analyzed one resource at a time.
+// monotonically across passes until stable. stable reports whether it
+// stabilized within the pass budget; when it did not, every task is
+// marked unconverged. The memoised per-resource analysis (internal/core's
+// Memo) uses the flag to keep that marking exact when the task set is
+// analyzed one resource at a time.
+//
+// hp must be HigherPriorityIndex(tasks), or the index of a task set with
+// the same resources and priorities: it depends on nothing else, so a
+// caller that re-analyzes one task set with new offsets and jitters
+// builds it once.
 //
 // The per-pass interference fixed points are warm-started from the
 // previous pass's values: the response vector grows monotonically across
@@ -211,16 +210,18 @@ func Analyze(tasks []Task, opt Options) ([]Result, error) {
 // least fixed point bounds the next one's from below. The pass
 // trajectory — and with it every W/R value, every convergence flag and
 // the pass budget — is identical to a cold iteration.
-func AnalyzeStable(tasks []Task, opt Options) (res []Result, stable bool, err error) {
+func AnalyzeStable(tasks []Task, hp [][]int, opt Options) (res []Result, stable bool, err error) {
 	if opt.Horizon <= 0 {
 		return nil, false, fmt.Errorf("rta: positive horizon required, got %d", opt.Horizon)
 	}
 	if err := ValidateTasks(tasks); err != nil {
 		return nil, false, err
 	}
+	if len(hp) != len(tasks) {
+		return nil, false, fmt.Errorf("rta: priority index covers %d tasks, want %d", len(hp), len(tasks))
+	}
 	res = make([]Result, len(tasks))
 	resp := make([]model.Time, len(tasks))
-	hp := higherPriorityIndex(tasks)
 	for pass := 0; pass < maxResponsePasses; pass++ {
 		changed := false
 		for i := range tasks {
@@ -244,14 +245,14 @@ func AnalyzeStable(tasks []Task, opt Options) (res []Result, stable bool, err er
 	return res, false, nil
 }
 
-// higherPriorityIndex precomputes, per task, the indices of the tasks
+// HigherPriorityIndex precomputes, per task, the indices of the tasks
 // that can interfere with it (same resource, higher priority), so the
 // fixed-point loops touch only relevant tasks. Priorities are unique per
 // resource (ValidateTasks), so once the indices are sorted by resource
 // and priority, each task's list is the run of its resource before it:
 // every list is a window of one shared slice. The interference sums do
 // not depend on the order of a list.
-func higherPriorityIndex(tasks []Task) [][]int {
+func HigherPriorityIndex(tasks []Task) [][]int {
 	order := make([]int, len(tasks))
 	for i := range order {
 		order[i] = i

@@ -10,11 +10,17 @@ import (
 
 const hz = 1 << 40
 
+// analyzeAll runs AnalyzeStable with the task set's own priority index.
+func analyzeAll(tasks []Task, opt Options) ([]Result, error) {
+	res, _, err := AnalyzeStable(tasks, HigherPriorityIndex(tasks), opt)
+	return res, err
+}
+
 func analyze(t *testing.T, tasks []Task) []Result {
 	t.Helper()
-	res, err := Analyze(tasks, Options{Horizon: hz})
+	res, err := analyzeAll(tasks, Options{Horizon: hz})
 	if err != nil {
-		t.Fatalf("Analyze: %v", err)
+		t.Fatalf("AnalyzeStable: %v", err)
 	}
 	return res
 }
@@ -146,7 +152,7 @@ func TestDivergenceClampsAtHorizon(t *testing.T) {
 		{Name: "hp2", Resource: 0, Priority: 1, C: 50, T: 100, Trans: -1},
 		{Name: "lp", Resource: 0, Priority: 2, C: 10, T: 100, Trans: -1},
 	}
-	res, err := Analyze(tasks, Options{Horizon: 1000})
+	res, err := analyzeAll(tasks, Options{Horizon: 1000})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -170,12 +176,15 @@ func TestValidateTasks(t *testing.T) {
 		{{C: 1, T: 10, Priority: 3}, {C: 1, T: 10, Priority: 3}}, // duplicate prio
 	}
 	for i, tasks := range bad {
-		if _, err := Analyze(tasks, Options{Horizon: 100}); err == nil {
+		if _, err := analyzeAll(tasks, Options{Horizon: 100}); err == nil {
 			t.Errorf("case %d: invalid tasks accepted", i)
 		}
 	}
-	if _, err := Analyze(nil, Options{}); err == nil {
+	if _, err := analyzeAll(nil, Options{}); err == nil {
 		t.Error("zero horizon accepted")
+	}
+	if _, _, err := AnalyzeStable([]Task{{C: 1, T: 10}}, nil, Options{Horizon: 100}); err == nil {
+		t.Error("priority index of another task set accepted")
 	}
 }
 
@@ -234,7 +243,7 @@ func TestPropertyMonotonicity(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tasks := randomTaskSet(r)
-		res, err := Analyze(tasks, Options{Horizon: hz})
+		res, err := analyzeAll(tasks, Options{Horizon: hz})
 		if err != nil {
 			return false
 		}
@@ -249,7 +258,7 @@ func TestPropertyMonotonicity(t *testing.T) {
 		case 2:
 			grown[k].B += 2
 		}
-		res2, err := Analyze(grown, Options{Horizon: hz})
+		res2, err := analyzeAll(grown, Options{Horizon: hz})
 		if err != nil {
 			return false
 		}
@@ -280,7 +289,7 @@ func TestPropertyOrderIndependence(t *testing.T) {
 		if r.Intn(4) == 0 {
 			opt.Horizon = model.Time(1 + r.Intn(30)) // clamped, unconverged results
 		}
-		res, stable, err := AnalyzeStable(tasks, opt)
+		res, stable, err := AnalyzeStable(tasks, HigherPriorityIndex(tasks), opt)
 		if err != nil {
 			return false
 		}
@@ -289,7 +298,7 @@ func TestPropertyOrderIndependence(t *testing.T) {
 		for k, i := range perm {
 			shuffled[k] = tasks[i]
 		}
-		res2, stable2, err := AnalyzeStable(shuffled, opt)
+		res2, stable2, err := AnalyzeStable(shuffled, HigherPriorityIndex(shuffled), opt)
 		if err != nil || stable2 != stable {
 			return false
 		}
@@ -310,7 +319,7 @@ func TestPropertyOrderIndependence(t *testing.T) {
 func coldReference(tasks []Task, horizon model.Time) ([]Result, bool) {
 	res := make([]Result, len(tasks))
 	resp := make([]model.Time, len(tasks))
-	hp := higherPriorityIndex(tasks)
+	hp := HigherPriorityIndex(tasks)
 	for pass := 0; pass < maxResponsePasses; pass++ {
 		changed := false
 		for i := range tasks {
@@ -347,7 +356,7 @@ func TestPropertyCrossPassWarmStartMatchesCold(t *testing.T) {
 		if r.Intn(4) == 0 {
 			horizon = model.Time(1 + r.Intn(30))
 		}
-		res, stable, err := AnalyzeStable(tasks, Options{Horizon: horizon})
+		res, stable, err := AnalyzeStable(tasks, HigherPriorityIndex(tasks), Options{Horizon: horizon})
 		if err != nil {
 			return false
 		}
@@ -373,7 +382,7 @@ func TestPropertyLowerBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tasks := randomTaskSet(r)
-		res, err := Analyze(tasks, Options{Horizon: hz})
+		res, err := analyzeAll(tasks, Options{Horizon: hz})
 		if err != nil {
 			return false
 		}
@@ -395,7 +404,7 @@ func TestPropertyFixedPoint(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		tasks := randomTaskSet(r)
-		res, err := Analyze(tasks, Options{Horizon: hz})
+		res, err := analyzeAll(tasks, Options{Horizon: hz})
 		if err != nil {
 			return false
 		}

@@ -20,8 +20,9 @@
 package tsched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/ttp"
@@ -72,13 +73,18 @@ type Schedule struct {
 // on structural errors (invalid round, message larger than its slot);
 // overload shows up as WithinCycle == false plus late start times, so
 // that the optimization heuristics see a smooth cost landscape.
+//
+// The scheduling state is dense: jobs and TTP message instances are
+// numbered per process and per edge (see jobSet), so the result's start
+// and arrival lists are carved out of the state's own arrays.
 func Build(in Input) (*Schedule, error) {
 	app, arch := in.App, in.Arch
 	hyper, err := app.Hyperperiod()
 	if err != nil {
 		return nil, err
 	}
-	if err := in.Round.Validate(arch.SlotOwners()); err != nil {
+	var owners [16]model.NodeID
+	if err := in.Round.Validate(arch.AppendSlotOwners(owners[:0])); err != nil {
 		return nil, err
 	}
 	if p := in.Round.Period(); p <= 0 || hyper%p != 0 {
@@ -89,37 +95,37 @@ func Build(in Input) (*Schedule, error) {
 		return nil, err
 	}
 
+	js := collectJobs(in, hyper)
 	s := &Schedule{
 		Round:       in.Round,
 		Hyper:       hyper,
-		ProcStart:   make(map[model.ProcID][]model.Time),
-		EdgeArrival: make(map[model.EdgeID][]model.Time),
-		MEDL:        ttp.MEDL{Round: in.Round, Cycle: hyper},
+		ProcStart:   make(map[model.ProcID][]model.Time, js.procs),
+		EdgeArrival: make(map[model.EdgeID][]model.Time, js.edges),
+		MEDL: ttp.MEDL{Round: in.Round, Cycle: hyper,
+			Entries: make([]ttp.MEDLEntry, 0, len(js.arrival))},
 		WithinCycle: true,
 	}
-
-	jobs := collectJobs(app, arch, hyper)
-	if len(jobs) == 0 {
+	if len(js.jobs) == 0 {
 		return s, nil
 	}
-	// Scheduling state.
-	cpuFree := make(map[model.NodeID]model.Time)
-	slotUsed := make(map[[2]int]int) // (round occurrence, slot index) -> bytes
-	finish := make(map[jobKey]model.Time)
-	arrival := make(map[edgeKey]model.Time)
-	pending := len(jobs)
-
-	for pending > 0 {
+	jobs := js.jobs
+	cpuFree := make([]model.Time, len(arch.Nodes))
+	// slotUsed maps a slot occurrence, occ*len(slots)+slot, to the bytes
+	// it already carries.
+	slotUsed := make(map[int64]int, len(js.arrival))
+	var outBuf [8]model.EdgeID
+	out := outBuf[:0]
+	for pending := len(jobs); pending > 0; pending-- {
 		best := -1
 		var bestStart model.Time
 		for i := range jobs {
 			j := &jobs[i]
-			if j.done || !predsDone(app, arch, j, finish) {
+			if js.start[i] >= 0 || !js.predsDone(app, arch, j) {
 				continue
 			}
-			start := jobStart(in, app, arch, j, finish, arrival, cpuFree)
+			start := js.jobStart(app, arch, j, cpuFree)
 			if best == -1 || start < bestStart ||
-				(start == bestStart && betterTie(app, lp, &jobs[best], j)) {
+				(start == bestStart && betterTie(lp, &jobs[best], j)) {
 				best = i
 				bestStart = start
 			}
@@ -129,13 +135,10 @@ func Build(in Input) (*Schedule, error) {
 			return nil, fmt.Errorf("tsched: no eligible job among %d pending", pending)
 		}
 		j := &jobs[best]
-		j.done = true
-		pending--
+		js.start[best] = bestStart
 		proc := &app.Procs[j.proc]
 		end := bestStart + proc.WCET
-		finish[jobKey{j.proc, j.instance}] = end
 		cpuFree[proc.Node] = end
-		s.ProcStart[j.proc] = append(s.ProcStart[j.proc], bestStart)
 		if end > j.release+app.PeriodOf(j.proc) {
 			s.WithinCycle = false
 		}
@@ -144,72 +147,118 @@ func Build(in Input) (*Schedule, error) {
 		// when the producer finishes, and the partial critical path of
 		// the receiver decides who gets the earlier slot occurrence
 		// (the message priority function of [5]).
-		var out []model.EdgeID
+		out = out[:0]
 		for _, e := range app.OutEdges(j.proc) {
-			if app.RouteOf(e, arch).UsesTTP() {
+			if js.edgeBase[e] >= 0 {
 				out = append(out, e)
 			}
 		}
-		sort.SliceStable(out, func(a, b int) bool {
-			la := lp[app.Edges[out[a]].Dst]
-			lb := lp[app.Edges[out[b]].Dst]
+		slices.SortStableFunc(out, func(a, b model.EdgeID) int {
+			la, lb := lp[app.Edges[a].Dst], lp[app.Edges[b].Dst]
 			if la != lb {
-				return la > lb
+				return cmp.Compare(lb, la)
 			}
-			return out[a] < out[b]
+			return cmp.Compare(a, b)
 		})
 		for _, e := range out {
-			if err := s.scheduleMessage(in, e, j.instance, end, slotUsed, arrival); err != nil {
+			if err := s.scheduleMessage(in, e, j.instance, end, slotUsed, &js); err != nil {
 				return nil, err
 			}
 		}
 	}
-	sortStarts(s)
+	js.publish(app, s)
 	return s, nil
-}
-
-type jobKey struct {
-	proc     model.ProcID
-	instance int
-}
-
-type edgeKey struct {
-	edge     model.EdgeID
-	instance int
 }
 
 type job struct {
 	proc     model.ProcID
 	instance int
 	release  model.Time // k * period
-	done     bool
+	// earliest is the release raised by the job's release offset and
+	// pin: the start bound that does not depend on other jobs.
+	earliest model.Time
 }
 
-// collectJobs rolls the TT processes out over the hyper-period.
-func collectJobs(app *model.Application, arch *model.Architecture, hyper model.Time) []job {
-	var jobs []job
-	for _, p := range app.Procs {
-		if arch.Kind(p.Node) != model.TimeTriggered {
-			continue
-		}
-		period := app.PeriodOf(p.ID)
-		for k := 0; k < int(hyper/period); k++ {
-			jobs = append(jobs, job{proc: p.ID, instance: k, release: model.Time(k) * period})
+// jobSet is the dense scheduling state. Job i of process p is instance
+// i-procBase[p]; instance k of a TTP-leg edge e is arrival slot
+// edgeBase[e]+k. Bases are -1 for processes and edges outside the
+// static schedule.
+type jobSet struct {
+	jobs     []job
+	procBase []int // by ProcID
+	edgeBase []int // by EdgeID
+	// start holds each job's start time, -1 while unscheduled; arrival
+	// holds each message instance's bus delivery time.
+	start   []model.Time
+	arrival []model.Time
+	// procs and edges count the processes and edges with a base.
+	procs, edges int
+}
+
+// collectJobs rolls the TT processes and their TTP-leg messages out
+// over the hyper-period.
+func collectJobs(in Input, hyper model.Time) jobSet {
+	app, arch := in.App, in.Arch
+	js := jobSet{
+		procBase: make([]int, len(app.Procs)),
+		edgeBase: make([]int, len(app.Edges)),
+	}
+	nJobs := 0
+	for i := range app.Procs {
+		p := &app.Procs[i]
+		js.procBase[i] = -1
+		if arch.Kind(p.Node) == model.TimeTriggered {
+			js.procBase[i] = nJobs
+			nJobs += int(hyper / app.PeriodOf(p.ID))
+			js.procs++
 		}
 	}
-	return jobs
+	nMsgs := 0
+	for i := range app.Edges {
+		js.edgeBase[i] = -1
+		if app.RouteOf(model.EdgeID(i), arch).UsesTTP() {
+			js.edgeBase[i] = nMsgs
+			nMsgs += int(hyper / app.EdgePeriod(model.EdgeID(i)))
+			js.edges++
+		}
+	}
+	js.jobs = make([]job, 0, nJobs)
+	js.start = make([]model.Time, nJobs)
+	js.arrival = make([]model.Time, nMsgs)
+	for i := range app.Procs {
+		if js.procBase[i] < 0 {
+			continue
+		}
+		p := model.ProcID(i)
+		period := app.PeriodOf(p)
+		off, hasOff := in.ReleaseOffset[p]
+		pin, hasPin := in.PinnedProc[p]
+		for k := 0; k < int(hyper/period); k++ {
+			j := job{proc: p, instance: k, release: model.Time(k) * period}
+			j.earliest = j.release
+			if hasOff {
+				j.earliest = max(j.earliest, j.release+off)
+			}
+			if hasPin {
+				j.earliest = max(j.earliest, j.release+pin)
+			}
+			js.start[len(js.jobs)] = -1
+			js.jobs = append(js.jobs, j)
+		}
+	}
+	return js
 }
 
 // predsDone reports whether every TT predecessor (and its message, if
 // any) of the job is already scheduled. ET predecessors do not gate the
 // schedule; their influence arrives through Input.ReleaseOffset.
-func predsDone(app *model.Application, arch *model.Architecture, j *job, finish map[jobKey]model.Time) bool {
+func (js *jobSet) predsDone(app *model.Application, arch *model.Architecture, j *job) bool {
 	for _, e := range app.InEdges(j.proc) {
 		src := app.Edges[e].Src
 		if arch.Kind(app.Procs[src].Node) != model.TimeTriggered {
 			continue
 		}
-		if _, ok := finish[jobKey{src, j.instance}]; !ok {
+		if js.start[js.procBase[src]+j.instance] < 0 {
 			return false
 		}
 	}
@@ -218,38 +267,52 @@ func predsDone(app *model.Application, arch *model.Architecture, j *job, finish 
 
 // jobStart computes the earliest feasible start of the job given the
 // current state.
-func jobStart(in Input, app *model.Application, arch *model.Architecture, j *job,
-	finish map[jobKey]model.Time, arrival map[edgeKey]model.Time, cpuFree map[model.NodeID]model.Time) model.Time {
-	start := j.release
-	if off, ok := in.ReleaseOffset[j.proc]; ok {
-		start = max64(start, j.release+off)
-	}
-	if pin, ok := in.PinnedProc[j.proc]; ok {
-		start = max64(start, j.release+pin)
-	}
+func (js *jobSet) jobStart(app *model.Application, arch *model.Architecture, j *job, cpuFree []model.Time) model.Time {
+	start := j.earliest
 	for _, e := range app.InEdges(j.proc) {
-		ed := &app.Edges[e]
-		src := ed.Src
+		src := app.Edges[e].Src
 		if arch.Kind(app.Procs[src].Node) != model.TimeTriggered {
 			continue // ET->TT: covered by ReleaseOffset
 		}
-		switch app.RouteOf(e, arch) {
-		case model.RouteLocal:
-			start = max64(start, finish[jobKey{src, j.instance}])
-		case model.RouteTTP:
-			start = max64(start, arrival[edgeKey{e, j.instance}])
+		// A TT->TT edge is local on one node and a TTP leg otherwise.
+		if b := js.edgeBase[e]; b >= 0 {
+			start = max(start, js.arrival[b+j.instance])
+		} else {
+			start = max(start, js.start[js.procBase[src]+j.instance]+app.Procs[src].WCET)
 		}
 	}
-	if free := cpuFree[app.Procs[j.proc].Node]; free > start {
-		start = free
+	return max(start, cpuFree[app.Procs[j.proc].Node])
+}
+
+// publish carves the result's per-process start lists and per-edge
+// arrival lists out of the dense state, each sorted ascending. The
+// slices are capped at their length, so an append by any holder of a
+// shared schedule reallocates instead of overwriting a neighbour.
+func (js *jobSet) publish(app *model.Application, s *Schedule) {
+	for i, b := range js.procBase {
+		if b < 0 {
+			continue
+		}
+		n := b + int(s.Hyper/app.PeriodOf(model.ProcID(i)))
+		starts := js.start[b:n:n]
+		slices.Sort(starts)
+		s.ProcStart[model.ProcID(i)] = starts
 	}
-	return start
+	for i, b := range js.edgeBase {
+		if b < 0 {
+			continue
+		}
+		n := b + int(s.Hyper/app.EdgePeriod(model.EdgeID(i)))
+		arr := js.arrival[b:n:n]
+		slices.Sort(arr)
+		s.EdgeArrival[model.EdgeID(i)] = arr
+	}
 }
 
 // betterTie returns true when candidate b should replace a at equal
 // start times: larger partial critical path first, then smaller process
 // ID, then smaller instance.
-func betterTie(app *model.Application, lp map[model.ProcID]model.Time, a, b *job) bool {
+func betterTie(lp []model.Time, a, b *job) bool {
 	la, lb := lp[a.proc], lp[b.proc]
 	if la != lb {
 		return lb > la
@@ -264,7 +327,7 @@ func betterTie(app *model.Application, lp map[model.ProcID]model.Time, a, b *job
 // occurrence of the sender's slot that starts at or after the ready time
 // and has free capacity.
 func (s *Schedule) scheduleMessage(in Input, e model.EdgeID, k int, ready model.Time,
-	slotUsed map[[2]int]int, arrival map[edgeKey]model.Time) error {
+	slotUsed map[int64]int, js *jobSet) error {
 	app, arch := in.App, in.Arch
 	ed := &app.Edges[e]
 	sender := app.Procs[ed.Src].Node
@@ -277,17 +340,17 @@ func (s *Schedule) scheduleMessage(in Input, e model.EdgeID, k int, ready model.
 		return fmt.Errorf("tsched: message %q (%d bytes) exceeds slot capacity %d of node %d", ed.Name, ed.Size, capacity, sender)
 	}
 	if pin, ok := in.PinnedEdge[e]; ok {
-		ready = max64(ready, model.Time(k)*app.EdgePeriod(e)+pin)
+		ready = max(ready, model.Time(k)*app.EdgePeriod(e)+pin)
 	}
 	occ := s.Round.NextOccurrence(slot, ready)
-	for slotUsed[[2]int{occ, slot}]+ed.Size > capacity {
+	key := func(occ int) int64 { return int64(occ)*int64(len(s.Round.Slots)) + int64(slot) }
+	for slotUsed[key(occ)]+ed.Size > capacity {
 		occ++
 	}
-	slotUsed[[2]int{occ, slot}] += ed.Size
+	slotUsed[key(occ)] += ed.Size
 	start := s.Round.OccurrenceStart(slot, occ)
 	end := start + s.Round.Slots[slot].Length
-	arrival[edgeKey{e, k}] = end
-	s.EdgeArrival[e] = append(s.EdgeArrival[e], end)
+	js.arrival[js.edgeBase[e]+k] = end
 	s.MEDL.Entries = append(s.MEDL.Entries, ttp.MEDLEntry{
 		Edge: e, Instance: k, Slot: slot, Round: occ, Bytes: ed.Size,
 		Start: start, End: end,
@@ -296,20 +359,4 @@ func (s *Schedule) scheduleMessage(in Input, e model.EdgeID, k int, ready model.
 		s.WithinCycle = false
 	}
 	return nil
-}
-
-func sortStarts(s *Schedule) {
-	for p := range s.ProcStart {
-		sort.Slice(s.ProcStart[p], func(i, j int) bool { return s.ProcStart[p][i] < s.ProcStart[p][j] })
-	}
-	for e := range s.EdgeArrival {
-		sort.Slice(s.EdgeArrival[e], func(i, j int) bool { return s.EdgeArrival[e][i] < s.EdgeArrival[e][j] })
-	}
-}
-
-func max64(a, b model.Time) model.Time {
-	if a > b {
-		return a
-	}
-	return b
 }

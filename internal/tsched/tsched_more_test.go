@@ -37,7 +37,7 @@ func TestCriticalMessageGetsEarlierSlot(t *testing.T) {
 	round := ttp.Round{Slots: []ttp.Slot{
 		{Node: n1, Length: 8}, {Node: arch.Gateway, Length: 8},
 	}}
-	if err := round.PadToDivide(1000); err != nil {
+	if err := round.PadToDivide(1000, model.Divisors(1000)); err != nil {
 		t.Fatalf("pad: %v", err)
 	}
 	s, err := Build(Input{App: app, Arch: arch, Round: round})
@@ -97,7 +97,7 @@ func TestEmptyTTC(t *testing.T) {
 	round := ttp.Round{Slots: []ttp.Slot{
 		{Node: arch.TTNodes()[0], Length: 10}, {Node: arch.Gateway, Length: 10},
 	}}
-	if err := round.PadToDivide(100); err != nil {
+	if err := round.PadToDivide(100, model.Divisors(100)); err != nil {
 		t.Fatalf("pad: %v", err)
 	}
 	s, err := Build(Input{App: app, Arch: arch, Round: round})

@@ -183,7 +183,7 @@ func TestTTtoTTPrecedence(t *testing.T) {
 	round := ttp.Round{Slots: []ttp.Slot{
 		{Node: n1, Length: 10}, {Node: n2, Length: 10}, {Node: arch.Gateway, Length: 5},
 	}}
-	if err := round.PadToDivide(200); err != nil {
+	if err := round.PadToDivide(200, model.Divisors(200)); err != nil {
 		t.Fatalf("pad: %v", err)
 	}
 	s, err := Build(Input{App: app, Arch: arch, Round: round})
@@ -245,7 +245,7 @@ func TestMultiRateRollout(t *testing.T) {
 		t.Fatalf("Finalize: %v", err)
 	}
 	round := ttp.Round{Slots: []ttp.Slot{{Node: n1, Length: 10}, {Node: arch.Gateway, Length: 10}}}
-	if err := round.PadToDivide(240); err != nil {
+	if err := round.PadToDivide(240, model.Divisors(240)); err != nil {
 		t.Fatalf("pad: %v", err)
 	}
 	s, err := Build(Input{App: app, Arch: arch, Round: round})
@@ -384,7 +384,7 @@ func TestPropertyScheduleInvariants(t *testing.T) {
 		round := ttp.NewRound(arch.SlotOwners(), func(model.NodeID) model.Time {
 			return 12 + model.Time(r.Intn(8))
 		})
-		if err := round.PadToDivide(2000); err != nil {
+		if err := round.PadToDivide(2000, model.Divisors(2000)); err != nil {
 			return true // skip: geometry impossible
 		}
 		s, err := Build(Input{App: app, Arch: arch, Round: round})

@@ -13,7 +13,7 @@ package ttp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -141,22 +141,16 @@ func (r Round) Validate(owners []model.NodeID) error {
 	if len(r.Slots) != len(owners) {
 		return fmt.Errorf("ttp: round has %d slots, want one per owner (%d)", len(r.Slots), len(owners))
 	}
-	seen := make(map[model.NodeID]bool, len(r.Slots))
-	want := make(map[model.NodeID]bool, len(owners))
-	for _, n := range owners {
-		want[n] = true
-	}
-	for _, s := range r.Slots {
+	for i, s := range r.Slots {
 		if s.Length <= 0 {
 			return fmt.Errorf("ttp: slot of node %d has non-positive length %d", s.Node, s.Length)
 		}
-		if seen[s.Node] {
+		if r.SlotIndexOf(s.Node) < i {
 			return fmt.Errorf("ttp: node %d owns more than one slot", s.Node)
 		}
-		if !want[s.Node] {
+		if !slices.Contains(owners, s.Node) {
 			return fmt.Errorf("ttp: node %d is not a slot owner", s.Node)
 		}
-		seen[s.Node] = true
 	}
 	if r.Padding < 0 {
 		return fmt.Errorf("ttp: negative padding %d", r.Padding)
@@ -166,9 +160,11 @@ func (r Round) Validate(owners []model.NodeID) error {
 
 // PadToDivide adjusts the round padding so that the round period divides
 // cycle (the application hyper-period). The smallest divisor of cycle
-// that is >= the unpadded slot sum is chosen. An error is returned when
-// the slot sum exceeds the cycle.
-func (r *Round) PadToDivide(cycle model.Time) error {
+// that is >= the unpadded slot sum is chosen. divisors must be the
+// ascending divisors of cycle, as model.Divisors returns them
+// (Application.HyperDivisors serves the hyper-period's from a cache). An
+// error is returned when the slot sum exceeds the cycle.
+func (r *Round) PadToDivide(cycle model.Time, divisors []model.Time) error {
 	r.Padding = 0
 	base := r.Period()
 	if base > cycle {
@@ -177,43 +173,13 @@ func (r *Round) PadToDivide(cycle model.Time) error {
 	if cycle%base == 0 {
 		return nil
 	}
-	d := smallestDivisorAtLeast(cycle, base)
-	if d < 0 {
-		return fmt.Errorf("ttp: no divisor of %d at least %d", cycle, base)
+	if len(divisors) == 0 || divisors[len(divisors)-1] != cycle {
+		return fmt.Errorf("ttp: divisor list does not end at cycle %d", cycle)
 	}
-	r.Padding = d - base
+	// base <= cycle, the last divisor, so the search always finds one.
+	i, _ := slices.BinarySearch(divisors, base)
+	r.Padding = divisors[i] - base
 	return nil
-}
-
-// smallestDivisorAtLeast returns the smallest divisor of n that is >= lo,
-// or -1 if none exists (lo > n).
-func smallestDivisorAtLeast(n, lo model.Time) model.Time {
-	if lo > n {
-		return -1
-	}
-	divs := Divisors(n)
-	i := sort.Search(len(divs), func(i int) bool { return divs[i] >= lo })
-	if i == len(divs) {
-		return -1
-	}
-	return divs[i]
-}
-
-// Divisors returns all positive divisors of n in ascending order.
-func Divisors(n model.Time) []model.Time {
-	var lo, hi []model.Time
-	for d := model.Time(1); d*d <= n; d++ {
-		if n%d == 0 {
-			lo = append(lo, d)
-			if d != n/d {
-				hi = append(hi, n/d)
-			}
-		}
-	}
-	for i := len(hi) - 1; i >= 0; i-- {
-		lo = append(lo, hi[i])
-	}
-	return lo
 }
 
 // String renders the round like "[N1:20 NG:20 pad:8]".

@@ -132,14 +132,14 @@ func TestValidateRound(t *testing.T) {
 
 func TestPadToDivide(t *testing.T) {
 	r := fig4Round() // period 40
-	if err := r.PadToDivide(240); err != nil {
+	if err := r.PadToDivide(240, model.Divisors(240)); err != nil {
 		t.Fatalf("PadToDivide: %v", err)
 	}
 	if r.Padding != 0 || r.Period() != 40 {
 		t.Errorf("240 %% 40 == 0, padding should stay 0, got %d", r.Padding)
 	}
 	r = Round{Slots: []Slot{{Node: 0, Length: 17}, {Node: 1, Length: 20}}} // 37
-	if err := r.PadToDivide(240); err != nil {
+	if err := r.PadToDivide(240, model.Divisors(240)); err != nil {
 		t.Fatalf("PadToDivide: %v", err)
 	}
 	if 240%r.Period() != 0 || r.Period() < 37 {
@@ -149,24 +149,12 @@ func TestPadToDivide(t *testing.T) {
 		t.Errorf("period = %d, want 40", r.Period())
 	}
 	r = Round{Slots: []Slot{{Node: 0, Length: 500}}}
-	if err := r.PadToDivide(240); err == nil {
+	if err := r.PadToDivide(240, model.Divisors(240)); err == nil {
 		t.Error("accepted round longer than the cycle")
 	}
-}
-
-func TestDivisors(t *testing.T) {
-	got := Divisors(12)
-	want := []model.Time{1, 2, 3, 4, 6, 12}
-	if len(got) != len(want) {
-		t.Fatalf("Divisors(12) = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Divisors(12) = %v, want %v", got, want)
-		}
-	}
-	if d := Divisors(7); len(d) != 2 || d[0] != 1 || d[1] != 7 {
-		t.Errorf("Divisors(7) = %v", d)
+	r = Round{Slots: []Slot{{Node: 0, Length: 17}}}
+	if err := r.PadToDivide(240, model.Divisors(120)); err == nil {
+		t.Error("accepted the divisors of another cycle")
 	}
 }
 
@@ -178,7 +166,7 @@ func TestPropertyPadToDivide(t *testing.T) {
 			{Node: 0, Length: 1 + model.Time(rng.Intn(20))},
 			{Node: 1, Length: 1 + model.Time(rng.Intn(20))},
 		}}
-		if err := r.PadToDivide(cycle); err != nil {
+		if err := r.PadToDivide(cycle, model.Divisors(cycle)); err != nil {
 			return r.Period() > cycle+r.Padding // only legitimate failure: too long
 		}
 		return cycle%r.Period() == 0 && r.Padding >= 0
