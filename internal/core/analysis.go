@@ -106,10 +106,12 @@ type AnalyzeOptions struct {
 	OffsetBlind bool
 	// Memo, when non-nil, serves the analysis stages (static schedule,
 	// per-resource RTA fixed points, OutTTP queue) through exact-input
-	// caches shared across configurations (see Memo). Results are
+	// tables shared across configurations (see Memo). Results are
 	// bit-identical to Memo == nil; the nil path remains the reference
-	// implementation. One Memo must only ever see one (app, arch) pair
-	// and one OffsetBlind setting — internal/delta enforces this.
+	// implementation. One Memo must only ever see one (app, arch) pair.
+	// Memo.Analyze never sets OffsetBlind, and the RTA and queue keys
+	// carry each task's transaction id, which is -1 only when
+	// offset-blind, so the stage tables never mix the two settings.
 	Memo *Memo
 }
 

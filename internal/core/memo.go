@@ -9,21 +9,23 @@ import (
 	"repro/internal/model"
 	"repro/internal/rta"
 	"repro/internal/tsched"
+	"repro/internal/ttp"
 )
 
-// Memo caches the intermediate results of AnalyzeWith across the many
-// near-identical configurations that synthesis loops evaluate. One Memo
-// serves exactly one (application, architecture) pair — the keys cover
-// only the configuration-dependent inputs — and is safe for concurrent
-// use by the workers of an evaluation batch.
+// Memo caches analysis results across the many near-identical
+// configurations that synthesis loops evaluate. One Memo serves exactly
+// one (application, architecture) pair — the keys cover only the
+// configuration-dependent inputs — and is safe for concurrent use by the
+// workers of an evaluation batch.
 //
-// Every cache is keyed by an exact binary encoding of the stage's full
-// input, so a hit returns a result that is bit-identical to recomputing
-// it; stale reuse is impossible by construction and "invalidation" is
-// implicit — a move that touches a cluster changes that cluster's key
-// and misses, while untouched clusters keep hitting. The three stages
-// are:
+// Every table is keyed by an exact binary encoding of its full input, so
+// a hit returns a result that is bit-identical to recomputing it; stale
+// reuse is impossible by construction and "invalidation" is implicit — a
+// move that touches a cluster changes that cluster's keys and misses,
+// while untouched clusters keep hitting. The four tables are:
 //
+//   - whole analyses (Memo.Analyze), keyed by ConfigKey: optimizers
+//     revisit configurations, and a revisit costs one lookup;
 //   - the static TTC schedule (tsched.Build), keyed by round, pins and
 //     the current ET->TT release offsets;
 //   - the per-resource response-time fixed points (rta.AnalyzeStable),
@@ -34,12 +36,13 @@ import (
 //     when the pass budget is exhausted, is reapplied by the caller);
 //   - the gateway OutTTP queue analysis (gateway.AnalyzeOutTTP), keyed
 //     by the message vector and the queue parameters.
+//
+// The last three serve AnalyzeWith through AnalyzeOptions.Memo.
 type Memo struct {
-	mu    sync.Mutex
-	sched map[string]*tsched.Schedule
-	rta   map[string]rtaMemoEntry
-	queue map[string][]gateway.TTPResult
-	stats MemoStats
+	config table[*Analysis]
+	sched  table[*tsched.Schedule]
+	rta    table[rtaMemoEntry]
+	queue  table[[]gateway.TTPResult]
 }
 
 // rtaMemoEntry is the cached outcome of one resource's fixed point.
@@ -48,111 +51,199 @@ type rtaMemoEntry struct {
 	stable bool
 }
 
-// MemoStats counts stage-cache traffic. Hits mean the stage was served
-// without recomputation.
+// table is one exact-keyed cache with its own lock and counters. When
+// the map reaches its cap it is dropped whole: the tables only affect
+// speed, never results, so the simplest policy wins (no LRU bookkeeping
+// on the hot path).
+type table[V any] struct {
+	mu           sync.Mutex
+	m            map[string]V
+	cap          int
+	hits, misses int64
+}
+
+// get looks key up and counts the hit or the miss. Indexing with
+// string(key) does not allocate.
+func (t *table[V]) get(key []byte) (V, bool) {
+	t.mu.Lock()
+	v, ok := t.m[string(key)]
+	if ok {
+		t.hits++
+	} else {
+		t.misses++
+	}
+	t.mu.Unlock()
+	return v, ok
+}
+
+// put inserts v under key, first dropping the map whole at its cap. The
+// key becomes a string only here.
+func (t *table[V]) put(key []byte, v V) {
+	t.mu.Lock()
+	if t.m == nil || len(t.m) >= t.cap {
+		t.m = make(map[string]V)
+	}
+	t.m[string(key)] = v
+	t.mu.Unlock()
+}
+
+// counts returns the hit and miss counters.
+func (t *table[V]) counts() (hits, misses int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.hits, t.misses
+}
+
+// MemoStats counts a Memo's traffic per table. Hits mean the result was
+// served without recomputation.
 type MemoStats struct {
+	ConfigHits, ConfigMisses     int64
 	ScheduleHits, ScheduleMisses int64
 	RTAHits, RTAMisses           int64
 	QueueHits, QueueMisses       int64
 }
 
-// Hits sums the stage hits.
+// Add adds o's counters to s.
+func (s *MemoStats) Add(o MemoStats) {
+	s.ConfigHits += o.ConfigHits
+	s.ConfigMisses += o.ConfigMisses
+	s.ScheduleHits += o.ScheduleHits
+	s.ScheduleMisses += o.ScheduleMisses
+	s.RTAHits += o.RTAHits
+	s.RTAMisses += o.RTAMisses
+	s.QueueHits += o.QueueHits
+	s.QueueMisses += o.QueueMisses
+}
+
+// Hits sums the stage hits (schedule, RTA, queue).
 func (s MemoStats) Hits() int64 { return s.ScheduleHits + s.RTAHits + s.QueueHits }
 
-// Misses sums the stage misses.
+// Misses sums the stage misses (schedule, RTA, queue).
 func (s MemoStats) Misses() int64 { return s.ScheduleMisses + s.RTAMisses + s.QueueMisses }
 
-// memo cache bounds: when a map reaches its cap it is dropped whole —
-// the caches only affect speed, never results, so the simplest policy
-// wins (no LRU bookkeeping on the hot path).
-const (
-	memoSchedCap = 4096
-	memoRTACap   = 16384
-	memoQueueCap = 8192
-)
+// HitRate is the fraction of whole analyses served from the config
+// table (0 when nothing ran yet).
+func (s MemoStats) HitRate() float64 { return hitRate(s.ConfigHits, s.ConfigMisses) }
 
-// NewMemo builds an empty stage cache for one (application,
-// architecture) pair.
+// StageHitRate is the fraction of stage lookups served from the stage
+// tables (0 when nothing ran yet).
+func (s MemoStats) StageHitRate() float64 { return hitRate(s.Hits(), s.Misses()) }
+
+func hitRate(hits, misses int64) float64 {
+	if hits+misses == 0 {
+		return 0
+	}
+	return float64(hits) / float64(hits+misses)
+}
+
+// NewMemo builds an empty Memo for one (application, architecture) pair.
 func NewMemo() *Memo {
 	return &Memo{
-		sched: make(map[string]*tsched.Schedule),
-		rta:   make(map[string]rtaMemoEntry),
-		queue: make(map[string][]gateway.TTPResult),
+		config: table[*Analysis]{cap: 8192},
+		sched:  table[*tsched.Schedule]{cap: 4096},
+		rta:    table[rtaMemoEntry]{cap: 16384},
+		queue:  table[[]gateway.TTPResult]{cap: 8192},
 	}
 }
 
-// Stats returns a snapshot of the stage-cache counters.
+// Stats returns a snapshot of the counters, consistent per table.
 func (m *Memo) Stats() MemoStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+	var s MemoStats
+	s.ConfigHits, s.ConfigMisses = m.config.counts()
+	s.ScheduleHits, s.ScheduleMisses = m.sched.counts()
+	s.RTAHits, s.RTAMisses = m.rta.counts()
+	s.QueueHits, s.QueueMisses = m.queue.counts()
+	return s
+}
+
+// Analyze runs (or recalls) the multi-cluster analysis of cfg through
+// the memo. The result is bit-identical to Analyze and is shared across
+// callers, so it must be treated as read-only. Errors are never cached.
+func (m *Memo) Analyze(app *model.Application, arch *model.Architecture, cfg *Config) (*Analysis, error) {
+	key := configKey(cfg)
+	if a, ok := m.config.get(key); ok {
+		return a, nil
+	}
+	a, err := AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: m})
+	if err != nil {
+		return nil, err
+	}
+	m.config.put(key, a)
+	return a, nil
 }
 
 // --- key encoding -----------------------------------------------------
 //
-// Keys are exact binary encodings of the stage inputs. Map-typed inputs
-// are serialized in sorted key order; diagnostic-only fields (names)
-// are excluded because results do not depend on them.
+// Keys are exact binary encodings of the inputs. Map-typed inputs are
+// serialized in sorted key order; diagnostic-only fields (names) are
+// excluded because results do not depend on them.
 //
-// Each analysis encodes its keys into one reusable keyScratch. Lookups
-// index the caches with m[string(key)], which the compiler performs
-// without allocating; a key becomes a string only when its entry is
-// inserted.
+// Each analysis encodes its stage keys into one reusable keyScratch.
 
 // keyScratch is one analysis's key-encoding buffer, plus the scratch
-// slices that sort map-typed inputs.
+// slice that sorts map-typed inputs.
 type keyScratch struct {
-	buf   []byte
-	procs []model.ProcID
-	edges []model.EdgeID
+	buf []byte
+	ids []int
 }
 
 func appendTime(b []byte, t model.Time) []byte { return binary.AppendVarint(b, t) }
 func appendInt(b []byte, v int) []byte         { return binary.AppendVarint(b, int64(v)) }
 
-// schedKey encodes a tsched.Build input (round + pins + releases).
-func (ks *keyScratch) schedKey(in *tsched.Input) []byte {
-	b := ks.buf[:0]
-	b = appendInt(b, len(in.Round.Slots))
-	for _, s := range in.Round.Slots {
+// appendRound appends a TDMA round: the slot count, each slot's owner
+// and length, then the padding.
+func appendRound(b []byte, r *ttp.Round) []byte {
+	b = appendInt(b, len(r.Slots))
+	for _, s := range r.Slots {
 		b = appendInt(b, int(s.Node))
 		b = appendTime(b, s.Length)
 	}
-	b = appendTime(b, in.Round.Padding)
-	b = ks.appendProcTimes(b, in.ReleaseOffset)
-	b = ks.appendProcTimes(b, in.PinnedProc)
-	b = ks.appendEdgeTimes(b, in.PinnedEdge)
+	return appendTime(b, r.Padding)
+}
+
+// appendSorted appends the length of m and its entries in ascending key
+// order, sorting the keys in *ids, a scratch buffer that keeps its
+// growth.
+func appendSorted[K ~int, V ~int | ~int64](b []byte, ids *[]int, m map[K]V) []byte {
+	keys := (*ids)[:0]
+	for id := range m {
+		keys = append(keys, int(id))
+	}
+	slices.Sort(keys)
+	*ids = keys
+	b = appendInt(b, len(keys))
+	for _, id := range keys {
+		b = appendInt(b, id)
+		b = appendTime(b, int64(m[K(id)]))
+	}
+	return b
+}
+
+// ConfigKey returns the canonical binary encoding of a configuration:
+// the TDMA round, then the priority and pin maps in sorted key order.
+// Two configurations get the same key exactly when AnalyzeWith cannot
+// tell them apart.
+func ConfigKey(cfg *Config) string { return string(configKey(cfg)) }
+
+// configKey encodes ConfigKey into buffers sized for cfg, so neither
+// grows.
+func configKey(cfg *Config) []byte {
+	ids := make([]int, 0, max(len(cfg.ProcPriority), len(cfg.MsgPriority), len(cfg.PinnedProc), len(cfg.PinnedEdge)))
+	b := make([]byte, 0, 64+8*(len(cfg.ProcPriority)+len(cfg.MsgPriority)))
+	b = appendRound(b, &cfg.Round)
+	b = appendSorted(b, &ids, cfg.ProcPriority)
+	b = appendSorted(b, &ids, cfg.MsgPriority)
+	b = appendSorted(b, &ids, cfg.PinnedProc)
+	return appendSorted(b, &ids, cfg.PinnedEdge)
+}
+
+// schedKey encodes a tsched.Build input (round + pins + releases).
+func (ks *keyScratch) schedKey(in *tsched.Input) []byte {
+	b := appendRound(ks.buf[:0], &in.Round)
+	b = appendSorted(b, &ks.ids, in.ReleaseOffset)
+	b = appendSorted(b, &ks.ids, in.PinnedProc)
+	b = appendSorted(b, &ks.ids, in.PinnedEdge)
 	ks.buf = b
-	return b
-}
-
-func (ks *keyScratch) appendProcTimes(b []byte, m map[model.ProcID]model.Time) []byte {
-	ids := ks.procs[:0]
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	ks.procs = ids
-	b = appendInt(b, len(ids))
-	for _, id := range ids {
-		b = appendInt(b, int(id))
-		b = appendTime(b, m[id])
-	}
-	return b
-}
-
-func (ks *keyScratch) appendEdgeTimes(b []byte, m map[model.EdgeID]model.Time) []byte {
-	ids := ks.edges[:0]
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	ks.edges = ids
-	b = appendInt(b, len(ids))
-	for _, id := range ids {
-		b = appendInt(b, int(id))
-		b = appendTime(b, m[id])
-	}
 	return b
 }
 
@@ -183,13 +274,7 @@ func (ks *keyScratch) rtaKey(resource int, tasks []rta.Task, horizon model.Time)
 
 // queueKey encodes an OutTTP analysis input.
 func (ks *keyScratch) queueKey(msgs []gateway.QueueMsg, p *gateway.TTPQueueParams) []byte {
-	b := ks.buf[:0]
-	b = appendInt(b, len(p.Round.Slots))
-	for _, s := range p.Round.Slots {
-		b = appendInt(b, int(s.Node))
-		b = appendTime(b, s.Length)
-	}
-	b = appendTime(b, p.Round.Padding)
+	b := appendRound(ks.buf[:0], &p.Round)
 	b = appendInt(b, p.GatewaySlot)
 	b = appendTime(b, p.TickPerByte)
 	b = appendTime(b, p.Horizon)
@@ -209,48 +294,33 @@ func (ks *keyScratch) queueKey(msgs []gateway.QueueMsg, p *gateway.TTPQueueParam
 
 // --- stage lookups ----------------------------------------------------
 
-// buildSchedule serves tsched.Build through the schedule cache. Build
+// buildSchedule serves tsched.Build through the schedule table. Build
 // errors are structural (invalid round, oversized message) and are not
 // cached; they abort the analysis exactly like the uncached path.
 func (m *Memo) buildSchedule(in tsched.Input, ks *keyScratch) (*tsched.Schedule, error) {
 	key := ks.schedKey(&in)
-	m.mu.Lock()
-	if s, ok := m.sched[string(key)]; ok {
-		m.stats.ScheduleHits++
-		m.mu.Unlock()
+	if s, ok := m.sched.get(key); ok {
 		return s, nil
 	}
-	m.stats.ScheduleMisses++
-	m.mu.Unlock()
 	s, err := tsched.Build(in)
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	if len(m.sched) >= memoSchedCap {
-		m.sched = make(map[string]*tsched.Schedule)
-	}
-	m.sched[string(key)] = s
-	m.mu.Unlock()
+	m.sched.put(key, s)
 	return s, nil
 }
 
 // analyzeResource runs (or recalls) the fixed point of span sp, whose
 // tasks are group. group must already carry its blocking factors. A miss
 // builds the span's priority index if it has none yet. The returned
-// slice may be shared with the cache and must not be modified; the bool
+// slice may be shared with the table and must not be modified; the bool
 // mirrors rta.AnalyzeStable's stability, which the caller turns into the
 // global all-unconverged marking exactly like the monolithic analysis.
 func (m *Memo) analyzeResource(sp *resourceSpan, group []rta.Task, horizon model.Time, ks *keyScratch) ([]rta.Result, bool, error) {
 	key := ks.rtaKey(sp.resource, group, horizon)
-	m.mu.Lock()
-	if e, ok := m.rta[string(key)]; ok {
-		m.stats.RTAHits++
-		m.mu.Unlock()
+	if e, ok := m.rta.get(key); ok {
 		return e.res, e.stable, nil
 	}
-	m.stats.RTAMisses++
-	m.mu.Unlock()
 	if sp.hp == nil {
 		sp.hp = rta.HigherPriorityIndex(group)
 	}
@@ -258,35 +328,20 @@ func (m *Memo) analyzeResource(sp *resourceSpan, group []rta.Task, horizon model
 	if err != nil {
 		return nil, false, err
 	}
-	m.mu.Lock()
-	if len(m.rta) >= memoRTACap {
-		m.rta = make(map[string]rtaMemoEntry)
-	}
-	m.rta[string(key)] = rtaMemoEntry{res: res, stable: stable}
-	m.mu.Unlock()
+	m.rta.put(key, rtaMemoEntry{res: res, stable: stable})
 	return res, stable, nil
 }
 
-// analyzeQueue serves gateway.AnalyzeOutTTP through the queue cache.
+// analyzeQueue serves gateway.AnalyzeOutTTP through the queue table.
 func (m *Memo) analyzeQueue(msgs []gateway.QueueMsg, p *gateway.TTPQueueParams, ks *keyScratch) ([]gateway.TTPResult, error) {
 	key := ks.queueKey(msgs, p)
-	m.mu.Lock()
-	if r, ok := m.queue[string(key)]; ok {
-		m.stats.QueueHits++
-		m.mu.Unlock()
+	if r, ok := m.queue.get(key); ok {
 		return r, nil
 	}
-	m.stats.QueueMisses++
-	m.mu.Unlock()
 	res, err := gateway.AnalyzeOutTTP(msgs, *p)
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	if len(m.queue) >= memoQueueCap {
-		m.queue = make(map[string][]gateway.TTPResult)
-	}
-	m.queue[string(key)] = res
-	m.mu.Unlock()
+	m.queue.put(key, res)
 	return res, nil
 }

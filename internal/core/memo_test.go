@@ -1,0 +1,197 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/gateway"
+	"repro/internal/gen"
+	"repro/internal/model"
+	"repro/internal/tsched"
+)
+
+// configKeyDigest is the SHA-256 prefix of the ConfigKey bytes of every
+// configuration TestConfigKeyGolden builds. It was recorded on the
+// reflection-sorted encoder; any change to the key bytes fails here.
+const configKeyDigest = "946c1d8358653138"
+
+// TestConfigKeyGolden pins ConfigKey byte for byte over the corpus of
+// the tsched Build digest: for every member of gen.Corpus(48, 1, 4) and
+// gen.Corpus(16, 1, 10), the SF configuration alone, with one pinned TT
+// process and with one pinned TTP message.
+func TestConfigKeyGolden(t *testing.T) {
+	h := sha256.New()
+	specs := append(gen.Corpus(48, 1, 4), gen.Corpus(16, 1, 10)...)
+	for i, spec := range specs {
+		sys, err := gen.Generate(spec)
+		if err != nil {
+			t.Fatalf("corpus member %d: %v", i, err)
+		}
+		app, arch := sys.Application, sys.Architecture
+		cfg := DefaultConfig(app, arch)
+		if err := cfg.Normalize(app); err != nil {
+			t.Fatalf("member %d: Normalize: %v", i, err)
+		}
+		h.Write([]byte(ConfigKey(cfg)))
+		for _, p := range app.Procs {
+			if arch.Kind(p.Node) == model.TimeTriggered {
+				h.Write([]byte(ConfigKey(cfg.PinProc(p.ID, app.PeriodOf(p.ID)/4))))
+				break
+			}
+		}
+		for _, e := range app.Edges {
+			if app.RouteOf(e.ID, arch).UsesTTP() {
+				h.Write([]byte(ConfigKey(cfg.PinEdge(e.ID, app.EdgePeriod(e.ID)/3))))
+				break
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != configKeyDigest {
+		t.Errorf("ConfigKey corpus digest %s, want %s", got, configKeyDigest)
+	}
+}
+
+// TestTableCapDrop pins the cap-and-drop policy on a table of cap 2: the
+// third insert drops the map whole, the counters keep growing across the
+// drop, and a dropped key misses and then refills.
+func TestTableCapDrop(t *testing.T) {
+	tb := table[int]{cap: 2}
+	lookup := func(key string, want int, wantOK bool) {
+		t.Helper()
+		if v, ok := tb.get([]byte(key)); ok != wantOK || v != want {
+			t.Fatalf("get(%q) = %d, %t; want %d, %t", key, v, ok, want, wantOK)
+		}
+	}
+	lookup("a", 0, false)
+	key := []byte("a")
+	tb.put(key, 1)
+	key[0] = 'z' // the table must own a copy of the key
+	tb.put([]byte("b"), 2)
+	lookup("a", 1, true)
+	lookup("b", 2, true)
+	lookup("z", 0, false)
+
+	tb.put([]byte("c"), 3)
+	if len(tb.m) != 1 {
+		t.Fatalf("after the insert at cap the map holds %d entries, want 1", len(tb.m))
+	}
+	lookup("a", 0, false)
+	lookup("b", 0, false)
+	lookup("c", 3, true)
+	tb.put([]byte("a"), 1)
+	lookup("a", 1, true)
+	lookup("c", 3, true)
+
+	if hits, misses := tb.counts(); hits != 5 || misses != 4 {
+		t.Errorf("counts = %d hits, %d misses; want 5, 4", hits, misses)
+	}
+}
+
+// TestMemoSmallCapsMatchCold walks configurations through a Memo whose
+// tables hold one or two entries, so nearly every insert drops a table:
+// every Memo.Analyze — config hit, stage hit, refill after a drop or
+// cold miss — must deep-equal Analyze. Each step swaps the priorities of
+// two ET processes or two CAN messages on a clone. The genConfig systems
+// have two ET CPUs and a CAN bus, so an RTA table of cap 1 or 2 is
+// dropped before a resource's next holistic pass can hit it; a second
+// walk gives the RTA table cap 4, so the passes of one analysis hit too.
+func TestMemoSmallCapsMatchCold(t *testing.T) {
+	for _, rtaCap := range []int{1, 4} {
+		for _, seed := range []int64{3, 7} {
+			walkSmallCaps(t, rtaCap, seed)
+		}
+	}
+}
+
+// walkSmallCaps is one TestMemoSmallCapsMatchCold walk on the genConfig
+// system of seed.
+func walkSmallCaps(t *testing.T, rtaCap int, seed int64) {
+	app, arch, cfg := genConfig(t, seed, 4)
+	m := &Memo{
+		config: table[*Analysis]{cap: 1},
+		sched:  table[*tsched.Schedule]{cap: 2},
+		rta:    table[rtaMemoEntry]{cap: rtaCap},
+		queue:  table[[]gateway.TTPResult]{cap: 2},
+	}
+	rng := rand.New(rand.NewSource(seed))
+	procs := slices.Sorted(maps.Keys(cfg.ProcPriority))
+	msgs := slices.Sorted(maps.Keys(cfg.MsgPriority))
+	walk := []*Config{cfg}
+	for step := 0; step < 16; step++ {
+		next := walk[len(walk)-1].Clone()
+		if step%2 == 0 && len(procs) >= 2 {
+			swapPriorities(rng, next.ProcPriority, procs)
+		} else if len(msgs) >= 2 {
+			swapPriorities(rng, next.MsgPriority, msgs)
+		}
+		walk = append(walk, next)
+		// The new configuration twice (a config hit at cap 1), then an
+		// earlier one that the drops have evicted.
+		for _, c := range []*Config{next, next, walk[rng.Intn(len(walk))]} {
+			want, err := Analyze(app, arch, c)
+			if err != nil {
+				t.Fatalf("RTA cap %d, seed %d, step %d: cold: %v", rtaCap, seed, step, err)
+			}
+			got, err := m.Analyze(app, arch, c)
+			if err != nil {
+				t.Fatalf("RTA cap %d, seed %d, step %d: memo: %v", rtaCap, seed, step, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("RTA cap %d, seed %d, step %d: memoised analysis differs from cold", rtaCap, seed, step)
+			}
+		}
+	}
+	s := m.Stats()
+	if s.ConfigHits == 0 || s.ConfigMisses == 0 || s.Hits() == 0 || s.Misses() == 0 {
+		t.Fatalf("RTA cap %d, seed %d: degenerate traffic: %+v", rtaCap, seed, s)
+	}
+}
+
+// swapPriorities swaps the priorities of two distinct ids drawn from the
+// sorted ids of prio.
+func swapPriorities[K comparable](rng *rand.Rand, prio map[K]int, ids []K) {
+	i := rng.Intn(len(ids))
+	j := (i + 1 + rng.Intn(len(ids)-1)) % len(ids)
+	prio[ids[i]], prio[ids[j]] = prio[ids[j]], prio[ids[i]]
+}
+
+// BenchmarkMemoLayers measures what each memo layer saves on one
+// analysis of the genConfig systems: a whole-analysis hit on a warm
+// memo (config-hit), an AnalyzeWith whose stages all hit (stage-hit),
+// Memo.Analyze on a new Memo per op (fresh: every table misses and pays
+// its keys and inserts), and no memo at all (cold).
+func BenchmarkMemoLayers(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("ppn=%d", n), func(b *testing.B) {
+			app, arch, cfg := genConfig(b, 7, n)
+			warm := NewMemo()
+			if _, err := warm.Analyze(app, arch, cfg); err != nil {
+				b.Fatal(err)
+			}
+			for _, layer := range []struct {
+				name string
+				run  func() (*Analysis, error)
+			}{
+				{"config-hit", func() (*Analysis, error) { return warm.Analyze(app, arch, cfg) }},
+				{"stage-hit", func() (*Analysis, error) { return AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: warm}) }},
+				{"fresh", func() (*Analysis, error) { return NewMemo().Analyze(app, arch, cfg) }},
+				{"cold", func() (*Analysis, error) { return Analyze(app, arch, cfg) }},
+			} {
+				b.Run(layer.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := layer.run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}

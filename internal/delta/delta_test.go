@@ -88,7 +88,7 @@ func TestAnalyzeMatchesCold(t *testing.T) {
 		}
 		s := ev.Stats()
 		if s.ConfigHits == 0 || s.ConfigMisses == 0 {
-			t.Fatalf("system %d: degenerate traffic: %v", i, s)
+			t.Fatalf("system %d: degenerate traffic: %+v", i, s)
 		}
 	}
 }
@@ -213,18 +213,20 @@ func TestOSScanDeltaProperty(t *testing.T) {
 		}
 
 		s := ev.Stats()
-		if s.ConfigHits+s.Memo.Hits() == 0 {
-			t.Errorf("system %d: delta cache never hit over the OS scan: %v", i, s)
+		if s.ConfigHits+s.Hits() == 0 {
+			t.Errorf("system %d: delta cache never hit over the OS scan: %+v", i, s)
 		}
 		if s.HitRate() < 0 || s.HitRate() > 1 || s.StageHitRate() < 0 || s.StageHitRate() > 1 {
-			t.Errorf("system %d: hit rates out of range: %v", i, s)
+			t.Errorf("system %d: hit rates out of range: %+v", i, s)
 		}
 	}
 }
 
 // TestEvaluatorConcurrent drives one Evaluator from parallel workers the
-// way the optimizers' engine.Map batches do; run under -race this is
-// the evaluator's data-race coverage.
+// way the optimizers' engine.Map batches do, while one more goroutine
+// reads Stats as the service's /metrics scrape does; run under -race
+// this is the evaluator's data-race coverage. Each table's lookup count
+// (hits plus misses) must never decrease between two reads.
 func TestEvaluatorConcurrent(t *testing.T) {
 	app, arch := corpusSystem(t, 2)
 	ev := New(app, arch)
@@ -237,6 +239,33 @@ func TestEvaluatorConcurrent(t *testing.T) {
 		}
 		want[i] = a
 	}
+	stop, scraped := make(chan struct{}), make(chan int)
+	go func() {
+		lookups := func(s Stats) [4]int64 {
+			return [4]int64{
+				s.ConfigHits + s.ConfigMisses, s.ScheduleHits + s.ScheduleMisses,
+				s.RTAHits + s.RTAMisses, s.QueueHits + s.QueueMisses,
+			}
+		}
+		var prev [4]int64
+		reads := 0
+		for {
+			select {
+			case <-stop:
+				scraped <- reads
+				return
+			default:
+			}
+			cur := lookups(ev.Stats())
+			for k := range cur {
+				if cur[k] < prev[k] {
+					t.Errorf("table %d: lookups fell from %d to %d between scrapes", k, prev[k], cur[k])
+				}
+			}
+			prev = cur
+			reads++
+		}
+	}()
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
 		go func() {
@@ -257,11 +286,15 @@ func TestEvaluatorConcurrent(t *testing.T) {
 	}
 	for w := 0; w < 4; w++ {
 		if err := <-done; err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
 	}
+	close(stop)
+	if reads := <-scraped; reads == 0 {
+		t.Error("the scrape goroutine never read the stats")
+	}
 	if s := ev.Stats(); s.ConfigHits == 0 {
-		t.Errorf("no config hits under concurrent replay: %v", s)
+		t.Errorf("no config hits under concurrent replay: %+v", s)
 	}
 }
 
@@ -281,12 +314,12 @@ func TestStatsAccumulate(t *testing.T) {
 	n := int64(len(cfgs))
 	s := ev.Stats()
 	if s.ConfigMisses != n || s.ConfigHits != n {
-		t.Errorf("got %d hits / %d misses over %d configurations analysed twice: %v", s.ConfigHits, s.ConfigMisses, n, s)
+		t.Errorf("got %d hits / %d misses over %d configurations analysed twice: %+v", s.ConfigHits, s.ConfigMisses, n, s)
 	}
-	if s.Memo.Misses() == 0 {
-		t.Errorf("stage counters stayed at zero: %v", s)
+	if s.Misses() == 0 {
+		t.Errorf("stage counters stayed at zero: %+v", s)
 	}
 	if testing.Verbose() {
-		t.Log(s.String())
+		t.Logf("%+v", s)
 	}
 }

@@ -29,10 +29,9 @@ type cacheEntry struct {
 	solver *solve.Solver
 }
 
+// newSolverCache builds an LRU holding capacity sessions (positive;
+// Options.normalize defaults it).
 func newSolverCache(capacity int) *solverCache {
-	if capacity <= 0 {
-		capacity = 128
-	}
 	return &solverCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
@@ -81,15 +80,7 @@ func (c *solverCache) deltaStats() delta.Stats {
 	defer c.mu.Unlock()
 	var agg delta.Stats
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		st := el.Value.(*cacheEntry).solver.DeltaStats()
-		agg.ConfigHits += st.ConfigHits
-		agg.ConfigMisses += st.ConfigMisses
-		agg.Memo.ScheduleHits += st.Memo.ScheduleHits
-		agg.Memo.ScheduleMisses += st.Memo.ScheduleMisses
-		agg.Memo.RTAHits += st.Memo.RTAHits
-		agg.Memo.RTAMisses += st.Memo.RTAMisses
-		agg.Memo.QueueHits += st.Memo.QueueHits
-		agg.Memo.QueueMisses += st.Memo.QueueMisses
+		agg.Add(el.Value.(*cacheEntry).solver.DeltaStats())
 	}
 	return agg
 }

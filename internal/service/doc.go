@@ -11,9 +11,10 @@
 //     systems travel in the model.System JSON written by SaveSystem,
 //     configurations in the core.Config.Save encoding.
 //
-//   - A Solver cache (cache.go): Solvers are cached in an LRU keyed by
-//     the canonical System.Fingerprint content hash plus the normalized
-//     solver options. Because a Solver shares only its exact-keyed
+//   - A Solver cache (cache.go): base Solvers are cached in an LRU
+//     keyed by the canonical System.Fingerprint content hash alone;
+//     each request derives its own session, with its options, from the
+//     cached base. Because a Solver shares only its exact-keyed
 //     evaluator, a cache hit produces configurations bit-identical to a
 //     cold Solver (asserted by tests); the hit merely recalls the
 //     analyses the evaluator already holds.

@@ -81,9 +81,9 @@ func (s *Service) registerMetrics() {
 		hit  func(delta.Stats) int64
 		miss func(delta.Stats) int64
 	}{
-		{"schedule", func(d delta.Stats) int64 { return d.Memo.ScheduleHits }, func(d delta.Stats) int64 { return d.Memo.ScheduleMisses }},
-		{"rta", func(d delta.Stats) int64 { return d.Memo.RTAHits }, func(d delta.Stats) int64 { return d.Memo.RTAMisses }},
-		{"queue", func(d delta.Stats) int64 { return d.Memo.QueueHits }, func(d delta.Stats) int64 { return d.Memo.QueueMisses }},
+		{"schedule", func(d delta.Stats) int64 { return d.ScheduleHits }, func(d delta.Stats) int64 { return d.ScheduleMisses }},
+		{"rta", func(d delta.Stats) int64 { return d.RTAHits }, func(d delta.Stats) int64 { return d.RTAMisses }},
+		{"queue", func(d delta.Stats) int64 { return d.QueueHits }, func(d delta.Stats) int64 { return d.QueueMisses }},
 	} {
 		r.CounterFunc("mcs_memo_hits_total", "Stage-cache hits across cached sessions.",
 			deltaStat(stage.hit), obs.L("cache", stage.name))

@@ -106,7 +106,7 @@ func BenchmarkSolverSynthesizeCached(b *testing.B) {
 func benchSynthesizeDelta(b *testing.B, useDelta bool) {
 	app, arch := system(b, 1)
 	ctx := context.Background()
-	var stats string
+	var stats core.MemoStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := New(app, arch, WithDelta(useDelta))
@@ -120,11 +120,11 @@ func benchSynthesizeDelta(b *testing.B, useDelta bool) {
 			ds := s.DeltaStats()
 			b.ReportMetric(ds.HitRate(), "delta_hit_rate")
 			b.ReportMetric(ds.StageHitRate(), "delta_stage_hit_rate")
-			stats = ds.String()
+			stats = ds
 		}
 	}
 	if useDelta && testing.Verbose() {
-		b.Log(stats)
+		b.Logf("%+v", stats)
 	}
 }
 
