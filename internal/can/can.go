@@ -85,10 +85,3 @@ func TimeOf(e *model.Edge, cfg model.CANConfig) model.Time {
 	}
 	return MessageTime(e.Size, cfg.BitTime)
 }
-
-// Priority is a CAN identifier/priority. Smaller values win arbitration,
-// exactly like CAN identifiers: priority 0 beats priority 1.
-type Priority int
-
-// HigherThan reports whether p wins arbitration against q.
-func (p Priority) HigherThan(q Priority) bool { return p < q }

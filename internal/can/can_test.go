@@ -105,12 +105,3 @@ func TestPropertyMessageBitsBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPriority(t *testing.T) {
-	if !Priority(0).HigherThan(1) {
-		t.Error("priority 0 must beat 1 (CAN identifier order)")
-	}
-	if Priority(5).HigherThan(5) || Priority(7).HigherThan(2) {
-		t.Error("HigherThan mismatch")
-	}
-}

@@ -89,7 +89,7 @@ type TTPQueueParams struct {
 //     paper's "T_TDMA - O_m mod T_TDMA + O_SG", which can exceed a round.
 //   - The interference window for bytes queued ahead of m spans m's whole
 //     possible residence [O_m, O_m+J_m+w_m], hence the J_m term, and the
-//     arrival count is inclusive (rta.NumQueued) so that simultaneous
+//     arrival count is inclusive (rta.CountArrivals) so that simultaneous
 //     higher-priority entries are not missed.
 //
 // The "-1" accounts for the drain of the S_G occurrence reached after

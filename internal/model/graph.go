@@ -62,18 +62,6 @@ func (a *Application) Sources(g int) []ProcID {
 	return s
 }
 
-// Sinks returns the processes of graph g without successors. The
-// worst-case response time of the graph is measured at its sinks.
-func (a *Application) Sinks(g int) []ProcID {
-	var s []ProcID
-	for _, p := range a.Graphs[g].Procs {
-		if len(a.OutEdges(p)) == 0 {
-			s = append(s, p)
-		}
-	}
-	return s
-}
-
 // LongestPathToSink returns, for every process, the length of the longest
 // WCET-weighted path from that process (inclusive) to any sink of its
 // graph, indexed by ProcID. Communication costs are not included; the
@@ -97,23 +85,6 @@ func (a *Application) LongestPathToSink() ([]Time, error) {
 		lp[p] = best + a.Procs[p].WCET
 	}
 	return lp, nil
-}
-
-// CriticalPath returns the WCET-weighted critical path length of graph g,
-// a lower bound on its end-to-end response time (ignoring communication
-// and resource contention).
-func (a *Application) CriticalPath(g int) (Time, error) {
-	lp, err := a.LongestPathToSink()
-	if err != nil {
-		return 0, err
-	}
-	var best Time
-	for _, p := range a.Sources(g) {
-		if lp[p] > best {
-			best = lp[p]
-		}
-	}
-	return best, nil
 }
 
 // Hyperperiod returns the least common multiple of all graph periods.

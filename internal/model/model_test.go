@@ -109,24 +109,21 @@ func TestLongestPathAndCriticalPath(t *testing.T) {
 			t.Errorf("LongestPathToSink[%s] = %d, want %d", app.Procs[q].Name, lp[q], w)
 		}
 	}
-	cp, err := app.CriticalPath(0)
-	if err != nil {
-		t.Fatalf("CriticalPath: %v", err)
+	// The critical path of the graph is its longest path to a sink.
+	var cp Time
+	for _, q := range app.Graphs[0].Procs {
+		cp = max(cp, lp[q])
 	}
 	if cp != 80 {
-		t.Errorf("CriticalPath = %d, want 80", cp)
+		t.Errorf("critical path = %d, want 80", cp)
 	}
 }
 
-func TestSourcesAndSinks(t *testing.T) {
+func TestSources(t *testing.T) {
 	arch := testArch(t)
 	app, p, _ := fig1G1(t, arch)
 	if s := app.Sources(0); len(s) != 1 || s[0] != p[0] {
 		t.Errorf("Sources = %v, want [P1]", s)
-	}
-	sinks := app.Sinks(0)
-	if len(sinks) != 2 {
-		t.Fatalf("Sinks = %v, want two (P3, P4)", sinks)
 	}
 }
 

@@ -20,7 +20,7 @@
 // tasks have unknown phasing and O_ij = 0. ceil0 clamps at zero.
 //
 // For non-preemptable tasks the arrival count uses the inclusive form
-// floor(x/T)+1 instead of ceil(x/T) (NumQueued vs NumArrivals): a
+// floor(x/T)+1 instead of ceil(x/T) (CountArrivals inclusive): a
 // higher-priority message entering the queue at the same instant is
 // transmitted ahead, which the plain ceil form of the paper would miss
 // when offsets are equal and jitters zero.
@@ -102,39 +102,22 @@ func RelOffset(oi, oj, tj model.Time, sameTrans bool) model.Time {
 	return d
 }
 
-// NumArrivals returns ceil0((win + jj - oij)/tj): how many activations of
-// a task with jitter jj, relative offset oij and period tj land inside an
-// interference window of length win.
-func NumArrivals(win, jj, oij, tj model.Time) model.Time {
-	num := win + jj - oij
-	if num <= 0 {
-		return 0
-	}
-	return (num + tj - 1) / tj
-}
-
-// NumQueued returns floor((win + jj - oij)/tj) + 1 when non-negative,
-// else 0: how many activations land inside the closed window, counting an
-// activation at the very first instant. This is the right count for
-// queue-style interference (a message entering a priority queue at the
-// same instant as m, with higher priority, is transmitted ahead of m),
-// where the paper's ceil form would miss the simultaneous arrival.
-func NumQueued(win, jj, oij, tj model.Time) model.Time {
-	num := win + jj - oij
-	if num < 0 {
-		return 0
-	}
-	return num/tj + 1
-}
-
 // CountArrivals is the general interference count used by the analysis:
 // the number of instances of an interfering task j (jitter jj, relative
 // offset oij, period tj) that can delay a window of length win starting
 // at the analyzed task's activation.
 //
 // For unrelated tasks (sameTrans false) it reduces to the classic
-// critical-instant counts NumArrivals (inclusive false) or NumQueued
-// (inclusive true).
+// critical-instant counts, with num = win + jj - oij:
+//
+//   - inclusive false: ceil(num/tj) when num > 0, else 0 — how many
+//     activations land inside an interference window of length win;
+//   - inclusive true: floor(num/tj) + 1 when num >= 0, else 0 — the
+//     closed window, counting an activation at the very first instant.
+//     This is the right count for queue-style interference (a message
+//     entering a priority queue at the same instant as m, with higher
+//     priority, is transmitted ahead of m), where the paper's ceil form
+//     would miss the simultaneous arrival.
 //
 // For tasks of the same transaction the relative offset anchors j's
 // releases, and an instance released *before* the window can still be

@@ -213,8 +213,8 @@ func TestNumArrivals(t *testing.T) {
 		{5, 18, 20, 10, 1},
 	}
 	for _, c := range cases {
-		if got := NumArrivals(c.win, c.j, c.o, c.T); got != c.want {
-			t.Errorf("NumArrivals(%d,%d,%d,%d) = %d, want %d", c.win, c.j, c.o, c.T, got, c.want)
+		if got := CountArrivals(c.win, c.j, c.o, c.T, 0, false, false); got != c.want {
+			t.Errorf("CountArrivals(%d,%d,%d,%d, exclusive) = %d, want %d", c.win, c.j, c.o, c.T, got, c.want)
 		}
 	}
 }
@@ -445,8 +445,8 @@ func TestNumQueued(t *testing.T) {
 		{-1, 0, 0, 10, 0}, // empty window
 	}
 	for _, c := range cases {
-		if got := NumQueued(c.win, c.j, c.o, c.T); got != c.want {
-			t.Errorf("NumQueued(%d,%d,%d,%d) = %d, want %d", c.win, c.j, c.o, c.T, got, c.want)
+		if got := CountArrivals(c.win, c.j, c.o, c.T, 0, true, false); got != c.want {
+			t.Errorf("CountArrivals(%d,%d,%d,%d, inclusive) = %d, want %d", c.win, c.j, c.o, c.T, got, c.want)
 		}
 	}
 }

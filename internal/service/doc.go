@@ -5,11 +5,14 @@
 //
 // Three pieces compose:
 //
-//   - Wire messages (wire.go): SynthesisRequest, AnalysisRequest,
-//     JobStatus, JobResult and ProgressEvent are plain JSON structs
-//     whose payloads reuse the repository's existing stable encodings —
-//     systems travel in the model.System JSON written by SaveSystem,
-//     configurations in the core.Config.Save encoding.
+//   - Wire messages (wire.go): SynthesisRequest, ExploreRequest,
+//     AnalysisRequest, JobStatus, JobResult and ProgressEvent are plain
+//     JSON structs whose payloads reuse the repository's existing stable
+//     encodings — systems travel in the model.System JSON written by
+//     SaveSystem, configurations in the core.Config.Save encoding. The
+//     two asynchronous job kinds, synthesize (SynthesisRequest) and
+//     explore (ExploreRequest), implement one unexported request
+//     interface; it is the only place the kinds differ.
 //
 //   - A Solver cache (cache.go): base Solvers are cached in an LRU
 //     keyed by the canonical System.Fingerprint content hash alone;
@@ -19,8 +22,9 @@
 //     cold Solver (asserted by tests); the hit merely recalls the
 //     analyses the evaluator already holds.
 //
-//   - A bounded job queue (service.go): Submit enqueues an asynchronous
-//     synthesis job (rejecting when the queue is full), runner
+//   - A bounded job queue (service.go): Submit (synthesis) and
+//     SubmitExplore (exploration) enqueue an asynchronous job through
+//     one submit path (rejecting when the queue is full), runner
 //     goroutines execute jobs on cached Solvers with a per-job
 //     context, and every job streams Observer progress events to any
 //     number of subscribers. Drain stops intake, lets in-flight jobs

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -109,10 +110,11 @@ func TestDoneIsABarrier(t *testing.T) {
 		// run starts the job on a fresh harness over dir and returns
 		// the harness serving it and its ID, without waiting for it.
 		run    func(t *testing.T, dir string) (*barrierHarness, string)
+		kind   JobKind
 		state  JobState
 		stored bool   // a result is persisted under the request key
 		traced bool   // the job has a trace (replayed jobs have none)
-		count  uint64 // mcs_jobs_total{kind="synthesize", state}
+		count  uint64 // mcs_jobs_total{kind, state}
 	}{
 		{
 			name: "done",
@@ -120,7 +122,7 @@ func TestDoneIsABarrier(t *testing.T) {
 				h := newBarrierHarness(t, dir)
 				return h, h.submit(t, SynthesisRequest{System: testSystem(t, 11), Strategy: "os"})
 			},
-			state: StateDone, stored: true, traced: true, count: 1,
+			kind: KindSynthesize, state: StateDone, stored: true, traced: true, count: 1,
 		},
 		{
 			name: "failed",
@@ -135,14 +137,15 @@ func TestDoneIsABarrier(t *testing.T) {
 					t.Fatal(err)
 				}
 				j.mu.Lock()
-				j.req.System = &model.System{Application: j.req.System.Application}
+				req := j.req.(*SynthesisRequest)
+				req.System = &model.System{Application: req.System.Application}
 				j.mu.Unlock()
 				if err := h.svc.Cancel(busy); err != nil {
 					t.Fatal(err)
 				}
 				return h, id
 			},
-			state: StateFailed, stored: false, traced: true, count: 1,
+			kind: KindSynthesize, state: StateFailed, stored: false, traced: true, count: 1,
 		},
 		{
 			name: "client cancel",
@@ -154,7 +157,7 @@ func TestDoneIsABarrier(t *testing.T) {
 				}
 				return h, id
 			},
-			state: StateCanceled, stored: false, traced: true, count: 1,
+			kind: KindSynthesize, state: StateCanceled, stored: false, traced: true, count: 1,
 		},
 		{
 			name: "drain cancel",
@@ -171,7 +174,7 @@ func TestDoneIsABarrier(t *testing.T) {
 				t.Cleanup(func() { <-drained })
 				return h, id
 			},
-			state: StateCanceled, stored: false, traced: true, count: 1,
+			kind: KindSynthesize, state: StateCanceled, stored: false, traced: true, count: 1,
 		},
 		{
 			name: "persistent hit",
@@ -181,7 +184,7 @@ func TestDoneIsABarrier(t *testing.T) {
 				waitDone(t, h.svc, h.submit(t, req()))
 				return h, h.submit(t, req())
 			},
-			state: StateDone, stored: true, traced: true, count: 2,
+			kind: KindSynthesize, state: StateDone, stored: true, traced: true, count: 2,
 		},
 		{
 			name: "replayed",
@@ -193,7 +196,53 @@ func TestDoneIsABarrier(t *testing.T) {
 				first.st.Close()
 				return newBarrierHarness(t, dir), id
 			},
-			state: StateDone, stored: true, traced: false, count: 0,
+			kind: KindSynthesize, state: StateDone, stored: true, traced: false, count: 0,
+		},
+		{
+			name: "queued cancel",
+			run: func(t *testing.T, dir string) (*barrierHarness, string) {
+				h := newBarrierHarness(t, dir)
+				h.busy(t)
+				id := h.submit(t, SynthesisRequest{System: testSystem(t, 15)})
+				if err := h.svc.Cancel(id); err != nil {
+					t.Fatal(err)
+				}
+				return h, id
+			},
+			kind: KindSynthesize, state: StateCanceled, stored: false, traced: true, count: 1,
+		},
+		{
+			name: "explore done",
+			run: func(t *testing.T, dir string) (*barrierHarness, string) {
+				h := newBarrierHarness(t, dir)
+				resp, err := h.svc.SubmitExplore(ExploreRequest{System: testSystem(t, 16), Population: 6, Generations: 2, Seed: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return h, resp.ID
+			},
+			kind: KindExplore, state: StateDone, stored: true, traced: true, count: 1,
+		},
+		{
+			name: "replayed unnormalizable",
+			run: func(t *testing.T, dir string) (*barrierHarness, string) {
+				const id = "j000001-0123abcd"
+				seed := openTestStore(t, dir, newTestClock(), store.Options{})
+				if err := seed.Append(store.Record{
+					Op:          store.OpSubmit,
+					Job:         id,
+					Kind:        string(KindSynthesize),
+					Fingerprint: "0123abcd",
+					Key:         "0123abcd.0123456789abcdef",
+					Strategy:    "SF",
+					Request:     json.RawMessage(`{"system":null}`),
+				}); err != nil {
+					t.Fatal(err)
+				}
+				seed.Close()
+				return newBarrierHarness(t, dir), id
+			},
+			kind: KindSynthesize, state: StateFailed, stored: false, traced: false, count: 0,
 		},
 	}
 	for _, c := range cases {
@@ -212,15 +261,15 @@ func TestDoneIsABarrier(t *testing.T) {
 			// The checks run in the reverse order of the terminal work
 			// (counter, trace, journal, result), so a barrier released
 			// early shows up in the first check.
-			counter := h.reg.Counter("mcs_jobs_total", "", obs.L("kind", "synthesize"), obs.L("state", string(c.state)))
+			counter := h.reg.Counter("mcs_jobs_total", "", obs.L("kind", string(c.kind)), obs.L("state", string(c.state)))
 			if got := counter.Value(); got != c.count {
-				t.Errorf("mcs_jobs_total{state=%q} = %d, want %d", c.state, got, c.count)
+				t.Errorf("mcs_jobs_total{kind=%q, state=%q} = %d, want %d", c.kind, c.state, got, c.count)
 			}
 			snap, err := h.svc.Trace(id)
 			switch {
 			case !c.traced:
 				if !errors.Is(err, ErrNoTrace) {
-					t.Errorf("replayed job trace: err %v, want ErrNoTrace", err)
+					t.Errorf("untraced job trace: err %v, want ErrNoTrace", err)
 				}
 			case err != nil:
 				t.Errorf("trace: %v", err)

@@ -22,7 +22,8 @@ import (
 //
 // Request and response bodies are the wire types of this package;
 // errors come back as {"error": "..."} with a matching status code
-// (400 invalid request, 404 unknown job, 429 queue full, 503 draining).
+// (400 invalid request, 404 unknown job, 429 queue full, 500 submit not
+// journaled, 503 draining).
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/synthesize", handleSubmit(s.Submit))
@@ -206,6 +207,8 @@ func submitStatus(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, errJournal):
+		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
 	}

@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -218,5 +221,44 @@ func TestHTTPAnalyzeAndCancel(t *testing.T) {
 	stats := decodeBody[Stats](t, hr)
 	if stats.CacheMisses == 0 {
 		t.Errorf("healthz stats look empty: %+v", stats)
+	}
+}
+
+// submitFailingStore refuses every submit record, the way a full disk
+// refuses the journal append; the other records go through.
+type submitFailingStore struct{ store.Store }
+
+func (s submitFailingStore) Append(rec store.Record) error {
+	if rec.Op == store.OpSubmit {
+		return errors.New("no space left on device")
+	}
+	return s.Store.Append(rec)
+}
+
+// TestHTTPSubmitJournalFailureIs500: a submit the service cannot
+// journal is the server's fault, not the client's: 500 with the journal
+// error, and nothing is queued.
+func TestHTTPSubmitJournalFailureIs500(t *testing.T) {
+	clk := newTestClock()
+	st := submitFailingStore{openTestStore(t, t.TempDir(), clk, store.Options{})}
+	s := New(Options{Workers: 1, JobWorkers: 1, Store: st, Clock: clk})
+	defer s.Close()
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+
+	resp := postJSON(t, srv.URL+"/v1/synthesize", SynthesisRequest{System: testSystem(t, 5), Strategy: "os"})
+	body := decodeBody[map[string]string](t, resp)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("submit status %d, want 500", resp.StatusCode)
+	}
+	if !strings.Contains(body["error"], "no space left on device") {
+		t.Errorf("error body %q does not carry the journal error", body["error"])
+	}
+	stats := s.Stats()
+	if len(stats.Jobs) != 0 || len(s.queue) != 0 {
+		t.Errorf("rejected submit left jobs %v, queue depth %d", stats.Jobs, len(s.queue))
+	}
+	if stats.Store == nil || stats.Store.Errors != 1 {
+		t.Errorf("store stats %+v, want exactly 1 error", stats.Store)
 	}
 }

@@ -56,7 +56,7 @@ func (s *Service) registerMetrics() {
 		func() float64 { return float64(cap(s.queue)) })
 	for _, state := range []JobState{StateQueued, StateRunning, StateDone, StateCanceled, StateFailed} {
 		r.GaugeFunc("mcs_jobs", "Tracked jobs by current state.",
-			func() float64 { return float64(s.countJobs(state)) },
+			func() float64 { return float64(s.jobCounts()[state]) },
 			obs.L("state", string(state)))
 	}
 
@@ -142,27 +142,10 @@ func (s *Service) registerMetrics() {
 	})
 }
 
-// countJobs counts tracked jobs currently in the given state.
-func (s *Service) countJobs(state JobState) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		if j.state == state {
-			n++
-		}
-		j.mu.Unlock()
-	}
-	return n
-}
-
 // subscriberCount counts live progress subscribers across all jobs.
 func (s *Service) subscriberCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
-	for _, j := range s.jobs {
+	for _, j := range s.snapshot() {
 		j.mu.Lock()
 		n += len(j.subs)
 		j.mu.Unlock()
@@ -181,7 +164,7 @@ func (s *Service) startTrace(j *job) {
 	root.SetAttr("id", j.id)
 	root.SetAttr("kind", string(j.kind))
 	root.SetAttr("fingerprint", j.fingerprint)
-	root.SetAttr("strategy", j.strategyName)
+	root.SetAttr("strategy", j.strategy)
 	j.queueSpan = root.Start("queue")
 }
 

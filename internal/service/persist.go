@@ -6,7 +6,7 @@ package service
 //
 //   - a submit is journaled before its 202 exists (enqueue), so every
 //     acknowledged job survives a crash;
-//   - a result is persisted before its finish record (finishJob), so a
+//   - a result is persisted before its finish record (complete), so a
 //     "done" record always has a loadable result — a crash between the
 //     two re-runs the job, which is merely wasteful;
 //   - replayed unfinished jobs re-enter the queue ahead of new traffic
@@ -19,10 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
-	"slices"
 
-	"repro/internal/solve"
 	"repro/internal/store"
 )
 
@@ -69,34 +66,38 @@ func (s *Service) restore() []*job {
 	var pending []*job
 	for _, snap := range store.Reduce(recs) {
 		j := &job{
-			id:           snap.ID,
-			kind:         JobKind(snap.Kind),
-			strategyName: snap.Strategy,
-			fingerprint:  snap.Fingerprint,
-			key:          snap.Key,
-			subs:         make(map[chan ProgressEvent]struct{}),
-			done:         make(chan struct{}),
+			id:          snap.ID,
+			kind:        JobKind(snap.Kind),
+			strategy:    snap.Strategy,
+			fingerprint: snap.Fingerprint,
+			key:         snap.Key,
+			subs:        make(map[chan ProgressEvent]struct{}),
+			done:        make(chan struct{}),
 		}
 		j.ctx, j.cancel = context.WithCancelCause(s.baseCtx)
 		if seq := jobSeq(snap.ID); seq > s.nextID {
 			s.nextID = seq // new IDs continue past every replayed one
 		}
 		s.replayed++
-		if snap.State == store.StateQueued {
-			if err := j.restoreRequest(snap.Request); err != nil {
-				// The journaled request no longer decodes: fail the job
-				// visibly instead of dropping it, and journal the
-				// resolution so the next restart agrees.
-				s.failRestored(j, err.Error())
-			} else {
-				j.state = StateQueued
-				pending = append(pending, j)
-				s.requeued++
-			}
-		} else {
-			s.finishRestored(j, snap)
-		}
 		s.jobs[j.id] = j
+		if snap.State != store.StateQueued {
+			s.finishRestored(j, snap)
+		} else if err := j.restoreRequest(snap.Request); err != nil {
+			// The journaled request no longer decodes: fail the job
+			// visibly instead of dropping it, and journal the
+			// resolution so the next restart agrees.
+			j.state, j.errMsg = StateFailed, err.Error()
+			s.appendRecord(s.st, j.finishRecord(j.state, j.errMsg))
+		} else {
+			j.state = StateQueued
+			pending = append(pending, j)
+			s.requeued++
+			continue
+		}
+		// Replayed terminal jobs skip the terminal tail: this process
+		// ran none of their work, so nothing is counted or traced.
+		j.release()
+		s.terminal = append(s.terminal, j.id)
 	}
 	for len(s.terminal) > s.opts.Retention {
 		delete(s.jobs, s.terminal[0])
@@ -105,7 +106,7 @@ func (s *Service) restore() []*job {
 	return pending
 }
 
-// finishRestored re-registers a terminal job from its snapshot: state
+// finishRestored restores a terminal job from its snapshot: state
 // and error come from the journal, a done job's result loads from the
 // persistent result store under its request key.
 func (s *Service) finishRestored(j *job, snap *store.JobSnapshot) {
@@ -125,23 +126,6 @@ func (s *Service) finishRestored(j *job, snap *store.JobSnapshot) {
 		// the missing result is reported, not hidden.
 		j.errMsg = "store: persisted result expired or missing; resubmit to recompute"
 	}
-	j.release()
-	s.terminal = append(s.terminal, j.id)
-}
-
-// failRestored resolves a replayed job that cannot be re-run.
-func (s *Service) failRestored(j *job, msg string) {
-	j.state = StateFailed
-	j.errMsg = msg
-	s.appendRecord(s.st, store.Record{
-		Op:    store.OpFinish,
-		Job:   j.id,
-		Key:   j.key,
-		State: store.StateFailed,
-		Error: msg,
-	})
-	j.release()
-	s.terminal = append(s.terminal, j.id)
 }
 
 // decodeStoredResult decodes canonical result bytes from the
@@ -163,39 +147,45 @@ func (j *job) restoreRequest(raw []byte) error {
 	if len(raw) == 0 {
 		return errors.New(store.ErrPayloadMissing)
 	}
-	switch j.kind {
-	case KindExplore:
-		var req ExploreRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return fmt.Errorf("service: decoding journaled explore request: %w", err)
-		}
-		fp, err := req.normalize()
-		if err != nil {
-			return fmt.Errorf("service: re-normalizing journaled request: %w", err)
-		}
-		j.exploreReq = req
-		j.strategy = solve.Explore
-		j.fingerprint = fp
-		j.key = req.key(fp)
-	default:
-		var req SynthesisRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return fmt.Errorf("service: decoding journaled synthesis request: %w", err)
-		}
-		strat, fp, err := req.normalize()
-		if err != nil {
-			return fmt.Errorf("service: re-normalizing journaled request: %w", err)
-		}
-		j.req = req
-		j.strategy = strat
-		j.fingerprint = fp
-		j.key = req.key(strat, fp)
+	req := newRequest(j.kind)
+	if err := json.Unmarshal(raw, req); err != nil {
+		return fmt.Errorf("service: decoding journaled %s request: %w", req.kind(), err)
 	}
-	j.rawReq = raw
-	if j.strategyName == "" {
-		j.strategyName = j.strategy.String()
+	strategy, fp, key, err := req.normalize()
+	if err != nil {
+		return fmt.Errorf("service: re-normalizing journaled request: %w", err)
+	}
+	j.req, j.fingerprint, j.key, j.rawReq = req, fp, key, raw
+	if j.strategy == "" {
+		j.strategy = strategy
 	}
 	return nil
+}
+
+// submitRecord is the journal record of a job's submission; request is
+// the wire payload a replay re-runs (nil in a terminal job's slim
+// record).
+func (j *job) submitRecord(request json.RawMessage) store.Record {
+	return store.Record{
+		Op:          store.OpSubmit,
+		Job:         j.id,
+		Kind:        string(j.kind),
+		Fingerprint: j.fingerprint,
+		Key:         j.key,
+		Strategy:    j.strategy,
+		Request:     request,
+	}
+}
+
+// finishRecord is the journal record of a job's terminal transition.
+func (j *job) finishRecord(state JobState, errMsg string) store.Record {
+	return store.Record{
+		Op:    store.OpFinish,
+		Job:   j.id,
+		Key:   j.key,
+		State: string(state),
+		Error: errMsg,
+	}
 }
 
 // jobSeq parses the numeric sequence out of a job ID ("j%06d-<fp8>");
@@ -229,38 +219,20 @@ func (s *Service) compact() {
 // regardless of what this snapshot captures.
 func (s *Service) liveRecords() []store.Record {
 	now := s.clock.Now().Unix()
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, id := range slices.Sorted(maps.Keys(s.jobs)) {
-		jobs = append(jobs, s.jobs[id])
-	}
-	s.mu.Unlock()
+	jobs := s.snapshot()
 	recs := make([]store.Record, 0, 2*len(jobs))
 	for _, j := range jobs {
 		j.mu.Lock()
 		state, errMsg, raw := j.state, j.errMsg, j.rawReq
 		j.mu.Unlock()
-		sub := store.Record{
-			Op:          store.OpSubmit,
-			Job:         j.id,
-			Kind:        string(j.kind),
-			Fingerprint: j.fingerprint,
-			Key:         j.key,
-			Strategy:    j.strategyName,
-			Unix:        now,
-		}
 		if state.Terminal() {
-			recs = append(recs, sub, store.Record{
-				Op:    store.OpFinish,
-				Job:   j.id,
-				Key:   j.key,
-				State: string(state),
-				Error: errMsg,
-				Unix:  now,
-			})
+			sub, fin := j.submitRecord(nil), j.finishRecord(state, errMsg)
+			sub.Unix, fin.Unix = now, now
+			recs = append(recs, sub, fin)
 			continue
 		}
-		sub.Request = raw
+		sub := j.submitRecord(raw)
+		sub.Unix = now
 		recs = append(recs, sub)
 	}
 	return recs

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dse"
 	"repro/internal/obs"
 	"repro/internal/solve"
 	"repro/internal/store"
@@ -31,6 +30,10 @@ var (
 	// ErrUnknownJob reports a job ID the service has never issued.
 	ErrUnknownJob = errors.New("service: unknown job")
 )
+
+// errJournal wraps a failed submit journal append: the fault is the
+// server's, not the request's (HTTP 500).
+var errJournal = errors.New("service: journaling submit")
 
 // errDrainCanceled is the cancel cause handed to in-flight jobs when
 // the drain grace period expires; they return best-so-far results.
@@ -201,18 +204,18 @@ func New(opts Options) *Service {
 	return s
 }
 
-// job is the service-side state of one asynchronous request (a
-// synthesis or an exploration, per kind).
+// job is the service-side state of one asynchronous request of either
+// kind.
 type job struct {
-	id          string
-	kind        JobKind
-	req         SynthesisRequest
-	exploreReq  ExploreRequest
-	strategy    solve.Strategy
+	id   string
+	kind JobKind
+	// req is the normalized wire request; nil once the job is retired
+	// and for jobs replayed as terminal.
+	req         request
 	fingerprint string
-	// strategyName is the display name of strategy; replayed terminal
-	// jobs only have the name (the typed strategy died with the request).
-	strategyName string
+	// strategy is the display name of the strategy (what replayed
+	// terminal jobs recover from the journal).
+	strategy string
 	// key is the persistent result cache key (fingerprint + option
 	// digest); rawReq is the journaled wire request, kept until the job
 	// is terminal so compaction can re-emit it.
@@ -248,61 +251,29 @@ type job struct {
 // Submit validates and enqueues an asynchronous synthesis job. The
 // request's system is finalized in place; the job is rejected when the
 // service is draining or the queue is full.
-func (s *Service) Submit(req SynthesisRequest) (*SubmitResponse, error) {
-	strat, fp, err := req.normalize()
-	if err != nil {
-		return nil, err
-	}
-	j := &job{
-		kind:         KindSynthesize,
-		req:          req,
-		strategy:     strat,
-		strategyName: strat.String(),
-		fingerprint:  fp,
-		key:          req.key(strat, fp),
-	}
-	if err := s.encodeRequest(j, &req); err != nil {
-		return nil, err
-	}
-	return s.enqueue(j)
-}
+func (s *Service) Submit(req SynthesisRequest) (*SubmitResponse, error) { return s.submit(&req) }
 
 // SubmitExplore validates and enqueues an asynchronous design-space
 // exploration job. It shares Submit's queue, backpressure, Solver
 // cache and lifecycle; only the executed operation (Solver.Explore)
 // and the result shape (a Pareto front) differ.
-func (s *Service) SubmitExplore(req ExploreRequest) (*SubmitResponse, error) {
-	fp, err := req.normalize()
+func (s *Service) SubmitExplore(req ExploreRequest) (*SubmitResponse, error) { return s.submit(&req) }
+
+// submit normalizes a request of either kind into a job and enqueues
+// it. With a store, the wire request is captured for the journal: the
+// encoding is what a crash-restarted service decodes to re-run the job.
+func (s *Service) submit(req request) (*SubmitResponse, error) {
+	strategy, fp, key, err := req.normalize()
 	if err != nil {
 		return nil, err
 	}
-	j := &job{
-		kind:         KindExplore,
-		exploreReq:   req,
-		strategy:     solve.Explore,
-		strategyName: solve.Explore.String(),
-		fingerprint:  fp,
-		key:          req.key(fp),
-	}
-	if err := s.encodeRequest(j, &req); err != nil {
-		return nil, err
+	j := &job{kind: req.kind(), req: req, strategy: strategy, fingerprint: fp, key: key}
+	if s.storeRef() != nil {
+		if j.rawReq, err = json.Marshal(req); err != nil {
+			return nil, fmt.Errorf("service: encoding request for the journal: %w", err)
+		}
 	}
 	return s.enqueue(j)
-}
-
-// encodeRequest captures the wire request for the journal. Only needed
-// with a store: the encoding is what a crash-restarted service decodes
-// to re-run the job.
-func (s *Service) encodeRequest(j *job, req any) error {
-	if s.storeRef() == nil {
-		return nil
-	}
-	raw, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("service: encoding request for the journal: %w", err)
-	}
-	j.rawReq = raw
-	return nil
 }
 
 // enqueue assigns an ID and a context to a validated job, journals the
@@ -329,17 +300,9 @@ func (s *Service) enqueue(j *job) (*SubmitResponse, error) {
 		j.cancel(ErrQueueFull) // release the context before rejecting
 		return nil, ErrQueueFull
 	}
-	if err := s.appendRecord(s.st, store.Record{
-		Op:          store.OpSubmit,
-		Job:         j.id,
-		Kind:        string(j.kind),
-		Fingerprint: j.fingerprint,
-		Key:         j.key,
-		Strategy:    j.strategyName,
-		Request:     j.rawReq,
-	}); err != nil {
+	if err := s.appendRecord(s.st, j.submitRecord(j.rawReq)); err != nil {
 		j.cancel(err)
-		return nil, fmt.Errorf("service: journaling submit: %w", err)
+		return nil, fmt.Errorf("%w: %w", errJournal, err)
 	}
 	// Observability fields must be in place before the queue send: a
 	// runner may claim the job the instant it lands.
@@ -349,7 +312,7 @@ func (s *Service) enqueue(j *job) (*SubmitResponse, error) {
 	s.queue <- j
 	s.jobs[j.id] = j
 	s.log.Info("job accepted",
-		"job", j.id, "kind", string(j.kind), "fingerprint", j.fingerprint, "strategy", j.strategyName)
+		"job", j.id, "kind", string(j.kind), "fingerprint", j.fingerprint, "strategy", j.strategy)
 	return &SubmitResponse{
 		ID:          j.id,
 		Kind:        j.kind,
@@ -368,10 +331,7 @@ func (s *Service) run(j *job) {
 	}
 	j.state = StateRunning
 	j.startedAt = s.clock.Now()
-	sys := j.req.System
-	if j.kind == KindExplore {
-		sys = j.exploreReq.System
-	}
+	req := j.req
 	j.mu.Unlock()
 
 	s.jobStarted(j)
@@ -385,17 +345,16 @@ func (s *Service) run(j *job) {
 	acquire := j.trace.Root().Start("solver")
 	if st != nil && j.key != "" {
 		if data, ok := st.GetResult(j.key); ok {
-			var res JobResult
-			if err := json.Unmarshal(data, &res); err == nil {
-				res.PersistentHit = true
+			if res, err := decodeStoredResult(data); err == nil {
 				acquire.SetAttr("source", "persistent")
 				acquire.End()
-				s.finishJob(j, &res, nil)
+				s.finishJob(j, res, nil)
 				return
 			}
 		}
 	}
 
+	sys := req.system()
 	base, hit, err := s.cache.getOrCreate(j.fingerprint, func() (*solve.Solver, error) {
 		return solve.New(sys.Application, sys.Architecture,
 			solve.WithWorkers(s.opts.Workers))
@@ -419,37 +378,30 @@ func (s *Service) run(j *job) {
 	// and times the run phases at this (non-deterministic-layer)
 	// boundary.
 	tracker := &phaseTracker{svc: s, job: j, span: j.trace.Root().Start("run")}
-	observe := tracker.observer()
-	var result *JobResult
-	switch j.kind {
-	case KindExplore:
-		session := base.Derive(solve.WithWorkers(s.opts.Workers), observe)
-		var res *dse.Result
-		res, err = session.Explore(j.ctx, j.exploreReq.dseOptions()...)
-		result, err = exploreResult(res, err, hit)
-	default:
-		session := base.Derive(append(j.req.solverOptions(j.strategy, s.opts.Workers), observe)...)
-		var res *solve.Result
-		res, err = session.Synthesize(j.ctx)
-		result, err = synthesisResult(res, err, hit)
-	}
+	result, err := req.run(j.ctx, base, s.opts.Workers, tracker.observer(), hit)
 	tracker.close()
 	tracker.span.End()
 	s.finishJob(j, result, err)
 }
 
-// finishJob records the terminal transition: the in-memory state flip,
-// the persisted result (full, non-partial outcomes only — a canceled
-// job's best-so-far is not byte-identical to a cold run and must never
-// be served as one), the journal finish record, the closed trace and
-// the job counters, and retirement, which releases the job last. The
-// result is stored before the finish record so a crash between the two
-// replays the job as unfinished and re-runs (or persistent-hits) it,
-// instead of leaving a done job with no loadable result.
+// finishJob flips a running job to its terminal state and completes the
+// transition; it is a no-op when the job already was terminal.
 func (s *Service) finishJob(j *job, result *JobResult, err error) {
-	if !j.finish(result, err) {
-		return
+	if j.finish(result, err) {
+		s.complete(j)
 	}
+}
+
+// complete is the one terminal tail, run once a job's state has flipped
+// (by its runner, or by Cancel while queued): the persisted result
+// (full, non-partial outcomes only — a canceled job's best-so-far is
+// not byte-identical to a cold run and must never be served as one),
+// the journal finish record, the closed trace and the job counters, and
+// retirement, which releases the job last. The result is stored before
+// the finish record so a crash between the two replays the job as
+// unfinished and re-runs (or persistent-hits) it, instead of leaving a
+// done job with no loadable result.
+func (s *Service) complete(j *job) {
 	j.mu.Lock()
 	state, errMsg, res := j.state, j.errMsg, j.result
 	j.mu.Unlock()
@@ -466,13 +418,7 @@ func (s *Service) finishJob(j *job, result *JobResult, err error) {
 				s.log.Warn("result encoding failed", "job", j.id, "error", encErr)
 			}
 		}
-		s.appendRecord(st, store.Record{
-			Op:    store.OpFinish,
-			Job:   j.id,
-			Key:   j.key,
-			State: string(state),
-			Error: errMsg,
-		})
+		s.appendRecord(st, j.finishRecord(state, errMsg))
 		persist.End()
 	}
 	s.jobFinished(j, state, errMsg)
@@ -489,43 +435,6 @@ func canonicalResult(res *JobResult) ([]byte, error) {
 	return json.Marshal(&c)
 }
 
-// synthesisResult projects a synthesis outcome onto the wire result; a
-// result encoding failure surfaces as the job error when the run
-// itself succeeded.
-func synthesisResult(res *solve.Result, err error, cacheHit bool) (*JobResult, error) {
-	if res == nil || res.Config == nil {
-		return nil, err
-	}
-	cfgJSON, encErr := encodeConfig(res.Config)
-	if encErr != nil && err == nil {
-		err = encErr
-	}
-	return &JobResult{
-		Config:      cfgJSON,
-		Analysis:    summarize(res.Analysis),
-		Evaluations: res.Evaluations,
-		CacheHit:    cacheHit,
-	}, err
-}
-
-// exploreResult projects an exploration outcome (possibly a canceled
-// job's best-so-far front) onto the wire result.
-func exploreResult(res *dse.Result, err error, cacheHit bool) (*JobResult, error) {
-	if res == nil || len(res.Front) == 0 {
-		return nil, err
-	}
-	front, encErr := summarizeFront(res.Front)
-	if encErr != nil && err == nil {
-		err = encErr
-	}
-	return &JobResult{
-		Front:       front,
-		Hypervolume: res.Hypervolume,
-		Evaluations: res.Evaluations,
-		CacheHit:    cacheHit,
-	}, err
-}
-
 // retire completes a terminal transition once its effects are visible
 // (result stored, finish record journaled, trace closed, job counted).
 // It frees the request payload (the decoded system is the bulk of its
@@ -537,8 +446,7 @@ func exploreResult(res *dse.Result, err error, cacheHit bool) (*JobResult, error
 // traffic history.
 func (s *Service) retire(j *job) {
 	j.mu.Lock()
-	j.req = SynthesisRequest{}
-	j.exploreReq = ExploreRequest{}
+	j.req = nil
 	j.rawReq = nil // terminal jobs compact to slim records; the payload is dead weight
 	j.mu.Unlock()
 	s.mu.Lock()
@@ -667,21 +575,16 @@ func (s *Service) Status(id string) (*JobStatus, error) {
 		j.mu.Lock()
 	}
 	defer j.mu.Unlock()
-	name := j.strategyName
-	if name == "" {
-		name = j.strategy.String()
-	}
-	st := &JobStatus{
+	return &JobStatus{
 		ID:          j.id,
 		Kind:        j.kind,
 		State:       j.state,
 		Fingerprint: j.fingerprint,
-		Strategy:    name,
+		Strategy:    j.strategy,
 		Progress:    j.progress,
 		Result:      j.result,
 		Error:       j.errMsg,
-	}
-	return st, nil
+	}, nil
 }
 
 // Subscribe returns a channel of the job's progress events: the history
@@ -743,19 +646,9 @@ func (s *Service) Cancel(id string) error {
 		j.state = StateCanceled
 		j.errMsg = "canceled before running"
 		j.mu.Unlock()
-		// Queued jobs never reach finishJob (the runner skips terminal
-		// jobs), so journal the resolution and retire here.
-		if st := s.storeRef(); st != nil {
-			s.appendRecord(st, store.Record{
-				Op:    store.OpFinish,
-				Job:   j.id,
-				Key:   j.key,
-				State: store.StateCanceled,
-				Error: j.errMsg,
-			})
-		}
-		s.jobFinished(j, StateCanceled, "canceled before running")
-		s.retire(j)
+		// The runner skips terminal jobs, so the terminal tail runs
+		// here.
+		s.complete(j)
 		return nil
 	}
 	terminal := j.state.Terminal()
@@ -785,8 +678,7 @@ func (s *Service) job(id string) (*job, error) {
 // Per-configuration decode and analysis failures land in the matching
 // outcome; the call fails only for an invalid system or a canceled ctx.
 func (s *Service) Analyze(ctx context.Context, req AnalysisRequest) (*AnalysisResponse, error) {
-	sreq := SynthesisRequest{System: req.System}
-	_, fp, err := sreq.normalize()
+	fp, err := normalizeSystem(req.System)
 	if err != nil {
 		return nil, err
 	}
@@ -868,13 +760,7 @@ func (s *Service) Drain(ctx context.Context) {
 
 // cancelJobs cancels every non-terminal job with the given cause.
 func (s *Service) cancelJobs(cause error) {
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, id := range slices.Sorted(maps.Keys(s.jobs)) {
-		jobs = append(jobs, s.jobs[id])
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
+	for _, j := range s.snapshot() {
 		j.mu.Lock()
 		terminal := j.state.Terminal()
 		j.mu.Unlock()
@@ -918,21 +804,12 @@ type StoreStats struct {
 
 // Stats snapshots the job, cache and durability counters.
 func (s *Service) Stats() Stats {
-	st := Stats{Jobs: make(map[JobState]int)}
+	st := Stats{Jobs: s.jobCounts()}
 	st.CacheHits, st.CacheMisses, st.CacheSize = s.cache.stats()
 	s.mu.Lock()
 	st.Draining = s.draining
 	dst, replayed, requeued := s.st, s.replayed, s.requeued
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, id := range slices.Sorted(maps.Keys(s.jobs)) {
-		jobs = append(jobs, s.jobs[id])
-	}
 	s.mu.Unlock()
-	for _, j := range jobs {
-		j.mu.Lock()
-		st.Jobs[j.state]++
-		j.mu.Unlock()
-	}
 	if dst != nil {
 		st.Store = &StoreStats{
 			Stats:        dst.Stats(),
@@ -942,4 +819,28 @@ func (s *Service) Stats() Stats {
 		}
 	}
 	return st
+}
+
+// snapshot returns the tracked jobs in ID order, taken under the intake
+// lock; callers then lock each job on its own.
+func (s *Service) snapshot() []*job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, id := range slices.Sorted(maps.Keys(s.jobs)) {
+		jobs = append(jobs, s.jobs[id])
+	}
+	return jobs
+}
+
+// jobCounts counts the tracked jobs by state: /healthz and the mcs_jobs
+// gauges read the same count.
+func (s *Service) jobCounts() map[JobState]int {
+	counts := make(map[JobState]int)
+	for _, j := range s.snapshot() {
+		j.mu.Lock()
+		counts[j.state]++
+		j.mu.Unlock()
+	}
+	return counts
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -31,28 +32,69 @@ type SynthesisRequest struct {
 	SARestarts   int    `json:"saRestarts,omitempty"`
 }
 
-// normalize validates the request, finalizes the embedded system (JSON
-// decoding bypasses the model builders) and resolves the strategy and
-// cache fingerprint.
-func (r *SynthesisRequest) normalize() (solve.Strategy, string, error) {
-	if r.System == nil || r.System.Application == nil || r.System.Architecture == nil {
-		return 0, "", fmt.Errorf("service: request must carry a system with both application and architecture")
+// request is the seam between the job lifecycle and the job kinds: the
+// service submits, journals, queues, runs, replays and retires every
+// job the same way, and only these methods differ per kind.
+// *SynthesisRequest and *ExploreRequest implement it.
+type request interface {
+	kind() JobKind
+	// system is the embedded system; valid after normalize.
+	system() *model.System
+	// normalize validates the request, finalizes the embedded system
+	// in place (JSON decoding bypasses the model builders) and resolves
+	// the strategy display name, the cache fingerprint and the
+	// persistent result key.
+	normalize() (strategy, fingerprint, key string, err error)
+	// run executes the request on a session derived from base and
+	// projects the outcome onto the wire result. A non-nil result with
+	// an error is a best-so-far outcome; a result encoding failure
+	// surfaces as the error when the run itself succeeded.
+	run(ctx context.Context, base *solve.Solver, workers int, observe solve.Option, cacheHit bool) (*JobResult, error)
+}
+
+// newRequest returns an empty request of the given kind for a
+// journaled request body to decode into. Any kind but explore decodes
+// as a synthesis, so a submit record without a kind still replays.
+func newRequest(kind JobKind) request {
+	if kind == KindExplore {
+		return &ExploreRequest{}
 	}
-	strat := solve.Straightforward
-	if r.Strategy != "" {
-		var err error
-		if strat, err = solve.ParseStrategy(r.Strategy); err != nil {
-			return 0, "", err
-		}
+	return &SynthesisRequest{}
+}
+
+// normalizeSystem validates a wire system, finalizes it in place and
+// returns its fingerprint.
+func normalizeSystem(sys *model.System) (string, error) {
+	if sys == nil || sys.Application == nil || sys.Architecture == nil {
+		return "", fmt.Errorf("service: request must carry a system with both application and architecture")
 	}
-	if err := r.System.Application.Finalize(r.System.Architecture); err != nil {
-		return 0, "", err
+	if err := sys.Application.Finalize(sys.Architecture); err != nil {
+		return "", err
 	}
-	fp, err := r.System.Fingerprint()
+	return sys.Fingerprint()
+}
+
+func (r *SynthesisRequest) kind() JobKind         { return KindSynthesize }
+func (r *SynthesisRequest) system() *model.System { return r.System }
+
+// parseStrategy resolves the requested strategy (empty selects sf).
+func (r *SynthesisRequest) parseStrategy() (solve.Strategy, error) {
+	if r.Strategy == "" {
+		return solve.Straightforward, nil
+	}
+	return solve.ParseStrategy(r.Strategy)
+}
+
+func (r *SynthesisRequest) normalize() (string, string, string, error) {
+	fp, err := normalizeSystem(r.System)
 	if err != nil {
-		return 0, "", err
+		return "", "", "", err
 	}
-	return strat, fp, nil
+	strat, err := r.parseStrategy()
+	if err != nil {
+		return "", "", "", err
+	}
+	return strat.String(), fp, r.key(strat, fp), nil
 }
 
 // key derives the persistent result cache key of a normalized request:
@@ -71,16 +113,34 @@ func (r *SynthesisRequest) key(strat solve.Strategy, fp string) string {
 	}{strat.String(), o.Seed, o.SAIterations, o.SARestarts})
 }
 
-// solverOptions maps the request onto the session API's functional
-// options; solve.New normalizes the zero values.
-func (r *SynthesisRequest) solverOptions(strat solve.Strategy, workers int) []solve.Option {
-	return []solve.Option{
+// run synthesizes one configuration; Derive normalizes the zero option
+// values.
+func (r *SynthesisRequest) run(ctx context.Context, base *solve.Solver, workers int, observe solve.Option, cacheHit bool) (*JobResult, error) {
+	strat, err := r.parseStrategy()
+	if err != nil {
+		return nil, err
+	}
+	res, err := base.Derive(
 		solve.WithStrategy(strat),
 		solve.WithSeed(r.Seed),
 		solve.WithSAIterations(r.SAIterations),
 		solve.WithSARestarts(r.SARestarts),
 		solve.WithWorkers(workers),
+		observe,
+	).Synthesize(ctx)
+	if res == nil || res.Config == nil {
+		return nil, err
 	}
+	cfgJSON, encErr := encodeConfig(res.Config)
+	if encErr != nil && err == nil {
+		err = encErr
+	}
+	return &JobResult{
+		Config:      cfgJSON,
+		Analysis:    summarize(res.Analysis),
+		Evaluations: res.Evaluations,
+		CacheHit:    cacheHit,
+	}, err
 }
 
 // ExploreRequest asks the service for an asynchronous multi-objective
@@ -109,16 +169,15 @@ type ExploreRequest struct {
 	NoWarmStart bool `json:"noWarmStart,omitempty"`
 }
 
-// normalize validates the request, finalizes the embedded system and
-// resolves the cache fingerprint.
-func (r *ExploreRequest) normalize() (string, error) {
-	if r.System == nil || r.System.Application == nil || r.System.Architecture == nil {
-		return "", fmt.Errorf("service: request must carry a system with both application and architecture")
+func (r *ExploreRequest) kind() JobKind         { return KindExplore }
+func (r *ExploreRequest) system() *model.System { return r.System }
+
+func (r *ExploreRequest) normalize() (string, string, string, error) {
+	fp, err := normalizeSystem(r.System)
+	if err != nil {
+		return "", "", "", err
 	}
-	if err := r.System.Application.Finalize(r.System.Architecture); err != nil {
-		return "", err
-	}
-	return r.System.Fingerprint()
+	return solve.Explore.String(), fp, r.key(fp), nil
 }
 
 // key derives the persistent result cache key of a normalized
@@ -154,9 +213,9 @@ func requestKey(kind JobKind, fp string, opts any) string {
 	return fp + "." + hex.EncodeToString(sum[:8])
 }
 
-// dseOptions maps the request onto the per-call exploration options;
-// solve.Explore defaults the zero values.
-func (r *ExploreRequest) dseOptions() []solve.DSEOption {
+// run explores the Pareto front (possibly a canceled job's best-so-far
+// front); solve.Explore defaults the zero option values.
+func (r *ExploreRequest) run(ctx context.Context, base *solve.Solver, workers int, observe solve.Option, cacheHit bool) (*JobResult, error) {
 	opts := []solve.DSEOption{
 		solve.WithExploreSeed(r.Seed),
 		solve.WithPopulation(r.Population),
@@ -168,7 +227,20 @@ func (r *ExploreRequest) dseOptions() []solve.DSEOption {
 	if r.NoWarmStart {
 		opts = append(opts, solve.WithWarmStart(false))
 	}
-	return opts
+	res, err := base.Derive(solve.WithWorkers(workers), observe).Explore(ctx, opts...)
+	if res == nil || len(res.Front) == 0 {
+		return nil, err
+	}
+	front, encErr := summarizeFront(res.Front)
+	if encErr != nil && err == nil {
+		err = encErr
+	}
+	return &JobResult{
+		Front:       front,
+		Hypervolume: res.Hypervolume,
+		Evaluations: res.Evaluations,
+		CacheHit:    cacheHit,
+	}, err
 }
 
 // AnalysisRequest asks for a synchronous batch schedulability analysis:

@@ -48,25 +48,6 @@ func envelope(times []model.Time, period model.Time) (offset, spread model.Time,
 	return lo, hi - lo, true
 }
 
-// WorstFinishOffset returns the largest in-period completion offset of a
-// TT process: max over instances of (start + WCET - k*period). For a
-// schedulable table this is O_i + C_i of the paper.
-func (s *Schedule) WorstFinishOffset(app *model.Application, p model.ProcID) (model.Time, bool) {
-	starts := s.ProcStart[p]
-	if len(starts) == 0 {
-		return 0, false
-	}
-	period := app.PeriodOf(p)
-	wcet := app.Procs[p].WCET
-	var worst model.Time
-	for k, t := range starts {
-		if rel := t + wcet - model.Time(k)*period; k == 0 || rel > worst {
-			worst = rel
-		}
-	}
-	return worst, true
-}
-
 // WorstArrivalOffset returns the largest in-period delivery offset of a
 // TTP-leg edge across instances.
 func (s *Schedule) WorstArrivalOffset(app *model.Application, e model.EdgeID) (model.Time, bool) {

@@ -282,10 +282,6 @@ func TestEnvelopeAndWorstOffsets(t *testing.T) {
 	if _, _, ok := s.OffsetOf(app, p[1]); ok {
 		t.Error("ET process must not be in the TT schedule")
 	}
-	wf, ok := s.WorstFinishOffset(app, p[0])
-	if !ok || wf != 30 {
-		t.Errorf("WorstFinishOffset(P1) = %d, want 30", wf)
-	}
 	wa, ok := s.WorstArrivalOffset(app, m[0])
 	if !ok || wa != 80 {
 		t.Errorf("WorstArrivalOffset(m1) = %d, want 80", wa)

@@ -2,7 +2,6 @@ package ttp
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -63,33 +62,4 @@ func (m *MEDL) Validate(tickPerByte model.Time) error {
 		}
 	}
 	return nil
-}
-
-// EntriesOfSlot returns the entries transmitted in slot i, ordered by
-// round occurrence then edge ID.
-func (m *MEDL) EntriesOfSlot(i int) []MEDLEntry {
-	var out []MEDLEntry
-	for _, e := range m.Entries {
-		if e.Slot == i {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Round != out[b].Round {
-			return out[a].Round < out[b].Round
-		}
-		return out[a].Edge < out[b].Edge
-	})
-	return out
-}
-
-// ArrivalOf returns the bus delivery time of instance k of edge e, or
-// false if the MEDL does not carry it.
-func (m *MEDL) ArrivalOf(e model.EdgeID, instance int) (model.Time, bool) {
-	for _, en := range m.Entries {
-		if en.Edge == e && en.Instance == instance {
-			return en.End, true
-		}
-	}
-	return 0, false
 }

@@ -107,34 +107,6 @@ func (r Round) NextSlotStart(i int, t model.Time) model.Time {
 	return r.OccurrenceStart(i, r.NextOccurrence(i, t))
 }
 
-// WorstWait returns the worst-case time a message enqueued anywhere in
-// the window [t, t+jitter] waits until the next start of slot i. It is
-// the blocking term B_m of the paper's §4.1.2 OutTTP analysis, computed
-// exactly: the wait is (offset_i - u) mod period, maximized over u in the
-// window, and never exceeds one round period.
-func (r Round) WorstWait(i int, t, jitter model.Time) model.Time {
-	p := r.Period()
-	if jitter >= p-1 {
-		return p - 1 // arrive one tick after the slot start: wait p-1
-	}
-	off := r.SlotOffset(i)
-	waitAt := func(u model.Time) model.Time {
-		w := (off - u) % p
-		if w < 0 {
-			w += p
-		}
-		return w
-	}
-	// The wait decreases by one per tick of u until it wraps from 0 back
-	// to p-1. The maximum over the window is at the window start, unless
-	// the wrap point lies strictly inside the window.
-	w0 := waitAt(t)
-	if jitter > w0 { // wrap inside (t, t+jitter]
-		return p - 1
-	}
-	return w0
-}
-
 // Validate checks that the round has exactly one slot per owner, in any
 // order, with positive lengths and non-negative padding.
 func (r Round) Validate(owners []model.NodeID) error {

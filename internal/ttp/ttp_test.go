@@ -57,56 +57,6 @@ func TestOccurrenceStartAndNext(t *testing.T) {
 	}
 }
 
-func TestWorstWait(t *testing.T) {
-	r := fig4Round()
-	// No jitter: deterministic wait until the next S_G start.
-	if got := r.WorstWait(0, 160, 0); got != 0 {
-		t.Errorf("WorstWait(SG,160,0) = %d, want 0", got)
-	}
-	if got := r.WorstWait(0, 161, 0); got != 39 {
-		t.Errorf("WorstWait(SG,161,0) = %d, want 39", got)
-	}
-	// Window covering a wrap point must yield the full worst wait.
-	if got := r.WorstWait(0, 155, 10); got != 39 {
-		t.Errorf("WorstWait(SG,155,10) = %d, want 39", got)
-	}
-	// Window not covering the wrap: max at the window start.
-	if got := r.WorstWait(0, 150, 5); got != 10 {
-		t.Errorf("WorstWait(SG,150,5) = %d, want 10", got)
-	}
-	// Huge jitter: one round minus one tick.
-	if got := r.WorstWait(0, 3, 1000); got != 39 {
-		t.Errorf("WorstWait(SG,3,1000) = %d, want 39", got)
-	}
-}
-
-func TestWorstWaitNeverOptimistic(t *testing.T) {
-	// Property: for every arrival u in [t, t+J], the actual wait until
-	// the next occurrence of the slot is <= WorstWait.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := Round{Slots: []Slot{
-			{Node: 0, Length: 1 + model.Time(rng.Intn(30))},
-			{Node: 1, Length: 1 + model.Time(rng.Intn(30))},
-			{Node: 2, Length: 1 + model.Time(rng.Intn(30))},
-		}, Padding: model.Time(rng.Intn(10))}
-		slot := rng.Intn(3)
-		t0 := model.Time(rng.Intn(500))
-		j := model.Time(rng.Intn(120))
-		worst := r.WorstWait(slot, t0, j)
-		for u := t0; u <= t0+j; u++ {
-			wait := r.NextSlotStart(slot, u) - u
-			if wait > worst {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestValidateRound(t *testing.T) {
 	owners := []model.NodeID{0, 2}
 	if err := fig4Round().Validate(owners); err != nil {
@@ -191,17 +141,6 @@ func TestMEDLValidate(t *testing.T) {
 	if err := m.Validate(1); err != nil {
 		t.Fatalf("valid MEDL rejected: %v", err)
 	}
-	if got, ok := m.ArrivalOf(0, 0); !ok || got != 80 {
-		t.Errorf("ArrivalOf(m1) = %d,%v want 80,true", got, ok)
-	}
-	if _, ok := m.ArrivalOf(9, 0); ok {
-		t.Error("ArrivalOf found a message that is not in the MEDL")
-	}
-	ents := m.EntriesOfSlot(1)
-	if len(ents) != 2 || ents[0].Edge != 0 {
-		t.Errorf("EntriesOfSlot = %v", ents)
-	}
-
 	// Capacity overflow: 20-byte capacity slot with 24 bytes.
 	add(2, 0, 1, 1, 8)
 	if err := m.Validate(1); err == nil {
