@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/can"
 	"repro/internal/gateway"
@@ -106,12 +108,14 @@ type AnalyzeOptions struct {
 	OffsetBlind bool
 	// Memo, when non-nil, serves the analysis stages (static schedule,
 	// per-resource RTA fixed points, OutTTP queue) through exact-input
-	// tables shared across configurations (see Memo). Results are
+	// tables shared across configurations, and lends the analysis its
+	// prebuilt frame and recycled scratch (see Memo). Results are
 	// bit-identical to Memo == nil; the nil path remains the reference
-	// implementation. One Memo must only ever see one (app, arch) pair.
-	// Memo.Analyze never sets OffsetBlind, and the RTA and queue keys
-	// carry each task's transaction id, which is -1 only when
-	// offset-blind, so the stage tables never mix the two settings.
+	// implementation. AnalyzeWith fails when the Memo was built for
+	// another (app, arch) pair. Memo.Analyze never sets OffsetBlind, and
+	// the interned RTA and queue inputs carry each task's transaction
+	// id, which is -1 only when offset-blind, so the stage tables never
+	// mix the two settings.
 	Memo *Memo
 }
 
@@ -152,6 +156,10 @@ func AnalyzeOffsetBlind(app *model.Application, arch *model.Architecture, cfg *C
 
 // AnalyzeWith is Analyze with explicit options.
 func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, aopts AnalyzeOptions) (*Analysis, error) {
+	memo := aopts.Memo
+	if memo != nil && (memo.app != app || memo.arch != arch) {
+		return nil, errMemoPair
+	}
 	if err := cfg.Validate(app, arch); err != nil {
 		return nil, err
 	}
@@ -164,9 +172,15 @@ func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, 
 	}
 	horizon := hyper * horizonFactor
 
-	lay := newETLayout(app, arch, cfg, horizon, aopts)
-	state := newETState(app)
-	release := make(map[model.ProcID]model.Time)
+	var lay *etLayout
+	if memo != nil {
+		lay = memo.layout()
+		defer memo.recycle(lay)
+	} else {
+		lay = newETLayout(newETFrame(app, arch), nil)
+	}
+	lay.start(cfg, horizon, aopts.OffsetBlind)
+	state := &lay.st
 	var sched *tsched.Schedule
 	iterations := 0
 	converged := false
@@ -174,12 +188,12 @@ func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, 
 		iterations++
 		in := tsched.Input{
 			App: app, Arch: arch, Round: cfg.Round,
-			ReleaseOffset: release,
+			ReleaseOffset: lay.release,
 			PinnedProc:    cfg.PinnedProc,
 			PinnedEdge:    cfg.PinnedEdge,
 		}
-		if aopts.Memo != nil {
-			sched, err = aopts.Memo.buildSchedule(in, &lay.keys)
+		if memo != nil {
+			sched, err = memo.buildSchedule(in, lay)
 		} else {
 			sched, err = tsched.Build(in)
 		}
@@ -188,17 +202,11 @@ func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, 
 		}
 		lay.analyzeET(state, sched)
 		changed := false
-		for _, e := range app.Edges {
-			if lay.route[e.ID] != model.RouteETtoTT {
-				continue
-			}
-			dst := e.Dst
-			d := state.edge[e.ID].Delivery
-			if d > horizon {
-				d = horizon
-			}
-			if d > release[dst] {
-				release[dst] = d
+		for _, r := range lay.releaseEdges {
+			d := min(state.edge[r.edge].Delivery, horizon)
+			if d > lay.releaseAt[r.dst] {
+				lay.releaseAt[r.dst] = d
+				lay.release[lay.releaseDst[r.dst]] = d
 				changed = true
 			}
 		}
@@ -218,6 +226,12 @@ func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, 
 	a.finishMetrics(lay, state)
 	return a, nil
 }
+
+// errMemoPair rejects an AnalyzeWith whose Memo serves another
+// (application, architecture) pair: the Memo's frame and keys describe
+// only its own pair, so sharing it would return another system's
+// results.
+var errMemoPair = errors.New("core: AnalyzeOptions.Memo was built for another application or architecture")
 
 func errRoundNotNormalized(period, hyper model.Time) error {
 	return fmt.Errorf("core: round period %d does not divide hyper-period %d (call Config.Normalize)", period, hyper)
@@ -263,21 +277,15 @@ func (a *Analysis) finishMetrics(lay *etLayout, st *etState) {
 	a.Buffers = computeBuffers(lay, st)
 }
 
-// etLayout is the static structure of the holistic ET analysis, built
-// once per AnalyzeWith call and shared by every MCS iteration and every
-// holistic pass: edge routes and CAN frame times, the topological
-// order, the RTA task set and the OutTTP queue vector. Everything in the
-// task set and the queue vector except the activation offsets O and
-// jitters J depends only on the application, the architecture and the
-// configuration, so a pass only rewrites O and J in place.
-type etLayout struct {
-	app         *model.Application
-	arch        *model.Architecture
-	cfg         *Config
-	horizon     model.Time
-	rT, poll    model.Time
-	offsetBlind bool
-	memo        *Memo
+// etFrame is the configuration-independent half of the holistic ET
+// analysis of one (application, architecture) pair: everything the
+// analysis reads that no Config can change. A Memo builds it once and
+// shares it, read-only, with every analysis it serves; the reference
+// path builds a fresh one per analysis with the same builder.
+type etFrame struct {
+	app      *model.Application
+	arch     *model.Architecture
+	rT, poll model.Time
 
 	route   []model.Route // by EdgeID
 	canTime []model.Time  // by EdgeID, set for the routes using CAN
@@ -286,135 +294,309 @@ type etLayout struct {
 	order    []model.ProcID
 	orderErr error
 
-	// tasks is the RTA task set, contiguous per resource: the ET CPUs in
-	// the order of their first process, then the CAN bus. ids[i] is the
-	// ProcID of tasks[i] below procTasks and its EdgeID from there on.
-	// spans delimit the resources for the per-resource memo lookups;
-	// res assembles their results. The analysis reads only the previous
-	// pass's responses, so results never depend on the task order and
-	// the nil-memo path can run the same grouped slice monolithically,
-	// with hp, the higher-priority index of the whole set.
-	tasks     []rta.Task
+	// taskTmpl is the RTA task set, contiguous per resource: the ET CPUs
+	// in the order of their first process, then the CAN bus. It carries
+	// the names, resources, C, T and non-preemption; Trans holds the
+	// graph index, and Priority, B, O and J are left to the analysis.
+	// ids[i] is the ProcID of task i below procTasks and its EdgeID from
+	// there on. spans delimit the resources. The analysis reads only the
+	// previous pass's responses, so results never depend on the task
+	// order and the reference path runs the grouped set monolithically.
+	taskTmpl  []rta.Task
 	ids       []int
 	procTasks int
 	spans     []resourceSpan
-	res       []rta.Result
-	hp        [][]int
 
-	// queue is the OutTTP vector (the ET->TT messages in edge order),
-	// queueIDs its edges.
-	queue       []gateway.QueueMsg
-	queueIDs    []model.EdgeID
-	queueParams gateway.TTPQueueParams
+	// queueTmpl is the OutTTP vector (the ET->TT messages in edge order)
+	// with names, sizes and periods, Trans holding the graph index;
+	// queueIDs are its edges.
+	queueTmpl []gateway.QueueMsg
+	queueIDs  []model.EdgeID
 
-	// keys is the scratch buffer the memo encodes stage keys into.
-	keys keyScratch
+	// releaseDst are the TT processes that receive ET->TT messages, each
+	// once, in the order of their first such edge; releaseEdges are the
+	// ET->TT edges in edge order with the index of their destination.
+	releaseDst   []model.ProcID
+	releaseEdges []releaseEdge
+
+	// canQueues are the CAN output queues of §4.1.1: OutCAN (the TT->ET
+	// messages the gateway forwards) first, then each ET node's OutN in
+	// the order of its first CAN message. Each lists its messages as
+	// indices into the task set, in edge order.
+	canQueues   []canQueue
+	maxCANQueue int
 }
 
-// resourceSpan is one resource's contiguous run tasks[lo:hi]. hp is the
-// run's higher-priority index, built on the span's first memo miss: it
-// depends only on priorities, which one analysis never changes, and a
-// memo hit does not need it.
+// resourceSpan is one resource's contiguous run tasks[lo:hi].
 type resourceSpan struct {
 	resource, lo, hi int
-	hp               [][]int
 }
 
-func newETLayout(app *model.Application, arch *model.Architecture, cfg *Config, horizon model.Time, aopts AnalyzeOptions) *etLayout {
-	l := &etLayout{
-		app: app, arch: arch, cfg: cfg,
-		horizon:     horizon,
-		rT:          arch.GatewayCost,
-		poll:        arch.GatewayPoll,
-		offsetBlind: aopts.OffsetBlind,
-		memo:        aopts.Memo,
-		route:       make([]model.Route, len(app.Edges)),
-		canTime:     make([]model.Time, len(app.Edges)),
+// releaseEdge is one ET->TT edge and the index of its destination in
+// etFrame.releaseDst.
+type releaseEdge struct {
+	edge model.EdgeID
+	dst  int
+}
+
+// canQueue is one CAN output queue: its node (-1 for OutCAN) and the
+// task indices of its messages. size counts them while the frame is
+// built.
+type canQueue struct {
+	node  model.NodeID
+	tasks []int
+	size  int
+}
+
+// newETFrame builds the frame of app on arch. Every slice is counted
+// before it is filled, so each is allocated once.
+func newETFrame(app *model.Application, arch *model.Architecture) *etFrame {
+	f := &etFrame{
+		app: app, arch: arch,
+		rT:      arch.GatewayCost,
+		poll:    arch.GatewayPoll,
+		route:   make([]model.Route, len(app.Edges)),
+		canTime: make([]model.Time, len(app.Edges)),
 	}
-	l.order, l.orderErr = app.TopoOrderAll()
-	canLegs := 0
+	f.order, f.orderErr = app.TopoOrderAll()
+	canLegs, etTT := 0, 0
 	for _, e := range app.Edges {
 		r := app.RouteOf(e.ID, arch)
-		l.route[e.ID] = r
+		f.route[e.ID] = r
 		if r.UsesCAN() {
-			l.canTime[e.ID] = can.TimeOf(&app.Edges[e.ID], arch.CAN)
+			f.canTime[e.ID] = can.TimeOf(&app.Edges[e.ID], arch.CAN)
 			canLegs++
+		}
+		if r == model.RouteETtoTT {
+			etTT++
 		}
 	}
 
-	// ET processes, grouped per CPU.
-	perCPU := make([][]model.ProcID, len(arch.Nodes))
-	var cpus []model.NodeID
-	etProcs := 0
+	// ET processes, grouped per CPU in the order of each CPU's first
+	// process: count them, lay out one span per CPU, then place each
+	// process at its CPU's next free index.
+	nodes := len(arch.Nodes)
+	perNode := make([]int, 2*nodes)
+	perNode, next := perNode[:nodes], perNode[nodes:]
+	etProcs, cpus := 0, 0
+	for _, p := range app.Procs {
+		if arch.Kind(p.Node) == model.EventTriggered {
+			if perNode[p.Node] == 0 {
+				cpus++
+			}
+			perNode[p.Node]++
+			etProcs++
+		}
+	}
+	f.taskTmpl = make([]rta.Task, etProcs+canLegs)
+	f.ids = make([]int, etProcs+canLegs)
+	f.spans = make([]resourceSpan, 0, cpus+1)
+	n := 0
 	for _, p := range app.Procs {
 		if arch.Kind(p.Node) != model.EventTriggered {
 			continue
 		}
-		if len(perCPU[p.Node]) == 0 {
-			cpus = append(cpus, p.Node)
+		if c := perNode[p.Node]; c > 0 { // the CPU's first process
+			f.spans = append(f.spans, resourceSpan{resource: int(p.Node), lo: n, hi: n + c})
+			next[p.Node] = n
+			n += c
+			perNode[p.Node] = 0
 		}
-		perCPU[p.Node] = append(perCPU[p.Node], p.ID)
-		etProcs++
-	}
-	l.tasks = make([]rta.Task, 0, etProcs+canLegs)
-	l.ids = make([]int, 0, etProcs+canLegs)
-	for _, n := range cpus {
-		lo := len(l.tasks)
-		for _, pid := range perCPU[n] {
-			p := &app.Procs[pid]
-			l.tasks = append(l.tasks, rta.Task{
-				Name: p.Name, Resource: int(p.Node), Priority: cfg.ProcPriority[pid],
-				C: p.WCET, T: app.PeriodOf(pid), Trans: l.trans(p.Graph),
-			})
-			l.ids = append(l.ids, int(pid))
+		i := next[p.Node]
+		next[p.Node]++
+		f.taskTmpl[i] = rta.Task{
+			Name: p.Name, Resource: int(p.Node),
+			C: p.WCET, T: app.PeriodOf(p.ID), Trans: p.Graph,
 		}
-		l.spans = append(l.spans, resourceSpan{resource: int(n), lo: lo, hi: len(l.tasks)})
+		f.ids[i] = int(p.ID)
 	}
-	l.procTasks = len(l.tasks)
+	f.procTasks = etProcs
 
-	// CAN legs on the bus (resource id len(arch.Nodes)).
-	canBus := len(arch.Nodes)
-	for _, e := range app.Edges {
-		if !l.route[e.ID].UsesCAN() {
-			continue
+	// The CAN queues: count each queue's members, then give each queue
+	// its run of one member slice. perNode (all zero again) becomes the
+	// index of each sending node's OutN, 0 while it has none.
+	outN := perNode
+	f.canQueues = make([]canQueue, 1, cpus+1)
+	f.canQueues[0].node = -1
+	queueOf := func(e *model.Edge) *canQueue {
+		if f.route[e.ID] == model.RouteTTtoET {
+			return &f.canQueues[0]
 		}
-		l.tasks = append(l.tasks, rta.Task{
-			Name: e.Name, Resource: canBus, Priority: cfg.MsgPriority[e.ID],
-			C: l.canTime[e.ID], T: app.EdgePeriod(e.ID),
-			Trans: l.trans(e.Graph), NonPreemptive: true,
-		})
-		l.ids = append(l.ids, int(e.ID))
+		n := app.Procs[e.Src].Node
+		if outN[n] == 0 {
+			outN[n] = len(f.canQueues)
+			f.canQueues = append(f.canQueues, canQueue{node: n})
+		}
+		return &f.canQueues[outN[n]]
 	}
-	if len(l.tasks) > l.procTasks {
-		l.spans = append(l.spans, resourceSpan{resource: canBus, lo: l.procTasks, hi: len(l.tasks)})
-	}
-	// Non-preemptive blocking on the CAN bus: B = max lower-priority C.
-	for i := range l.tasks {
-		if l.tasks[i].NonPreemptive {
-			l.tasks[i].B = rta.MaxLowerC(l.tasks, i)
+	for i := range app.Edges {
+		if f.route[i].UsesCAN() {
+			queueOf(&app.Edges[i]).size++
 		}
 	}
-	if l.memo != nil {
-		l.res = make([]rta.Result, len(l.tasks))
-	} else if len(l.tasks) > 0 {
-		l.hp = rta.HigherPriorityIndex(l.tasks)
+	members := make([]int, canLegs)
+	lo := 0
+	for q := range f.canQueues {
+		cq := &f.canQueues[q]
+		cq.tasks = members[lo : lo : lo+cq.size]
+		lo += cq.size
+		f.maxCANQueue = max(f.maxCANQueue, cq.size)
 	}
 
+	// CAN legs on the bus (resource id len(arch.Nodes)), the OutTTP
+	// vector and the release destinations, in edge order.
+	if canLegs > 0 {
+		f.spans = append(f.spans, resourceSpan{resource: nodes, lo: etProcs, hi: etProcs + canLegs})
+	}
+	f.queueTmpl = make([]gateway.QueueMsg, 0, etTT)
+	f.queueIDs = make([]model.EdgeID, 0, etTT)
+	f.releaseEdges = make([]releaseEdge, 0, etTT)
+	i := etProcs
 	for _, e := range app.Edges {
-		if l.route[e.ID] != model.RouteETtoTT {
+		r := f.route[e.ID]
+		if r.UsesCAN() {
+			f.taskTmpl[i] = rta.Task{
+				Name: e.Name, Resource: nodes,
+				C: f.canTime[e.ID], T: app.EdgePeriod(e.ID),
+				Trans: e.Graph, NonPreemptive: true,
+			}
+			f.ids[i] = int(e.ID)
+			cq := queueOf(&app.Edges[e.ID])
+			cq.tasks = append(cq.tasks, i)
+			i++
+		}
+		if r != model.RouteETtoTT {
 			continue
 		}
-		l.queue = append(l.queue, gateway.QueueMsg{
-			Name: e.Name, Size: e.Size, T: app.EdgePeriod(e.ID),
-			Priority: cfg.MsgPriority[e.ID], Trans: l.trans(e.Graph),
+		f.queueTmpl = append(f.queueTmpl, gateway.QueueMsg{
+			Name: e.Name, Size: e.Size, T: app.EdgePeriod(e.ID), Trans: e.Graph,
 		})
-		l.queueIDs = append(l.queueIDs, e.ID)
+		f.queueIDs = append(f.queueIDs, e.ID)
+		d := slices.Index(f.releaseDst, e.Dst)
+		if d < 0 {
+			d = len(f.releaseDst)
+			f.releaseDst = append(f.releaseDst, e.Dst)
+		}
+		f.releaseEdges = append(f.releaseEdges, releaseEdge{edge: e.ID, dst: d})
 	}
-	l.queueParams = gateway.TTPQueueParams{
-		Round: cfg.Round, GatewaySlot: cfg.Round.SlotIndexOf(arch.Gateway),
-		TickPerByte: arch.TTP.TickPerByte, Horizon: horizon,
+	return f
+}
+
+// etLayout is one analysis's working set over a frame: the task set and
+// the OutTTP vector with this configuration's priorities, transaction
+// ids and CAN blocking filled in, the dense state, the release offsets
+// and the key buffer. Only O and J move between holistic passes, and a
+// pass rewrites them in place. A Memo recycles its layouts; the
+// reference path fills its fresh frame's templates in place.
+type etLayout struct {
+	*etFrame
+	cfg         *Config
+	horizon     model.Time
+	offsetBlind bool
+	memo        *Memo
+
+	tasks []rta.Task
+	res   []rta.Result
+	// hp is the higher-priority index of the whole task set (reference
+	// path); spanIDs hold each span's interned static input, which
+	// carries its index (memoized path).
+	hp      [][]int
+	spanIDs []*rtaStatic
+
+	queue       []gateway.QueueMsg
+	queueParams gateway.TTPQueueParams
+	queueID     uint64
+
+	st etState
+	// release holds the ET->TT release offsets handed to tsched.Build,
+	// releaseAt the same values by etFrame.releaseDst index.
+	release   map[model.ProcID]model.Time
+	releaseAt []model.Time
+
+	canMsgs  []gateway.CANQueueMsg
+	queueRes []gateway.TTPResult
+
+	// keys is the buffer the memo encodes stage keys into.
+	keys keyScratch
+}
+
+// newETLayout builds a layout over f. With a memo it owns copies of the
+// task and queue templates, so f stays shared; without, it fills f's own
+// templates.
+func newETLayout(f *etFrame, memo *Memo) *etLayout {
+	l := &etLayout{
+		etFrame: f,
+		memo:    memo,
+		tasks:   f.taskTmpl,
+		queue:   f.queueTmpl,
+		st: etState{
+			proc:  make([]ProcResult, len(f.app.Procs)),
+			known: make([]bool, len(f.app.Procs)),
+			edge:  make([]EdgeResult, len(f.app.Edges)),
+		},
+		release:   make(map[model.ProcID]model.Time, len(f.releaseDst)),
+		releaseAt: make([]model.Time, len(f.releaseDst)),
+		canMsgs:   make([]gateway.CANQueueMsg, 0, f.maxCANQueue),
+		queueRes:  make([]gateway.TTPResult, len(f.queueTmpl)),
+	}
+	if memo != nil {
+		l.tasks = slices.Clone(f.taskTmpl)
+		l.queue = slices.Clone(f.queueTmpl)
+		l.res = make([]rta.Result, len(f.taskTmpl))
+		l.spanIDs = make([]*rtaStatic, len(f.spans))
+		l.keys.buf = make([]byte, 0, keyBufSize(f))
 	}
 	return l
+}
+
+// start prepares l for one analysis of cfg: it clears the release
+// offsets and fills the configuration's priorities, the transaction ids
+// and the CAN blocking factors into the task set and the queue vector.
+// With a memo it then interns each span's static RTA input and the
+// queue's static input, and encodes the schedule key's fixed prefix.
+func (l *etLayout) start(cfg *Config, horizon model.Time, offsetBlind bool) {
+	l.cfg, l.horizon, l.offsetBlind = cfg, horizon, offsetBlind
+	clear(l.release)
+	clear(l.releaseAt)
+	for i := range l.tasks {
+		t := &l.tasks[i]
+		t.Trans = l.trans(l.taskTmpl[i].Trans)
+		if i < l.procTasks {
+			t.Priority = cfg.ProcPriority[model.ProcID(l.ids[i])]
+		} else {
+			t.Priority = cfg.MsgPriority[model.EdgeID(l.ids[i])]
+		}
+	}
+	// Non-preemptive blocking on the CAN bus: B = max lower-priority C.
+	if len(l.tasks) > l.procTasks {
+		bus := l.tasks[l.procTasks:]
+		for i := range bus {
+			bus[i].B = rta.MaxLowerC(bus, i)
+		}
+	}
+	for k := range l.queue {
+		m := &l.queue[k]
+		m.Priority = cfg.MsgPriority[l.queueIDs[k]]
+		m.Trans = l.trans(l.queueTmpl[k].Trans)
+	}
+	l.queueParams = gateway.TTPQueueParams{
+		Round: cfg.Round, GatewaySlot: cfg.Round.SlotIndexOf(l.arch.Gateway),
+		TickPerByte: l.arch.TTP.TickPerByte, Horizon: horizon,
+	}
+	if l.memo == nil {
+		if len(l.tasks) > 0 {
+			l.hp = rta.HigherPriorityIndex(l.tasks)
+		}
+		return
+	}
+	for k, sp := range l.spans {
+		group := l.tasks[sp.lo:sp.hi]
+		l.spanIDs[k] = l.memo.internRTA(l.keys.rtaStaticKey(sp.resource, group, horizon), group)
+	}
+	if len(l.queue) > 0 {
+		l.queueID = l.memo.internQueue(l.keys.queueStaticKey(l.queue, &l.queueParams))
+	}
+	l.keys.startSched(cfg)
 }
 
 // trans maps a graph index to the transaction id used by the analysis:
@@ -435,14 +617,6 @@ type etState struct {
 	known     []bool
 	edge      []EdgeResult
 	converged bool
-}
-
-func newETState(app *model.Application) *etState {
-	return &etState{
-		proc:  make([]ProcResult, len(app.Procs)),
-		known: make([]bool, len(app.Procs)),
-		edge:  make([]EdgeResult, len(app.Edges)),
-	}
 }
 
 // procMap materializes the public per-process results.
@@ -654,7 +828,7 @@ func (l *etLayout) memoRTA() ([]rta.Result, error) {
 	stable := true
 	for k := range l.spans {
 		sp := &l.spans[k]
-		res, ok, err := l.memo.analyzeResource(sp, l.tasks[sp.lo:sp.hi], l.horizon, &l.keys)
+		res, ok, err := l.memo.analyzeResource(l.spanIDs[k], l.tasks[sp.lo:sp.hi], l.horizon, &l.keys)
 		if err != nil {
 			return nil, err
 		}
@@ -689,7 +863,7 @@ func (l *etLayout) runQueue(st *etState) bool {
 		err error
 	)
 	if l.memo != nil {
-		res, err = l.memo.analyzeQueue(l.queue, &l.queueParams, &l.keys)
+		res, err = l.memo.analyzeQueue(l.queueID, l.queue, &l.queueParams, &l.keys)
 	} else {
 		res, err = gateway.AnalyzeOutTTP(l.queue, l.queueParams)
 	}
@@ -716,66 +890,54 @@ func (l *etLayout) runQueue(st *etState) bool {
 
 // computeBuffers evaluates the §4.1 queue bounds for the final state.
 func computeBuffers(l *etLayout, st *etState) Buffers {
-	app, cfg := l.app, l.cfg
+	app := l.app
 	b := Buffers{
-		OutNode:         make(map[model.NodeID]int),
+		OutNode:         make(map[model.NodeID]int, len(l.canQueues)-1),
 		CriticalOutCAN:  -1,
 		CriticalOutTTP:  -1,
-		CriticalOutNode: make(map[model.NodeID]model.EdgeID),
+		CriticalOutNode: make(map[model.NodeID]model.EdgeID, len(l.canQueues)-1),
 	}
-	// OutCAN: TT->ET messages forwarded by the gateway.
-	var outCAN []gateway.CANQueueMsg
-	var outCANIDs []model.EdgeID
-	// OutN_i: per ET node, the CAN messages its processes send.
-	outNode := make(map[model.NodeID][]gateway.CANQueueMsg)
-	outNodeIDs := make(map[model.NodeID][]model.EdgeID)
-	for _, e := range app.Edges {
-		er := &st.edge[e.ID]
-		if !er.Route.UsesCAN() {
+	// OutCAN (TT->ET messages forwarded by the gateway), then OutN_i per
+	// ET node (the CAN messages its processes send).
+	for q, cq := range l.canQueues {
+		msgs := l.canMsgs[:0]
+		for _, i := range cq.tasks {
+			t := &l.tasks[i]
+			er := &st.edge[l.ids[i]]
+			msgs = append(msgs, gateway.CANQueueMsg{
+				QueueMsg: gateway.QueueMsg{
+					Name: t.Name, Size: app.Edges[l.ids[i]].Size, T: t.T,
+					O: er.CANO, J: er.CANJ, Priority: t.Priority, Trans: t.Trans,
+				},
+				W: er.CANW,
+			})
+		}
+		bound, crit := gateway.CANQueueBufferBound(msgs)
+		b.Total += bound
+		if q == 0 {
+			b.OutCAN = bound
+			if crit >= 0 {
+				b.CriticalOutCAN = model.EdgeID(l.ids[cq.tasks[crit]])
+			}
 			continue
 		}
-		qm := gateway.CANQueueMsg{
-			QueueMsg: gateway.QueueMsg{
-				Name: e.Name, Size: e.Size, T: app.EdgePeriod(e.ID),
-				O: er.CANO, J: er.CANJ, Priority: cfg.MsgPriority[e.ID], Trans: l.trans(e.Graph),
-			},
-			W: er.CANW,
-		}
-		if er.Route == model.RouteTTtoET {
-			outCAN = append(outCAN, qm)
-			outCANIDs = append(outCANIDs, e.ID)
-		} else {
-			n := app.Procs[e.Src].Node
-			outNode[n] = append(outNode[n], qm)
-			outNodeIDs[n] = append(outNodeIDs[n], e.ID)
-		}
-	}
-	var crit int
-	b.OutCAN, crit = gateway.CANQueueBufferBound(outCAN)
-	if crit >= 0 {
-		b.CriticalOutCAN = outCANIDs[crit]
-	}
-	for n, msgs := range outNode {
-		b.OutNode[n], crit = gateway.CANQueueBufferBound(msgs)
+		b.OutNode[cq.node] = bound
 		if crit >= 0 {
-			b.CriticalOutNode[n] = outNodeIDs[n][crit]
+			b.CriticalOutNode[cq.node] = model.EdgeID(l.ids[cq.tasks[crit]])
 		}
 	}
 	if len(l.queue) > 0 {
 		l.refreshQueue(st)
-		res := make([]gateway.TTPResult, len(l.queueIDs))
 		for i, id := range l.queueIDs {
 			er := &st.edge[id]
-			res[i] = gateway.TTPResult{W: er.QueueW, I: er.QueueI}
+			l.queueRes[i] = gateway.TTPResult{W: er.QueueW, I: er.QueueI}
 		}
-		b.OutTTP, crit = gateway.OutTTPBufferBound(l.queue, res)
+		var crit int
+		b.OutTTP, crit = gateway.OutTTPBufferBound(l.queue, l.queueRes)
 		if crit >= 0 {
 			b.CriticalOutTTP = l.queueIDs[crit]
 		}
-	}
-	b.Total = b.OutCAN + b.OutTTP
-	for _, v := range b.OutNode {
-		b.Total += v
+		b.Total += b.OutTTP
 	}
 	return b
 }

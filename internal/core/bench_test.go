@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -32,13 +34,17 @@ func genConfig(tb testing.TB, seed int64, procsPerNode int) (*model.Application,
 // counts: a change that adds an allocation to the Fig. 5 loop fails
 // here, and a change that removes some should lower them.
 const (
-	analyzeColdAllocs = 235
-	analyzeMemoAllocs = 317
+	analyzeColdAllocs = 209
+	analyzeMemoAllocs = 300
+	analyzeWarmAllocs = 164
 )
 
-// TestAnalyzeAllocs pins the allocations of a cold Analyze and of an
+// TestAnalyzeAllocs pins the allocations of a cold Analyze, of an
 // AnalyzeWith through a fresh Memo (the cost of a delta-memo miss on a
-// never-seen system).
+// never-seen system, which builds the Memo's frame and first layout),
+// and of a Memo.Analyze of a new configuration on a Memo that has
+// already analyzed others (the miss path of a running synthesis loop,
+// which reuses the frame and a recycled layout).
 func TestAnalyzeAllocs(t *testing.T) {
 	app, arch, cfg := genConfig(t, 7, 10)
 	cold := testing.AllocsPerRun(10, func() {
@@ -47,16 +53,40 @@ func TestAnalyzeAllocs(t *testing.T) {
 		}
 	})
 	memo := testing.AllocsPerRun(10, func() {
-		if _, err := AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: NewMemo()}); err != nil {
+		if _, err := AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: NewMemo(app, arch)}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("cold %v allocs/op, fresh memo %v allocs/op", cold, memo)
+	// A walk of adjacent priority swaps: every configuration is new to
+	// the Memo, and each shares some stage inputs with its predecessor.
+	procs := slices.Sorted(maps.Keys(cfg.ProcPriority))
+	walk := []*Config{cfg}
+	for i := 0; i < 11; i++ {
+		next := walk[i].Clone()
+		a, b := procs[i%len(procs)], procs[(i+1)%len(procs)]
+		next.ProcPriority[a], next.ProcPriority[b] = next.ProcPriority[b], next.ProcPriority[a]
+		walk = append(walk, next)
+	}
+	m := NewMemo(app, arch)
+	step := 0
+	warm := testing.AllocsPerRun(10, func() {
+		if _, err := m.Analyze(walk[step]); err != nil {
+			t.Fatal(err)
+		}
+		step++
+	})
+	if s := m.Stats(); s.ConfigHits != 0 || s.ConfigMisses != 11 {
+		t.Fatalf("the walk hit the config table: %+v", s)
+	}
+	t.Logf("cold %v allocs/op, fresh memo %v allocs/op, warm memo %v allocs/op", cold, memo, warm)
 	if cold > analyzeColdAllocs {
 		t.Errorf("cold Analyze: %v allocs/op, ceiling %d", cold, analyzeColdAllocs)
 	}
 	if memo > analyzeMemoAllocs {
 		t.Errorf("AnalyzeWith(fresh Memo): %v allocs/op, ceiling %d", memo, analyzeMemoAllocs)
+	}
+	if warm > analyzeWarmAllocs {
+		t.Errorf("Memo.Analyze(new configuration): %v allocs/op, ceiling %d", warm, analyzeWarmAllocs)
 	}
 }
 
@@ -154,7 +184,7 @@ func BenchmarkAnalyzeMemo(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: NewMemo()}); err != nil {
+				if _, err := AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: NewMemo(app, arch)}); err != nil {
 					b.Fatal(err)
 				}
 			}

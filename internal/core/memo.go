@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/gateway"
 	"repro/internal/model"
@@ -14,9 +15,9 @@ import (
 
 // Memo caches analysis results across the many near-identical
 // configurations that synthesis loops evaluate. One Memo serves exactly
-// one (application, architecture) pair — the keys cover only the
-// configuration-dependent inputs — and is safe for concurrent use by the
-// workers of an evaluation batch.
+// one (application, architecture) pair, the one NewMemo binds it to:
+// AnalyzeWith refuses it for any other pair. It is safe for concurrent
+// use by the workers of an evaluation batch.
 //
 // Every table is keyed by an exact binary encoding of its full input, so
 // a hit returns a result that is bit-identical to recomputing it; stale
@@ -37,12 +38,48 @@ import (
 //   - the gateway OutTTP queue analysis (gateway.AnalyzeOutTTP), keyed
 //     by the message vector and the queue parameters.
 //
-// The last three serve AnalyzeWith through AnalyzeOptions.Memo.
+// Within one analysis only the activation offsets O and jitters J of
+// the RTA and queue inputs move between holistic passes. Each analysis
+// therefore interns the rest of every resource's input (and of the
+// queue's) once, to an id drawn from a Memo-wide counter, and the
+// per-pass keys are that id plus the O/J words. The intern tables drop
+// whole at their caps like the stage tables; the counter never resets,
+// so an id is never reused and a dropped input can never alias another
+// input's stage entries.
+//
+// The Memo also holds what an analysis of its pair needs but no
+// configuration changes (the etFrame: routes, CAN times, the task and
+// queue templates, the release destinations and the CAN queues), built
+// on the first analysis, and a free list of per-analysis layouts. The
+// list holds at most as many layouts as analyses ever ran at once, and
+// no returned Analysis refers to one.
+//
+// The last three tables serve AnalyzeWith through AnalyzeOptions.Memo.
 type Memo struct {
+	app  *model.Application
+	arch *model.Architecture
+
 	config table[*Analysis]
 	sched  table[*tsched.Schedule]
 	rta    table[rtaMemoEntry]
 	queue  table[[]gateway.TTPResult]
+
+	rtaIDs   table[*rtaStatic]
+	queueIDs table[uint64]
+	lastID   atomic.Uint64
+
+	mu    sync.Mutex // guards frame and free
+	frame *etFrame
+	free  []*etLayout
+}
+
+// rtaStatic is one interned static RTA input: its id and the span's
+// higher-priority index. An id is new exactly when the first stage
+// lookup under it must miss, so the index is built at interning, once
+// per id, and never wasted.
+type rtaStatic struct {
+	id uint64
+	hp [][]int
 }
 
 // rtaMemoEntry is the cached outcome of one resource's fixed point.
@@ -80,11 +117,15 @@ func (t *table[V]) get(key []byte) (V, bool) {
 // key becomes a string only here.
 func (t *table[V]) put(key []byte, v V) {
 	t.mu.Lock()
+	t.putLocked(key, v)
+	t.mu.Unlock()
+}
+
+func (t *table[V]) putLocked(key []byte, v V) {
 	if t.m == nil || len(t.m) >= t.cap {
 		t.m = make(map[string]V)
 	}
 	t.m[string(key)] = v
-	t.mu.Unlock()
 }
 
 // counts returns the hit and miss counters.
@@ -136,14 +177,44 @@ func hitRate(hits, misses int64) float64 {
 	return float64(hits) / float64(hits+misses)
 }
 
-// NewMemo builds an empty Memo for one (application, architecture) pair.
-func NewMemo() *Memo {
+// NewMemo builds an empty Memo for app on arch. Each intern table has
+// the cap of the stage table its ids key: an id with no stage entry left
+// saves nothing.
+func NewMemo(app *model.Application, arch *model.Architecture) *Memo {
 	return &Memo{
-		config: table[*Analysis]{cap: 8192},
-		sched:  table[*tsched.Schedule]{cap: 4096},
-		rta:    table[rtaMemoEntry]{cap: 16384},
-		queue:  table[[]gateway.TTPResult]{cap: 8192},
+		app: app, arch: arch,
+		config:   table[*Analysis]{cap: 8192},
+		sched:    table[*tsched.Schedule]{cap: 4096},
+		rta:      table[rtaMemoEntry]{cap: 16384},
+		queue:    table[[]gateway.TTPResult]{cap: 8192},
+		rtaIDs:   table[*rtaStatic]{cap: 16384},
+		queueIDs: table[uint64]{cap: 8192},
 	}
+}
+
+// layout takes a layout off the free list, or builds one (and, on the
+// first analysis, the frame).
+func (m *Memo) layout() *etLayout {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if n := len(m.free); n > 0 {
+		l := m.free[n-1]
+		m.free = m.free[:n-1]
+		return l
+	}
+	if m.frame == nil {
+		m.frame = newETFrame(m.app, m.arch)
+	}
+	return newETLayout(m.frame, m)
+}
+
+// recycle returns l to the free list once its analysis has finished.
+func (m *Memo) recycle(l *etLayout) {
+	l.cfg = nil
+	l.queueParams = gateway.TTPQueueParams{}
+	m.mu.Lock()
+	m.free = append(m.free, l)
+	m.mu.Unlock()
 }
 
 // Stats returns a snapshot of the counters, consistent per table.
@@ -156,15 +227,16 @@ func (m *Memo) Stats() MemoStats {
 	return s
 }
 
-// Analyze runs (or recalls) the multi-cluster analysis of cfg through
-// the memo. The result is bit-identical to Analyze and is shared across
-// callers, so it must be treated as read-only. Errors are never cached.
-func (m *Memo) Analyze(app *model.Application, arch *model.Architecture, cfg *Config) (*Analysis, error) {
+// Analyze runs (or recalls) the multi-cluster analysis of cfg on the
+// Memo's pair. The result is bit-identical to Analyze and is shared
+// across callers, so it must be treated as read-only. Errors are never
+// cached.
+func (m *Memo) Analyze(cfg *Config) (*Analysis, error) {
 	key := configKey(cfg)
 	if a, ok := m.config.get(key); ok {
 		return a, nil
 	}
-	a, err := AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: m})
+	a, err := AnalyzeWith(m.app, m.arch, cfg, AnalyzeOptions{Memo: m})
 	if err != nil {
 		return nil, err
 	}
@@ -180,11 +252,21 @@ func (m *Memo) Analyze(app *model.Application, arch *model.Architecture, cfg *Co
 //
 // Each analysis encodes its stage keys into one reusable keyScratch.
 
-// keyScratch is one analysis's key-encoding buffer, plus the scratch
-// slice that sorts map-typed inputs.
+// keyScratch is one analysis's key-encoding buffer, the schedule key's
+// fixed prefix, and the scratch slice that sorts map-typed inputs.
 type keyScratch struct {
-	buf []byte
-	ids []int
+	buf   []byte
+	sched []byte
+	ids   []int
+}
+
+// keyBufSize presizes the key buffer of a layout over f: a static RTA
+// input spends at most six varints per task, the queue's four per
+// message, and a schedule key one per release destination. 64 bytes
+// cover the headers; a round or pin set that needs more grows the
+// buffer once, and the layout keeps it.
+func keyBufSize(f *etFrame) int {
+	return 64 + binary.MaxVarintLen64*max(6*len(f.taskTmpl), 4*len(f.queueTmpl), len(f.releaseDst))
 }
 
 func appendTime(b []byte, t model.Time) []byte { return binary.AppendVarint(b, t) }
@@ -237,18 +319,32 @@ func configKey(cfg *Config) []byte {
 	return appendSorted(b, &ids, cfg.PinnedEdge)
 }
 
-// schedKey encodes a tsched.Build input (round + pins + releases).
-func (ks *keyScratch) schedKey(in *tsched.Input) []byte {
-	b := appendRound(ks.buf[:0], &in.Round)
-	b = appendSorted(b, &ks.ids, in.ReleaseOffset)
-	b = appendSorted(b, &ks.ids, in.PinnedProc)
-	b = appendSorted(b, &ks.ids, in.PinnedEdge)
+// startSched encodes the part of the schedule keys that one analysis of
+// cfg never changes: the round and the pins.
+func (ks *keyScratch) startSched(cfg *Config) {
+	b := appendRound(ks.sched[:0], &cfg.Round)
+	b = appendSorted(b, &ks.ids, cfg.PinnedProc)
+	ks.sched = appendSorted(b, &ks.ids, cfg.PinnedEdge)
+}
+
+// schedKey encodes a tsched.Build input: the prefix of startSched, then
+// the release offset of every destination in the frame's order. An
+// absent offset and 0 are the same input to tsched.Build, and
+// AnalyzeWith stores only positive offsets, so the vector holds exactly
+// the information of the release map.
+func (ks *keyScratch) schedKey(releaseAt []model.Time) []byte {
+	b := append(ks.buf[:0], ks.sched...)
+	for _, r := range releaseAt {
+		b = appendTime(b, r)
+	}
 	ks.buf = b
 	return b
 }
 
-// rtaKey encodes one resource's task vector (all analysis inputs).
-func (ks *keyScratch) rtaKey(resource int, tasks []rta.Task, horizon model.Time) []byte {
+// rtaStaticKey encodes what one analysis never changes of a resource's
+// RTA input: the resource, the horizon and each task's priority, C, T,
+// B, transaction and preemptibility.
+func (ks *keyScratch) rtaStaticKey(resource int, tasks []rta.Task, horizon model.Time) []byte {
 	b := ks.buf[:0]
 	b = appendInt(b, resource)
 	b = appendTime(b, horizon)
@@ -258,8 +354,6 @@ func (ks *keyScratch) rtaKey(resource int, tasks []rta.Task, horizon model.Time)
 		b = appendInt(b, t.Priority)
 		b = appendTime(b, t.C)
 		b = appendTime(b, t.T)
-		b = appendTime(b, t.O)
-		b = appendTime(b, t.J)
 		b = appendTime(b, t.B)
 		b = appendInt(b, t.Trans)
 		if t.NonPreemptive {
@@ -272,8 +366,22 @@ func (ks *keyScratch) rtaKey(resource int, tasks []rta.Task, horizon model.Time)
 	return b
 }
 
-// queueKey encodes an OutTTP analysis input.
-func (ks *keyScratch) queueKey(msgs []gateway.QueueMsg, p *gateway.TTPQueueParams) []byte {
+// rtaKey encodes one pass's RTA input of the resource interned as id:
+// the id, then each task's O and J.
+func (ks *keyScratch) rtaKey(id uint64, tasks []rta.Task) []byte {
+	b := binary.AppendUvarint(ks.buf[:0], id)
+	for i := range tasks {
+		b = appendTime(b, tasks[i].O)
+		b = appendTime(b, tasks[i].J)
+	}
+	ks.buf = b
+	return b
+}
+
+// queueStaticKey encodes what one analysis never changes of an OutTTP
+// input: the queue parameters and each message's size, period, priority
+// and transaction.
+func (ks *keyScratch) queueStaticKey(msgs []gateway.QueueMsg, p *gateway.TTPQueueParams) []byte {
 	b := appendRound(ks.buf[:0], &p.Round)
 	b = appendInt(b, p.GatewaySlot)
 	b = appendTime(b, p.TickPerByte)
@@ -283,8 +391,6 @@ func (ks *keyScratch) queueKey(msgs []gateway.QueueMsg, p *gateway.TTPQueueParam
 		m := &msgs[i]
 		b = appendInt(b, m.Size)
 		b = appendTime(b, m.T)
-		b = appendTime(b, m.O)
-		b = appendTime(b, m.J)
 		b = appendInt(b, m.Priority)
 		b = appendInt(b, m.Trans)
 	}
@@ -292,13 +398,56 @@ func (ks *keyScratch) queueKey(msgs []gateway.QueueMsg, p *gateway.TTPQueueParam
 	return b
 }
 
+// queueKey encodes one pass's OutTTP input of the queue interned as id:
+// the id, then each message's O and J.
+func (ks *keyScratch) queueKey(id uint64, msgs []gateway.QueueMsg) []byte {
+	b := binary.AppendUvarint(ks.buf[:0], id)
+	for i := range msgs {
+		b = appendTime(b, msgs[i].O)
+		b = appendTime(b, msgs[i].J)
+	}
+	ks.buf = b
+	return b
+}
+
+// --- interning --------------------------------------------------------
+
+// internRTA returns the record of the static RTA input encoded in key,
+// interning it under a new id on a miss.
+func (m *Memo) internRTA(key []byte, group []rta.Task) *rtaStatic {
+	t := &m.rtaIDs
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s, ok := t.m[string(key)]
+	if !ok {
+		s = &rtaStatic{id: m.lastID.Add(1), hp: rta.HigherPriorityIndex(group)}
+		t.putLocked(key, s)
+	}
+	return s
+}
+
+// internQueue returns the id of the static OutTTP input encoded in key,
+// interning it under a new id on a miss.
+func (m *Memo) internQueue(key []byte) uint64 {
+	t := &m.queueIDs
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	id, ok := t.m[string(key)]
+	if !ok {
+		id = m.lastID.Add(1)
+		t.putLocked(key, id)
+	}
+	return id
+}
+
 // --- stage lookups ----------------------------------------------------
 
-// buildSchedule serves tsched.Build through the schedule table. Build
-// errors are structural (invalid round, oversized message) and are not
-// cached; they abort the analysis exactly like the uncached path.
-func (m *Memo) buildSchedule(in tsched.Input, ks *keyScratch) (*tsched.Schedule, error) {
-	key := ks.schedKey(&in)
+// buildSchedule serves tsched.Build through the schedule table, keyed
+// by l's release offsets. Build errors are structural (invalid round,
+// oversized message) and are not cached; they abort the analysis
+// exactly like the uncached path.
+func (m *Memo) buildSchedule(in tsched.Input, l *etLayout) (*tsched.Schedule, error) {
+	key := l.keys.schedKey(l.releaseAt)
 	if s, ok := m.sched.get(key); ok {
 		return s, nil
 	}
@@ -310,21 +459,18 @@ func (m *Memo) buildSchedule(in tsched.Input, ks *keyScratch) (*tsched.Schedule,
 	return s, nil
 }
 
-// analyzeResource runs (or recalls) the fixed point of span sp, whose
-// tasks are group. group must already carry its blocking factors. A miss
-// builds the span's priority index if it has none yet. The returned
-// slice may be shared with the table and must not be modified; the bool
-// mirrors rta.AnalyzeStable's stability, which the caller turns into the
-// global all-unconverged marking exactly like the monolithic analysis.
-func (m *Memo) analyzeResource(sp *resourceSpan, group []rta.Task, horizon model.Time, ks *keyScratch) ([]rta.Result, bool, error) {
-	key := ks.rtaKey(sp.resource, group, horizon)
+// analyzeResource runs (or recalls) the fixed point of one resource,
+// whose tasks are group and whose static input is interned as s. The
+// returned slice may be shared with the table and must not be modified;
+// the bool mirrors rta.AnalyzeStable's stability, which the caller turns
+// into the global all-unconverged marking exactly like the monolithic
+// analysis.
+func (m *Memo) analyzeResource(s *rtaStatic, group []rta.Task, horizon model.Time, ks *keyScratch) ([]rta.Result, bool, error) {
+	key := ks.rtaKey(s.id, group)
 	if e, ok := m.rta.get(key); ok {
 		return e.res, e.stable, nil
 	}
-	if sp.hp == nil {
-		sp.hp = rta.HigherPriorityIndex(group)
-	}
-	res, stable, err := rta.AnalyzeStable(group, sp.hp, rta.Options{Horizon: horizon})
+	res, stable, err := rta.AnalyzeStable(group, s.hp, rta.Options{Horizon: horizon})
 	if err != nil {
 		return nil, false, err
 	}
@@ -332,9 +478,10 @@ func (m *Memo) analyzeResource(sp *resourceSpan, group []rta.Task, horizon model
 	return res, stable, nil
 }
 
-// analyzeQueue serves gateway.AnalyzeOutTTP through the queue table.
-func (m *Memo) analyzeQueue(msgs []gateway.QueueMsg, p *gateway.TTPQueueParams, ks *keyScratch) ([]gateway.TTPResult, error) {
-	key := ks.queueKey(msgs, p)
+// analyzeQueue serves gateway.AnalyzeOutTTP through the queue table;
+// the static part of msgs and p is interned as id.
+func (m *Memo) analyzeQueue(id uint64, msgs []gateway.QueueMsg, p *gateway.TTPQueueParams, ks *keyScratch) ([]gateway.TTPResult, error) {
+	key := ks.queueKey(id, msgs)
 	if r, ok := m.queue.get(key); ok {
 		return r, nil
 	}

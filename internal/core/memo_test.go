@@ -10,10 +10,8 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/gateway"
 	"repro/internal/gen"
 	"repro/internal/model"
-	"repro/internal/tsched"
 )
 
 // configKeyDigest is the SHA-256 prefix of the ConfigKey bytes of every
@@ -101,6 +99,8 @@ func TestTableCapDrop(t *testing.T) {
 // have two ET CPUs and a CAN bus, so an RTA table of cap 1 or 2 is
 // dropped before a resource's next holistic pass can hit it; a second
 // walk gives the RTA table cap 4, so the passes of one analysis hit too.
+// The intern tables hold one entry, so every analysis re-interns its
+// resources after a drop and keys its passes by ids never used before.
 func TestMemoSmallCapsMatchCold(t *testing.T) {
 	for _, rtaCap := range []int{1, 4} {
 		for _, seed := range []int64{3, 7} {
@@ -113,12 +113,9 @@ func TestMemoSmallCapsMatchCold(t *testing.T) {
 // system of seed.
 func walkSmallCaps(t *testing.T, rtaCap int, seed int64) {
 	app, arch, cfg := genConfig(t, seed, 4)
-	m := &Memo{
-		config: table[*Analysis]{cap: 1},
-		sched:  table[*tsched.Schedule]{cap: 2},
-		rta:    table[rtaMemoEntry]{cap: rtaCap},
-		queue:  table[[]gateway.TTPResult]{cap: 2},
-	}
+	m := NewMemo(app, arch)
+	m.config.cap, m.sched.cap, m.rta.cap, m.queue.cap = 1, 2, rtaCap, 2
+	m.rtaIDs.cap, m.queueIDs.cap = 1, 1
 	rng := rand.New(rand.NewSource(seed))
 	procs := slices.Sorted(maps.Keys(cfg.ProcPriority))
 	msgs := slices.Sorted(maps.Keys(cfg.MsgPriority))
@@ -138,7 +135,7 @@ func walkSmallCaps(t *testing.T, rtaCap int, seed int64) {
 			if err != nil {
 				t.Fatalf("RTA cap %d, seed %d, step %d: cold: %v", rtaCap, seed, step, err)
 			}
-			got, err := m.Analyze(app, arch, c)
+			got, err := m.Analyze(c)
 			if err != nil {
 				t.Fatalf("RTA cap %d, seed %d, step %d: memo: %v", rtaCap, seed, step, err)
 			}
@@ -150,6 +147,145 @@ func walkSmallCaps(t *testing.T, rtaCap int, seed int64) {
 	s := m.Stats()
 	if s.ConfigHits == 0 || s.ConfigMisses == 0 || s.Hits() == 0 || s.Misses() == 0 {
 		t.Fatalf("RTA cap %d, seed %d: degenerate traffic: %+v", rtaCap, seed, s)
+	}
+}
+
+// TestMemoRefusesOtherPair: a Memo serves only the pair it was built
+// for. AnalyzeWith through it fails for another application or another
+// architecture, even a structurally identical copy, and stays usable for
+// its own pair.
+func TestMemoRefusesOtherPair(t *testing.T) {
+	app, arch, cfg := genConfig(t, 3, 4)
+	otherApp, otherArch, _ := genConfig(t, 3, 4)
+	m := NewMemo(app, arch)
+	for _, pair := range []struct {
+		name string
+		app  *model.Application
+		arch *model.Architecture
+	}{
+		{"application", otherApp, arch},
+		{"architecture", app, otherArch},
+	} {
+		if _, err := AnalyzeWith(pair.app, pair.arch, cfg, AnalyzeOptions{Memo: m}); err == nil {
+			t.Errorf("another %s: AnalyzeWith through the Memo succeeded", pair.name)
+		}
+	}
+	if s := m.Stats(); s != (MemoStats{}) {
+		t.Errorf("a refused analysis moved the counters: %+v", s)
+	}
+	got, err := AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Analyze(app, arch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("own pair: memoised analysis differs from cold")
+	}
+}
+
+// TestMemoOffsetBlindMatchesCold interleaves offset-blind and
+// offset-aware analyses of a priority walk through one Memo. Each must
+// deep-equal its cold counterpart: the two settings intern different
+// static inputs, so they never share a stage entry.
+func TestMemoOffsetBlindMatchesCold(t *testing.T) {
+	for _, seed := range []int64{3, 7} {
+		app, arch, cfg := genConfig(t, seed, 4)
+		m := NewMemo(app, arch)
+		rng := rand.New(rand.NewSource(seed))
+		procs := slices.Sorted(maps.Keys(cfg.ProcPriority))
+		for step := 0; step < 6; step++ {
+			for _, blind := range []bool{true, false} {
+				got, err := AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: m, OffsetBlind: blind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold := Analyze
+				if blind {
+					cold = AnalyzeOffsetBlind
+				}
+				want, err := cold(app, arch, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, step %d, offset-blind %t: memoised analysis differs from cold", seed, step, blind)
+				}
+			}
+			cfg = cfg.Clone()
+			swapPriorities(rng, cfg.ProcPriority, procs)
+		}
+	}
+}
+
+// TestMemoConcurrentLayouts runs four workers' AnalyzeWith calls through
+// one Memo at once, bypassing the whole-analysis table, so concurrent
+// analyses take layouts off the free list, share the frame and the
+// interned inputs, and return their layouts. Every result must
+// deep-equal the cold analysis, an analysis returned before the workers
+// started must not change while its layout is reused, and the free list
+// must end with no more layouts than analyses ever ran at once. Run
+// under -race this covers the free list and the intern tables.
+func TestMemoConcurrentLayouts(t *testing.T) {
+	const workers = 4
+	app, arch, cfg := genConfig(t, 7, 4)
+	rng := rand.New(rand.NewSource(7))
+	procs := slices.Sorted(maps.Keys(cfg.ProcPriority))
+	msgs := slices.Sorted(maps.Keys(cfg.MsgPriority))
+	walk := []*Config{cfg}
+	for step := 0; step < 8; step++ {
+		next := walk[len(walk)-1].Clone()
+		swapPriorities(rng, next.ProcPriority, procs)
+		if len(msgs) >= 2 {
+			swapPriorities(rng, next.MsgPriority, msgs)
+		}
+		walk = append(walk, next)
+	}
+	want := make([]*Analysis, len(walk))
+	for i, c := range walk {
+		a, err := Analyze(app, arch, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = a
+	}
+	m := NewMemo(app, arch)
+	first, err := AnalyzeWith(app, arch, walk[0], AnalyzeOptions{Memo: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for rep := 0; rep < 3; rep++ {
+				for k := range walk {
+					i := (k + w) % len(walk)
+					a, err := AnalyzeWith(app, arch, walk[i], AnalyzeOptions{Memo: m})
+					if err != nil {
+						done <- err
+						return
+					}
+					if !reflect.DeepEqual(a, want[i]) {
+						done <- fmt.Errorf("worker %d: analysis %d differs from cold", w, i)
+						return
+					}
+				}
+			}
+			done <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}
+	if !reflect.DeepEqual(first, want[0]) {
+		t.Error("an analysis returned before the workers ran changed while the Memo recycled its layout")
+	}
+	if n := len(m.free); n < 1 || n > workers {
+		t.Errorf("free list holds %d layouts after %d concurrent workers", n, workers)
 	}
 }
 
@@ -170,17 +306,17 @@ func BenchmarkMemoLayers(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("ppn=%d", n), func(b *testing.B) {
 			app, arch, cfg := genConfig(b, 7, n)
-			warm := NewMemo()
-			if _, err := warm.Analyze(app, arch, cfg); err != nil {
+			warm := NewMemo(app, arch)
+			if _, err := warm.Analyze(cfg); err != nil {
 				b.Fatal(err)
 			}
 			for _, layer := range []struct {
 				name string
 				run  func() (*Analysis, error)
 			}{
-				{"config-hit", func() (*Analysis, error) { return warm.Analyze(app, arch, cfg) }},
+				{"config-hit", func() (*Analysis, error) { return warm.Analyze(cfg) }},
 				{"stage-hit", func() (*Analysis, error) { return AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: warm}) }},
-				{"fresh", func() (*Analysis, error) { return NewMemo().Analyze(app, arch, cfg) }},
+				{"fresh", func() (*Analysis, error) { return NewMemo(app, arch).Analyze(cfg) }},
 				{"cold", func() (*Analysis, error) { return Analyze(app, arch, cfg) }},
 			} {
 				b.Run(layer.name, func(b *testing.B) {

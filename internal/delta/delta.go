@@ -8,7 +8,11 @@
 // per-resource RTA fixed points and OutTTP queues; see core.Memo) are
 // all bit-identical to the cold path: re-visited configurations cost
 // one lookup, and a move that touches one cluster changes exactly that
-// cluster's stage keys while every other resource keeps hitting.
+// cluster's stage keys while every other resource keeps hitting. New
+// binds the Memo to its pair once; the Memo builds the pair's
+// configuration-independent analysis frame on its first miss and
+// recycles each analysis's scratch, so a miss pays only for what the
+// new configuration changes.
 //
 // Because every table is exact-keyed, an Evaluator can be shared across
 // seeds, strategies and worker counts without breaking the repo-wide
@@ -28,20 +32,18 @@ import (
 // callers and must be treated as read-only, which every consumer in
 // this repository already does.
 type Evaluator struct {
-	app  *model.Application
-	arch *model.Architecture
 	memo *core.Memo
 }
 
 // New builds an Evaluator for app and arch.
 func New(app *model.Application, arch *model.Architecture) *Evaluator {
-	return &Evaluator{app: app, arch: arch, memo: core.NewMemo()}
+	return &Evaluator{memo: core.NewMemo(app, arch)}
 }
 
 // Analyze runs (or recalls) the multi-cluster analysis of cfg. The
 // result is bit-identical to core.Analyze. Errors are never cached.
 func (ev *Evaluator) Analyze(cfg *core.Config) (*core.Analysis, error) {
-	return ev.memo.Analyze(ev.app, ev.arch, cfg)
+	return ev.memo.Analyze(cfg)
 }
 
 // Stats reports the evaluator's cache traffic per table.

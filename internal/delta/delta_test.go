@@ -143,7 +143,7 @@ func TestConfigKey(t *testing.T) {
 // the cold path.
 func TestSharedMemoStageHitsMatchCold(t *testing.T) {
 	app, arch := corpusSystem(t, 1)
-	memo := core.NewMemo()
+	memo := core.NewMemo(app, arch)
 	aopts := core.AnalyzeOptions{Memo: memo}
 	cfg := core.DefaultConfig(app, arch)
 	if err := cfg.Normalize(app); err != nil {

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/model"
 )
 
 // The benchmarks below compare the cold-start path (a fresh Solver per
@@ -133,3 +135,33 @@ func BenchmarkSolverSynthesizeDeltaOff(b *testing.B) { benchSynthesizeDelta(b, f
 
 // BenchmarkSolverSynthesizeDeltaOn is the delta-evaluated leg.
 func BenchmarkSolverSynthesizeDeltaOn(b *testing.B) { benchSynthesizeDelta(b, true) }
+
+// BenchmarkColdOR is the cold OR loop: a fresh one-worker Solver runs
+// OptimizeResources on each of the 64 gen.Corpus(64, 1, 4) systems, so
+// every system's evaluator starts empty, as a synth-cold job's does.
+// One op is the whole pass over the corpus.
+func BenchmarkColdOR(b *testing.B) {
+	specs := gen.Corpus(64, 1, 4)
+	systems := make([]*model.System, len(specs))
+	for i, spec := range specs {
+		sys, err := gen.Generate(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		systems[i] = sys
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sys := range systems {
+			s, err := New(sys.Application, sys.Architecture, WithWorkers(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.SynthesizeWith(ctx, OptimizeResources); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

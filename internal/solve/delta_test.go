@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/delta"
+	"repro/internal/gen"
 )
 
 // TestDeriveSharesDeltaCache pins the session-sharing contract of the
@@ -150,5 +151,44 @@ func TestDeriveDeltaConcurrent(t *testing.T) {
 		if !reflect.DeepEqual(results[i], want) {
 			t.Errorf("variant %d (%v): concurrent shared-cache result differs from cold", i, v.strat)
 		}
+	}
+}
+
+// goldenORTraffic is the summed evaluator traffic of a serial OR pass
+// over gen.Corpus(32, 1, 4), recorded on the memo whose stage keys
+// encoded every task field on every holistic pass. The stage keys are
+// exact, so a key encoding with the same equality classes reproduces
+// every hit and every miss; one that merges or splits a class moves a
+// counter here.
+var goldenORTraffic = delta.Stats{
+	ConfigHits: 2084, ConfigMisses: 2417,
+	ScheduleHits: 1906, ScheduleMisses: 3130,
+	RTAHits: 37872, RTAMisses: 18476,
+	QueueHits: 17390, QueueMisses: 3489,
+}
+
+// TestGoldenORTraffic pins the memo traffic of a serial OR pass over the
+// corpus: a fresh one-worker Solver per member, its DeltaStats summed.
+func TestGoldenORTraffic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("OR over 32 systems")
+	}
+	var got delta.Stats
+	for _, spec := range gen.Corpus(32, 1, 4) {
+		sys, err := gen.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(sys.Application, sys.Architecture, WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SynthesizeWith(context.Background(), OptimizeResources); err != nil {
+			t.Fatal(err)
+		}
+		got.Add(s.DeltaStats())
+	}
+	if got != goldenORTraffic {
+		t.Errorf("OR memo traffic\n got %+v\nwant %+v", got, goldenORTraffic)
 	}
 }

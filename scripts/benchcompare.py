@@ -9,6 +9,16 @@ benchmark regressed by more than the threshold (default 0.10 = +10%
 wall clock). Improvements and new benchmarks pass silently; benchmarks
 that disappeared are reported but do not fail the gate (renames happen).
 
+Allocations are gated too: a benchmark whose allocs_per_op (recorded
+when it runs with -benchmem or calls b.ReportAllocs) rises by more than
+1% AND by more than 8 allocations fails as well. Allocation counts are
+deterministic where time is not: BenchmarkColdOR read the same count
+within 0.02% across runs whose ns/op differed by nearly 2x, and the
+multi-worker Fig9aSweepParallel within 0.01%. The 8-allocation floor
+covers the one-off runtime allocations a single -benchtime=1x sample
+can catch: over eight 1x runs, rta's AnalyzeStable/ppn=4 read 2 or 7
+allocations and engine's MapOverhead/parallel 5 to 8.
+
 The gate is tolerant of a missing or unreadable previous artifact: the
 first run on a branch, an expired artifact or a changed schema all
 print a notice and exit 0, so the gate can never wedge CI on history
@@ -18,6 +28,15 @@ threshold should stay comfortably above run-to-run jitter.
 """
 import json
 import sys
+
+# An allocs_per_op rise fails the gate when it exceeds both bounds.
+ALLOC_RATIO = 0.01
+ALLOC_FLOOR = 8
+
+
+def alloc_regressed(old, new):
+    """Report whether allocs_per_op rose beyond both allocation bounds."""
+    return new - old > max(ALLOC_RATIO * old, ALLOC_FLOOR)
 
 
 def load(path):
@@ -54,6 +73,11 @@ def main() -> int:
         if now is None:
             print(f"  gone: {name} (was {was.get('ns_per_op')} ns/op)")
             continue
+        old_allocs, new_allocs = was.get("allocs_per_op"), now.get("allocs_per_op")
+        if old_allocs is not None and new_allocs is not None:
+            if alloc_regressed(old_allocs, new_allocs):
+                print(f"  REGRESSED: {name}  {old_allocs:.0f} -> {new_allocs:.0f} allocs/op")
+                regressions.append((name, f"{old_allocs:.0f} -> {new_allocs:.0f} allocs/op"))
         old_ns, new_ns = was.get("ns_per_op"), now.get("ns_per_op")
         if not old_ns or not new_ns:
             continue
@@ -61,18 +85,21 @@ def main() -> int:
         marker = "REGRESSED" if change > threshold else "ok"
         print(f"  {marker:>9}: {name}  {old_ns:.0f} -> {new_ns:.0f} ns/op ({change:+.1%})")
         if change > threshold:
-            regressions.append((name, change))
+            regressions.append((name, f"{change:+.1%} ns/op"))
 
     if regressions:
         print(
-            f"benchcompare: {len(regressions)} benchmark(s) regressed more than "
-            f"{threshold:.0%}:",
+            f"benchcompare: {len(regressions)} regression(s) beyond {threshold:.0%} ns/op "
+            f"or {ALLOC_RATIO:.0%} and {ALLOC_FLOOR} allocs/op:",
             file=sys.stderr,
         )
-        for name, change in regressions:
-            print(f"  {name}: {change:+.1%}", file=sys.stderr)
+        for name, what in regressions:
+            print(f"  {name}: {what}", file=sys.stderr)
         return 1
-    print(f"benchcompare: {len(cur)} benchmarks within {threshold:.0%} of {prev_path}")
+    print(
+        f"benchcompare: {len(cur)} benchmarks within {threshold:.0%} ns/op and "
+        f"{ALLOC_RATIO:.0%} allocs/op of {prev_path}"
+    )
     return 0
 
 
