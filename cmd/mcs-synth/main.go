@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 
 	"repro"
@@ -145,22 +144,16 @@ func report(sys *repro.System, strat repro.Strategy, res *repro.SynthesisResult,
 		fmt.Printf("  %-12s R=%6d  D=%6d  (%s)\n", gr.Name, a.GraphResp[g], gr.Deadline, mark)
 	}
 	fmt.Printf("buffers: OutCAN=%dB OutTTP=%dB", a.Buffers.OutCAN, a.Buffers.OutTTP)
-	var nodes []repro.NodeID
-	for n := range a.Buffers.OutNode {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, n := range nodes {
-		fmt.Printf(" OutN%d=%dB", n, a.Buffers.OutNode[n])
+	for n, bound := range a.Buffers.OutNode {
+		if bound > 0 {
+			fmt.Printf(" OutN%d=%dB", n, bound)
+		}
 	}
 	fmt.Printf("  s_total=%dB\n", a.Buffers.Total)
 	if verbose {
 		fmt.Println("process completions (worst case, relative to release):")
 		for _, p := range app.Procs {
-			pr, ok := a.Proc[p.ID]
-			if !ok {
-				continue
-			}
+			pr := &a.Proc[p.ID]
 			fmt.Printf("  %-24s O=%6d J=%6d W=%6d C=%5d  done by %6d\n",
 				p.Name, pr.O, pr.J, pr.W, p.WCET, pr.Completion())
 		}

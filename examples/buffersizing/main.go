@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sort"
 
 	"repro"
 )
@@ -54,13 +53,10 @@ func main() {
 		}
 		fmt.Printf("  OutCAN  %4d B   critical message: %s\n", b.OutCAN, crit(b.CriticalOutCAN))
 		fmt.Printf("  OutTTP  %4d B   critical message: %s\n", b.OutTTP, crit(b.CriticalOutTTP))
-		var nodes []repro.NodeID
-		for n := range b.OutNode {
-			nodes = append(nodes, n)
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		for _, n := range nodes {
-			fmt.Printf("  OutN%-2d  %4d B   critical message: %s\n", n, b.OutNode[n], crit(b.CriticalOutNode[n]))
+		for n, bound := range b.OutNode {
+			if bound > 0 {
+				fmt.Printf("  OutN%-2d  %4d B   critical message: %s\n", n, bound, crit(b.CriticalOutNode[n]))
+			}
 		}
 		fmt.Printf("  s_total %4d B\n\n", b.Total)
 	}

@@ -48,24 +48,28 @@ type EdgeResult struct {
 // Buffers reports the gateway/ETC queue bounds of §4.1 and their sum,
 // the optimization objective s_total of §5. The Critical* fields name
 // the message attaining each bound (-1 when the queue is unused); the
-// OptimizeResources neighbourhood focuses its moves there.
+// OptimizeResources neighbourhood focuses its moves there. OutNode and
+// CriticalOutNode are indexed by NodeID: a node without an OutN queue
+// reads 0 and -1, and every existing queue's bound is positive.
 type Buffers struct {
 	OutCAN  int
 	OutTTP  int
-	OutNode map[model.NodeID]int
+	OutNode []int
 	Total   int
 
 	CriticalOutCAN  model.EdgeID
 	CriticalOutTTP  model.EdgeID
-	CriticalOutNode map[model.NodeID]model.EdgeID
+	CriticalOutNode []model.EdgeID
 }
 
 // Analysis is the outcome of MultiClusterScheduling for one system
 // configuration.
 type Analysis struct {
 	Schedule *tsched.Schedule
-	Proc     map[model.ProcID]ProcResult
-	Edge     map[model.EdgeID]EdgeResult
+	// Proc holds the result of every process by ProcID, Edge that of
+	// every edge by EdgeID.
+	Proc []ProcResult
+	Edge []EdgeResult
 	// GraphResp is R_Gi per process graph: the worst-case offset of the
 	// sink completions relative to the graph release.
 	GraphResp []model.Time
@@ -218,8 +222,8 @@ func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, 
 
 	a := &Analysis{
 		Schedule:   sched,
-		Proc:       state.procMap(),
-		Edge:       state.edgeMap(),
+		Proc:       slices.Clone(state.proc),
+		Edge:       slices.Clone(state.edge),
 		Iterations: iterations,
 		Converged:  converged && state.converged,
 	}
@@ -246,9 +250,6 @@ func (a *Analysis) finishMetrics(lay *etLayout, st *etState) {
 	for g := range app.Graphs {
 		var resp model.Time
 		for _, p := range app.Graphs[g].Procs {
-			if !st.known[p] {
-				continue
-			}
 			pr := &st.proc[p]
 			if !pr.Converged {
 				allConverged = false
@@ -530,9 +531,8 @@ func newETLayout(f *etFrame, memo *Memo) *etLayout {
 		tasks:   f.taskTmpl,
 		queue:   f.queueTmpl,
 		st: etState{
-			proc:  make([]ProcResult, len(f.app.Procs)),
-			known: make([]bool, len(f.app.Procs)),
-			edge:  make([]EdgeResult, len(f.app.Edges)),
+			proc: make([]ProcResult, len(f.app.Procs)),
+			edge: make([]EdgeResult, len(f.app.Edges)),
 		},
 		release:   make(map[model.ProcID]model.Time, len(f.releaseDst)),
 		releaseAt: make([]model.Time, len(f.releaseDst)),
@@ -609,40 +609,14 @@ func (l *etLayout) trans(graph int) int {
 }
 
 // etState is the mutable state of the holistic ET-side analysis, dense
-// by ProcID and EdgeID. known marks the processes that have a result:
-// the TT processes the static table places and, once the graphs are
-// traversed, every ET process.
+// by ProcID and EdgeID. Every process has a result once the graphs are
+// traversed: the static table places every TT process, and the traversal
+// reaches every ET process. A Memo recycles the state with its layout,
+// so an Analysis gets copies.
 type etState struct {
 	proc      []ProcResult
-	known     []bool
 	edge      []EdgeResult
 	converged bool
-}
-
-// procMap materializes the public per-process results.
-func (st *etState) procMap() map[model.ProcID]ProcResult {
-	n := 0
-	for _, k := range st.known {
-		if k {
-			n++
-		}
-	}
-	m := make(map[model.ProcID]ProcResult, n)
-	for p, k := range st.known {
-		if k {
-			m[model.ProcID(p)] = st.proc[p]
-		}
-	}
-	return m
-}
-
-// edgeMap materializes the public per-edge results.
-func (st *etState) edgeMap() map[model.EdgeID]EdgeResult {
-	m := make(map[model.EdgeID]EdgeResult, len(st.edge))
-	for e := range st.edge {
-		m[model.EdgeID(e)] = st.edge[e]
-	}
-	return m
 }
 
 // analyzeET runs the holistic inner loop for one static schedule:
@@ -652,7 +626,6 @@ func (st *etState) edgeMap() map[model.EdgeID]EdgeResult {
 func (l *etLayout) analyzeET(st *etState, sched *tsched.Schedule) {
 	app := l.app
 	clear(st.proc)
-	clear(st.known)
 	st.converged = true
 
 	// Static facts: TT process results and TTP-leg arrivals.
@@ -665,7 +638,6 @@ func (l *etLayout) analyzeET(st *etState, sched *tsched.Schedule) {
 			continue
 		}
 		st.proc[p.ID] = ProcResult{O: off, J: spread, W: 0, R: spread + p.WCET, Converged: true}
-		st.known[p.ID] = true
 	}
 	for _, e := range app.Edges {
 		route := l.route[e.ID]
@@ -742,7 +714,6 @@ func (l *etLayout) traverse(st *etState, sched *tsched.Schedule) {
 			if pr.R < pr.J+p.WCET {
 				pr.R = pr.J + p.WCET
 			}
-			st.known[pid] = true
 		}
 		// Outgoing edges: set the entry offset/jitter of their legs.
 		src := &st.proc[pid]
@@ -892,10 +863,13 @@ func (l *etLayout) runQueue(st *etState) bool {
 func computeBuffers(l *etLayout, st *etState) Buffers {
 	app := l.app
 	b := Buffers{
-		OutNode:         make(map[model.NodeID]int, len(l.canQueues)-1),
+		OutNode:         make([]int, len(l.arch.Nodes)),
 		CriticalOutCAN:  -1,
 		CriticalOutTTP:  -1,
-		CriticalOutNode: make(map[model.NodeID]model.EdgeID, len(l.canQueues)-1),
+		CriticalOutNode: make([]model.EdgeID, len(l.arch.Nodes)),
+	}
+	for n := range b.CriticalOutNode {
+		b.CriticalOutNode[n] = -1
 	}
 	// OutCAN (TT->ET messages forwarded by the gateway), then OutN_i per
 	// ET node (the CAN messages its processes send).

@@ -34,9 +34,9 @@ func genConfig(tb testing.TB, seed int64, procsPerNode int) (*model.Application,
 // counts: a change that adds an allocation to the Fig. 5 loop fails
 // here, and a change that removes some should lower them.
 const (
-	analyzeColdAllocs = 209
-	analyzeMemoAllocs = 300
-	analyzeWarmAllocs = 164
+	analyzeColdAllocs = 182
+	analyzeMemoAllocs = 273
+	analyzeWarmAllocs = 148
 )
 
 // TestAnalyzeAllocs pins the allocations of a cold Analyze, of an

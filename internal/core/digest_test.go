@@ -16,42 +16,25 @@ import (
 // of representation that moves any result field fails here.
 const analyzeCorpusDigest = "f43289b0776f885b"
 
-// corpusConfigs returns, for every member of gen.Corpus(48, 1, 4) and
-// gen.Corpus(16, 1, 10), its system and two configurations: the
-// normalized default one, and the same with its first TT process and its
-// first TTP message pinned.
-func corpusConfigs(t *testing.T) (apps []*model.Application, archs []*model.Architecture, cfgs [][2]*Config) {
-	t.Helper()
-	specs := append(gen.Corpus(48, 1, 4), gen.Corpus(16, 1, 10)...)
-	for i, spec := range specs {
-		sys, err := gen.Generate(spec)
-		if err != nil {
-			t.Fatalf("corpus member %d: %v", i, err)
+// pinnedConfig returns cfg with its first TT process and its first TTP
+// message pinned.
+func pinnedConfig(app *model.Application, arch *model.Architecture, cfg *Config) *Config {
+	pinned := cfg.Clone()
+	pinned.PinnedProc = map[model.ProcID]model.Time{}
+	pinned.PinnedEdge = map[model.EdgeID]model.Time{}
+	for _, p := range app.Procs {
+		if arch.Kind(p.Node) == model.TimeTriggered {
+			pinned.PinnedProc[p.ID] = app.PeriodOf(p.ID) / 4
+			break
 		}
-		app, arch := sys.Application, sys.Architecture
-		cfg := DefaultConfig(app, arch)
-		if err := cfg.Normalize(app); err != nil {
-			t.Fatalf("member %d: Normalize: %v", i, err)
-		}
-		pinned := cfg.Clone()
-		pinned.PinnedProc = map[model.ProcID]model.Time{}
-		pinned.PinnedEdge = map[model.EdgeID]model.Time{}
-		for _, p := range app.Procs {
-			if arch.Kind(p.Node) == model.TimeTriggered {
-				pinned.PinnedProc[p.ID] = app.PeriodOf(p.ID) / 4
-				break
-			}
-		}
-		for _, e := range app.Edges {
-			if app.RouteOf(e.ID, arch).UsesTTP() {
-				pinned.PinnedEdge[e.ID] = app.EdgePeriod(e.ID) / 3
-				break
-			}
-		}
-		apps, archs = append(apps, app), append(archs, arch)
-		cfgs = append(cfgs, [2]*Config{cfg, pinned})
 	}
-	return apps, archs, cfgs
+	for _, e := range app.Edges {
+		if app.RouteOf(e.ID, arch).UsesTTP() {
+			pinned.PinnedEdge[e.ID] = app.EdgePeriod(e.ID) / 3
+			break
+		}
+	}
+	return pinned
 }
 
 // appendAnalysis encodes every result field of an analysis in ID order:
@@ -72,19 +55,15 @@ func appendAnalysis(t *testing.T, b []byte, app *model.Application, arch *model.
 			b = binary.AppendVarint(b, v)
 		}
 	}
-	for p := range app.Procs {
-		pr, ok := a.Proc[model.ProcID(p)]
-		if !ok {
-			t.Fatalf("process %d has no result", p)
-		}
+	if len(a.Proc) != len(app.Procs) || len(a.Edge) != len(app.Edges) {
+		t.Fatalf("%d process and %d edge results for %d processes and %d edges",
+			len(a.Proc), len(a.Edge), len(app.Procs), len(app.Edges))
+	}
+	for _, pr := range a.Proc {
 		put(pr.O, pr.J, pr.W, pr.R)
 		putBool(pr.Converged)
 	}
-	for e := range app.Edges {
-		er, ok := a.Edge[model.EdgeID(e)]
-		if !ok {
-			t.Fatalf("edge %d has no result", e)
-		}
+	for _, er := range a.Edge {
 		put(int64(er.Route), er.TTPArrival, er.CANO, er.CANJ, er.CANW, er.CANR,
 			er.QueueJ, er.QueueW, int64(er.QueueI), er.Delivery)
 		putBool(er.Converged)
@@ -96,27 +75,34 @@ func appendAnalysis(t *testing.T, b []byte, app *model.Application, arch *model.
 	putBool(a.Converged)
 	bf := &a.Buffers
 	put(int64(bf.OutCAN), int64(bf.CriticalOutCAN), int64(bf.OutTTP), int64(bf.CriticalOutTTP), int64(bf.Total))
-	for n := range arch.Nodes {
-		crit, ok := bf.CriticalOutNode[model.NodeID(n)]
-		if !ok {
-			crit = -1
-		}
-		put(int64(bf.OutNode[model.NodeID(n)]), int64(crit))
+	if len(bf.OutNode) != len(arch.Nodes) || len(bf.CriticalOutNode) != len(arch.Nodes) {
+		t.Fatalf("OutN bounds for %d and %d nodes, want %d", len(bf.OutNode), len(bf.CriticalOutNode), len(arch.Nodes))
+	}
+	for n, bound := range bf.OutNode {
+		put(int64(bound), int64(bf.CriticalOutNode[n]))
 	}
 	return b
 }
 
-// TestAnalyzeCorpusDigest pins the analysis bit for bit over a corpus of
-// generated systems, cold and through a Memo shared by a member's two
-// configurations.
+// TestAnalyzeCorpusDigest pins the analysis bit for bit over every
+// member of gen.Corpus(48, 1, 4) and gen.Corpus(16, 1, 10): the
+// normalized default configuration and its pinnedConfig, each analyzed
+// cold and through a Memo the two share.
 func TestAnalyzeCorpusDigest(t *testing.T) {
-	apps, archs, cfgs := corpusConfigs(t)
 	h := sha256.New()
 	var b []byte
-	for i, app := range apps {
-		arch := archs[i]
+	for i, spec := range append(gen.Corpus(48, 1, 4), gen.Corpus(16, 1, 10)...) {
+		sys, err := gen.Generate(spec)
+		if err != nil {
+			t.Fatalf("corpus member %d: %v", i, err)
+		}
+		app, arch := sys.Application, sys.Architecture
+		cfg := DefaultConfig(app, arch)
+		if err := cfg.Normalize(app); err != nil {
+			t.Fatalf("member %d: Normalize: %v", i, err)
+		}
 		memo := NewMemo(app, arch)
-		for k, cfg := range cfgs[i] {
+		for k, cfg := range []*Config{cfg, pinnedConfig(app, arch, cfg)} {
 			cold, err := Analyze(app, arch, cfg)
 			if err != nil {
 				t.Fatalf("member %d config %d: Analyze: %v", i, k, err)

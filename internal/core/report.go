@@ -22,21 +22,18 @@ func (a *Analysis) WriteScheduleTables(w io.Writer, app *model.Application, arch
 		start, end model.Time
 		name       string
 	}
-	byNode := make(map[model.NodeID][]entry)
+	byNode := make([][]entry, len(arch.Nodes))
 	for pid, starts := range a.Schedule.ProcStart {
 		p := &app.Procs[pid]
 		for _, st := range starts {
 			byNode[p.Node] = append(byNode[p.Node], entry{st, st + p.WCET, p.Name})
 		}
 	}
-	var nodes []model.NodeID
-	for n := range byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, n := range nodes {
+	for n, ents := range byNode {
+		if len(ents) == 0 {
+			continue
+		}
 		fmt.Fprintf(w, "node %s:\n", arch.Nodes[n].Name)
-		ents := byNode[n]
 		sort.Slice(ents, func(i, j int) bool { return ents[i].start < ents[j].start })
 		for _, e := range ents {
 			fmt.Fprintf(w, "  [%6d, %6d)  %s\n", e.start, e.end, e.name)
@@ -66,21 +63,17 @@ func (a *Analysis) WriteScheduleTables(w io.Writer, app *model.Application, arch
 
 	// ET side: priority tables.
 	fmt.Fprintln(w, "ETC priority tables:")
-	etprocs := make(map[model.NodeID][]model.ProcID)
+	etprocs := make([][]model.ProcID, len(arch.Nodes))
 	for _, p := range app.Procs {
 		if arch.Kind(p.Node) == model.EventTriggered {
 			etprocs[p.Node] = append(etprocs[p.Node], p.ID)
 		}
 	}
-	nodes = nodes[:0]
-	for n := range etprocs {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, n := range nodes {
+	for n, ids := range etprocs {
+		if len(ids) == 0 {
+			continue
+		}
 		fmt.Fprintf(w, "node %s:\n", arch.Nodes[n].Name)
-		ids := etprocs[n]
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
 			pr := a.Proc[id]
 			fmt.Fprintf(w, "  %-24s O=%6d J=%6d W=%6d R=%6d\n",

@@ -18,21 +18,18 @@ type MoveInterval struct {
 // ProcMoveInterval returns the move window of a TT process, or ok=false
 // for ET processes and processes missing from the schedule.
 func (a *Analysis) ProcMoveInterval(app *model.Application, p model.ProcID) (MoveInterval, bool) {
-	pr, ok := a.Proc[p]
-	if !ok {
+	if a.Schedule.ProcStart[p] == nil {
 		return MoveInterval{}, false
 	}
-	if _, inTable := a.Schedule.ProcStart[p]; !inTable {
-		return MoveInterval{}, false
-	}
-	return MoveInterval{ASAP: pr.O, ALAP: pr.O + a.graphSlack(app, app.Procs[p].Graph)}, true
+	o := a.Proc[p].O
+	return MoveInterval{ASAP: o, ALAP: o + a.graphSlack(app, app.Procs[p].Graph)}, true
 }
 
 // EdgeMoveInterval returns the move window of a TTP message (its slot
 // occurrence start can be delayed up to the graph slack).
 func (a *Analysis) EdgeMoveInterval(app *model.Application, e model.EdgeID) (MoveInterval, bool) {
-	er, ok := a.Edge[e]
-	if !ok || !er.Route.UsesTTP() {
+	er := &a.Edge[e]
+	if !er.Route.UsesTTP() {
 		return MoveInterval{}, false
 	}
 	start := er.TTPArrival // delivery offset; the slot start lies one slot earlier

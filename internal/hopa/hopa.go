@@ -14,7 +14,8 @@
 package hopa
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/can"
 	"repro/internal/core"
@@ -78,11 +79,11 @@ func Assign(app *model.Application, arch *model.Architecture, round ttp.Round, i
 	return best, nil
 }
 
-// activityKey addresses both kinds of prioritized activities.
-type activityKey struct {
-	proc   model.ProcID // valid when isProc
-	edge   model.EdgeID
-	isProc bool
+// localDeadlines holds the local deadline of every process by ProcID
+// and of every edge by EdgeID.
+type localDeadlines struct {
+	proc []model.Time
+	edge []model.Time
 }
 
 // initialLocalDeadlines runs the ALAP backward pass: the local deadline
@@ -90,8 +91,11 @@ type activityKey struct {
 // downstream path meet the graph deadline, using WCETs and rough
 // communication latencies (CAN frame time; one TDMA round per TTP leg;
 // both plus the gateway cost for inter-cluster routes).
-func initialLocalDeadlines(app *model.Application, arch *model.Architecture, round ttp.Round) (map[activityKey]model.Time, error) {
-	ld := make(map[activityKey]model.Time)
+func initialLocalDeadlines(app *model.Application, arch *model.Architecture, round ttp.Round) (*localDeadlines, error) {
+	ld := &localDeadlines{
+		proc: make([]model.Time, len(app.Procs)),
+		edge: make([]model.Time, len(app.Edges)),
+	}
 	commCost := func(e model.EdgeID) model.Time {
 		switch app.RouteOf(e, arch) {
 		case model.RouteLocal:
@@ -112,26 +116,18 @@ func initialLocalDeadlines(app *model.Application, arch *model.Architecture, rou
 			return nil, err
 		}
 		d := app.Graphs[g].Deadline
-		procLD := make(map[model.ProcID]model.Time)
 		for i := len(order) - 1; i >= 0; i-- {
 			p := order[i]
 			pd := d
 			for _, e := range app.OutEdges(p) {
 				dst := app.Edges[e].Dst
-				edgeLD := procLD[dst] - app.Procs[dst].WCET
-				if edgeLD < 1 {
-					edgeLD = 1
-				}
-				ld[activityKey{edge: e, isProc: false}] = edgeLD
+				edgeLD := max(ld.proc[dst]-app.Procs[dst].WCET, 1)
+				ld.edge[e] = edgeLD
 				if t := edgeLD - commCost(e); t < pd {
 					pd = t
 				}
 			}
-			if pd < 1 {
-				pd = 1
-			}
-			procLD[p] = pd
-			ld[activityKey{proc: p, isProc: true}] = pd
+			ld.proc[p] = max(pd, 1)
 		}
 	}
 	return ld, nil
@@ -139,53 +135,35 @@ func initialLocalDeadlines(app *model.Application, arch *model.Architecture, rou
 
 // deadlineMonotonic turns local deadlines into unique priorities per
 // resource: smaller local deadline = higher priority (smaller number).
-// Ties break on the creation order, which keeps the assignment
-// deterministic.
-func deadlineMonotonic(app *model.Application, arch *model.Architecture, ld map[activityKey]model.Time) (map[model.ProcID]int, map[model.EdgeID]int) {
-	procPrio := make(map[model.ProcID]int)
-	byNode := make(map[model.NodeID][]model.ProcID)
+// The ET CPUs are numbered in node order; ties break on the creation
+// order, which keeps the assignment deterministic.
+func deadlineMonotonic(app *model.Application, arch *model.Architecture, ld *localDeadlines) (map[model.ProcID]int, map[model.EdgeID]int) {
+	var procs []model.ProcID
 	for _, p := range app.Procs {
 		if arch.Kind(p.Node) == model.EventTriggered {
-			byNode[p.Node] = append(byNode[p.Node], p.ID)
+			procs = append(procs, p.ID)
 		}
 	}
-	next := 0
-	var nodes []model.NodeID
-	for n := range byNode {
-		nodes = append(nodes, n)
+	slices.SortFunc(procs, func(a, b model.ProcID) int {
+		return cmp.Or(
+			cmp.Compare(app.Procs[a].Node, app.Procs[b].Node),
+			cmp.Compare(ld.proc[a], ld.proc[b]),
+			cmp.Compare(a, b))
+	})
+	procPrio := make(map[model.ProcID]int, len(procs))
+	for i, p := range procs {
+		procPrio[p] = i
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, n := range nodes {
-		ids := byNode[n]
-		sort.Slice(ids, func(i, j int) bool {
-			a, b := ids[i], ids[j]
-			la := ld[activityKey{proc: a, isProc: true}]
-			lb := ld[activityKey{proc: b, isProc: true}]
-			if la != lb {
-				return la < lb
-			}
-			return a < b
-		})
-		for _, id := range ids {
-			procPrio[id] = next
-			next++
-		}
-	}
-	msgPrio := make(map[model.EdgeID]int)
 	var msgs []model.EdgeID
 	for _, e := range app.Edges {
 		if app.RouteOf(e.ID, arch).UsesCAN() {
 			msgs = append(msgs, e.ID)
 		}
 	}
-	sort.Slice(msgs, func(i, j int) bool {
-		la := ld[activityKey{edge: msgs[i]}]
-		lb := ld[activityKey{edge: msgs[j]}]
-		if la != lb {
-			return la < lb
-		}
-		return msgs[i] < msgs[j]
+	slices.SortFunc(msgs, func(a, b model.EdgeID) int {
+		return cmp.Or(cmp.Compare(ld.edge[a], ld.edge[b]), cmp.Compare(a, b))
 	})
+	msgPrio := make(map[model.EdgeID]int, len(msgs))
 	for i, e := range msgs {
 		msgPrio[e] = i
 	}
@@ -197,7 +175,7 @@ func deadlineMonotonic(app *model.Application, arch *model.Architecture, ld map[
 // worst-case completion offset rescaled so the whole graph would just
 // meet its deadline; the new local deadline is the average of old and
 // target (HOPA's damped redistribution).
-func redistribute(app *model.Application, arch *model.Architecture, a *core.Analysis, ld map[activityKey]model.Time) {
+func redistribute(app *model.Application, arch *model.Architecture, a *core.Analysis, ld *localDeadlines) {
 	for g := range app.Graphs {
 		resp := a.GraphResp[g]
 		if resp <= 0 {
@@ -206,28 +184,16 @@ func redistribute(app *model.Application, arch *model.Architecture, a *core.Anal
 		d := app.Graphs[g].Deadline
 		scale := float64(d) / float64(resp)
 		for _, p := range app.Graphs[g].Procs {
-			if arch.Kind(app.Procs[p].Node) != model.EventTriggered {
-				continue
+			if arch.Kind(app.Procs[p].Node) == model.EventTriggered {
+				target := model.Time(float64(a.Proc[p].Completion()) * scale)
+				ld.proc[p] = damp(ld.proc[p], target)
 			}
-			pr, ok := a.Proc[p]
-			if !ok {
-				continue
-			}
-			key := activityKey{proc: p, isProc: true}
-			target := model.Time(float64(pr.Completion()) * scale)
-			ld[key] = damp(ld[key], target)
 		}
 		for _, e := range app.Graphs[g].Edges {
-			if !app.RouteOf(e, arch).UsesCAN() {
-				continue
+			if app.RouteOf(e, arch).UsesCAN() {
+				target := model.Time(float64(a.Edge[e].Delivery) * scale)
+				ld.edge[e] = damp(ld.edge[e], target)
 			}
-			er, ok := a.Edge[e]
-			if !ok {
-				continue
-			}
-			key := activityKey{edge: e}
-			target := model.Time(float64(er.Delivery) * scale)
-			ld[key] = damp(ld[key], target)
 		}
 	}
 }

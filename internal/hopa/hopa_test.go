@@ -115,18 +115,21 @@ func TestInitialLocalDeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("initialLocalDeadlines: %v", err)
 	}
-	p1 := ld[activityKey{proc: 0, isProc: true}]
-	p2 := ld[activityKey{proc: 1, isProc: true}]
-	p4 := ld[activityKey{proc: 3, isProc: true}]
+	p1, p2, p4 := ld.proc[0], ld.proc[1], ld.proc[3]
 	if !(p1 < p2 && p2 < p4) {
 		t.Errorf("chain deadlines not ordered: P1=%d P2=%d P4=%d", p1, p2, p4)
 	}
 	if p4 != 200 {
 		t.Errorf("sink local deadline = %d, want the graph deadline 200", p4)
 	}
-	for k, v := range ld {
+	for p, v := range ld.proc {
 		if v < 1 {
-			t.Errorf("activity %+v has non-positive local deadline %d", k, v)
+			t.Errorf("process %d has non-positive local deadline %d", p, v)
+		}
+	}
+	for e, v := range ld.edge {
+		if v < 1 {
+			t.Errorf("edge %d has non-positive local deadline %d", e, v)
 		}
 	}
 }

@@ -278,13 +278,10 @@ func criticalEdges(a *core.Analysis) []model.EdgeID {
 	if a.Buffers.CriticalOutTTP >= 0 {
 		out = append(out, a.Buffers.CriticalOutTTP)
 	}
-	var nodes []model.NodeID
-	for n := range a.Buffers.CriticalOutNode {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, n := range nodes {
-		out = append(out, a.Buffers.CriticalOutNode[n])
+	for _, e := range a.Buffers.CriticalOutNode {
+		if e >= 0 {
+			out = append(out, e)
+		}
 	}
 	return out
 }
@@ -293,9 +290,6 @@ func criticalEdges(a *core.Analysis) []model.EdgeID {
 // re-timing its TTP leg or its TT producer, and swapping its priority
 // with its neighbours.
 func targetCriticalEdge(app *model.Application, arch *model.Architecture, cfg *core.Config, a *core.Analysis, e model.EdgeID, add func(Move)) {
-	if _, ok := a.Edge[e]; !ok {
-		return
-	}
 	// Re-time the TTP leg inside its [ASAP, ALAP] window.
 	if iv, ok := a.EdgeMoveInterval(app, e); ok && iv.ALAP > iv.ASAP {
 		mid := iv.ASAP + (iv.ALAP-iv.ASAP)/2

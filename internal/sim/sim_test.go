@@ -112,13 +112,13 @@ func checkDominance(t *testing.T, app *model.Application, a *core.Analysis, res 
 		}
 	}
 	for p, simResp := range res.ProcWorstResp {
-		if pr, ok := a.Proc[p]; ok && simResp > pr.Completion() {
+		if pr := &a.Proc[p]; simResp > pr.Completion() {
 			t.Errorf("process %s: simulated %d exceeds analysed %d", app.Procs[p].Name, simResp, pr.Completion())
 		}
 	}
 	for e, simDel := range res.EdgeWorstDelivery {
-		er, ok := a.Edge[e]
-		if !ok || er.Route == model.RouteLocal {
+		er := &a.Edge[e]
+		if er.Route == model.RouteLocal {
 			continue
 		}
 		if simDel > er.Delivery {

@@ -52,13 +52,15 @@ type Schedule struct {
 	Round ttp.Round
 	// Hyper is the schedule table length (the application hyper-period).
 	Hyper model.Time
-	// ProcStart maps each TT process to its absolute start times, one
-	// per graph instance within the hyper-period.
-	ProcStart map[model.ProcID][]model.Time
-	// EdgeArrival maps each TTP-leg edge to the absolute bus delivery
-	// times (slot occurrence end), one per instance. For TT->ET edges
-	// this is the arrival at the gateway MBI.
-	EdgeArrival map[model.EdgeID][]model.Time
+	// ProcStart holds, by ProcID, each TT process's absolute start
+	// times, one per graph instance within the hyper-period, ascending;
+	// nil for a process not in the table.
+	ProcStart [][]model.Time
+	// EdgeArrival holds, by EdgeID, each TTP-leg edge's absolute bus
+	// delivery times (slot occurrence end), one per instance, ascending;
+	// nil for an edge without a TTP leg. For TT->ET edges this is the
+	// arrival at the gateway MBI.
+	EdgeArrival [][]model.Time
 	// MEDL is the frame schedule. Entries beyond the cycle can appear
 	// when the configuration is overloaded; WithinCycle reports it.
 	MEDL ttp.MEDL
@@ -99,8 +101,8 @@ func Build(in Input) (*Schedule, error) {
 	s := &Schedule{
 		Round:       in.Round,
 		Hyper:       hyper,
-		ProcStart:   make(map[model.ProcID][]model.Time, js.procs),
-		EdgeArrival: make(map[model.EdgeID][]model.Time, js.edges),
+		ProcStart:   make([][]model.Time, len(app.Procs)),
+		EdgeArrival: make([][]model.Time, len(app.Edges)),
 		MEDL: ttp.MEDL{Round: in.Round, Cycle: hyper,
 			Entries: make([]ttp.MEDLEntry, 0, len(js.arrival))},
 		WithinCycle: true,
@@ -191,8 +193,6 @@ type jobSet struct {
 	// holds each message instance's bus delivery time.
 	start   []model.Time
 	arrival []model.Time
-	// procs and edges count the processes and edges with a base.
-	procs, edges int
 }
 
 // collectJobs rolls the TT processes and their TTP-leg messages out
@@ -210,7 +210,6 @@ func collectJobs(in Input, hyper model.Time) jobSet {
 		if arch.Kind(p.Node) == model.TimeTriggered {
 			js.procBase[i] = nJobs
 			nJobs += int(hyper / app.PeriodOf(p.ID))
-			js.procs++
 		}
 	}
 	nMsgs := 0
@@ -219,7 +218,6 @@ func collectJobs(in Input, hyper model.Time) jobSet {
 		if app.RouteOf(model.EdgeID(i), arch).UsesTTP() {
 			js.edgeBase[i] = nMsgs
 			nMsgs += int(hyper / app.EdgePeriod(model.EdgeID(i)))
-			js.edges++
 		}
 	}
 	js.jobs = make([]job, 0, nJobs)
@@ -294,18 +292,16 @@ func (js *jobSet) publish(app *model.Application, s *Schedule) {
 			continue
 		}
 		n := b + int(s.Hyper/app.PeriodOf(model.ProcID(i)))
-		starts := js.start[b:n:n]
-		slices.Sort(starts)
-		s.ProcStart[model.ProcID(i)] = starts
+		s.ProcStart[i] = js.start[b:n:n]
+		slices.Sort(s.ProcStart[i])
 	}
 	for i, b := range js.edgeBase {
 		if b < 0 {
 			continue
 		}
 		n := b + int(s.Hyper/app.EdgePeriod(model.EdgeID(i)))
-		arr := js.arrival[b:n:n]
-		slices.Sort(arr)
-		s.EdgeArrival[model.EdgeID(i)] = arr
+		s.EdgeArrival[i] = js.arrival[b:n:n]
+		slices.Sort(s.EdgeArrival[i])
 	}
 }
 

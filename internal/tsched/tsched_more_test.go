@@ -104,9 +104,13 @@ func TestEmptyTTC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if len(s.ProcStart) != 0 || len(s.MEDL.Entries) != 0 {
-		t.Errorf("ET-only application produced TT schedule entries: %d procs, %d frames",
-			len(s.ProcStart), len(s.MEDL.Entries))
+	for p, starts := range s.ProcStart {
+		if starts != nil {
+			t.Errorf("ET-only application placed process %d in the TT table at %v", p, starts)
+		}
+	}
+	if len(s.MEDL.Entries) != 0 {
+		t.Errorf("ET-only application produced %d TT frames", len(s.MEDL.Entries))
 	}
 	if !s.WithinCycle {
 		t.Error("empty schedule must be cyclic")

@@ -65,6 +65,8 @@ type (
 	Config = core.Config
 	// Analysis is the outcome of the multi-cluster schedulability
 	// analysis: response times, degree of schedulability, buffer bounds.
+	// Its per-process, per-edge and per-node results are slices indexed
+	// by ProcID, EdgeID and NodeID.
 	Analysis = core.Analysis
 	// GenSpec parameterizes the random application generator.
 	GenSpec = gen.Spec

@@ -8,6 +8,9 @@ Compares the ns_per_op of every benchmark present in both artifacts
 benchmark regressed by more than the threshold (default 0.10 = +10%
 wall clock). Improvements and new benchmarks pass silently; benchmarks
 that disappeared are reported but do not fail the gate (renames happen).
+ns_per_op is the median of an entry's samples when the benchmarks ran
+with -count N, and the one sample in artifacts written before
+benchjson.py merged samples; either compares against the other.
 
 Allocations are gated too: a benchmark whose allocs_per_op (recorded
 when it runs with -benchmem or calls b.ReportAllocs) rises by more than
@@ -83,7 +86,8 @@ def main() -> int:
             continue
         change = new_ns / old_ns - 1.0
         marker = "REGRESSED" if change > threshold else "ok"
-        print(f"  {marker:>9}: {name}  {old_ns:.0f} -> {new_ns:.0f} ns/op ({change:+.1%})")
+        counts = f"{was.get('samples', 1)} -> {now.get('samples', 1)} samples"
+        print(f"  {marker:>9}: {name}  {old_ns:.0f} -> {new_ns:.0f} ns/op ({change:+.1%}, {counts})")
         if change > threshold:
             regressions.append((name, f"{change:+.1%} ns/op"))
 

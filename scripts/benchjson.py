@@ -18,31 +18,48 @@ delta_speedup section — the measured payoff of the incremental
 delta-evaluation engine, with the engine's delta_hit_rate metric
 carried alongside — so BENCH_solver.json and BENCH_dse.json directly
 answer "what does delta evaluation buy and how often does it hit".
+
+A benchmark run with -count N prints N lines; they merge into one
+entry whose ns_per_op and every other metric are the medians of the
+samples, with ns_per_op_min, ns_per_op_max and the samples count
+beside them. The key names are those of a single-sample entry, so an
+artifact written before samples were merged still compares.
 """
 import json
 import re
+import statistics
 import sys
 
 BENCH = re.compile(r"^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$")
 METRIC = re.compile(r"([\d.eE+-]+) ([\w/]+)")
 
 
+def merge(runs):
+    """Merge the samples of one benchmark into medians and the ns/op range."""
+    entry = {}
+    for key in runs[0]:
+        values = [r[key] for r in runs if key in r]
+        entry[key] = statistics.median(values)
+    ns = [r["ns_per_op"] for r in runs]
+    entry["iterations"] = int(entry["iterations"])
+    entry["ns_per_op_min"], entry["ns_per_op_max"] = min(ns), max(ns)
+    entry["samples"] = len(runs)
+    entry["requests_per_sec"] = round(1e9 / entry["ns_per_op"], 3) if entry["ns_per_op"] else None
+    return entry
+
+
 def main() -> int:
     out = sys.argv[1] if len(sys.argv) > 1 else "BENCH_solver.json"
-    results = {}
+    samples = {}
     for line in sys.stdin:
         m = BENCH.match(line)
         if not m:
             continue
-        ns = float(m.group(3))
-        entry = {
-            "iterations": int(m.group(2)),
-            "ns_per_op": ns,
-            "requests_per_sec": round(1e9 / ns, 3) if ns else None,
-        }
+        sample = {"iterations": int(m.group(2)), "ns_per_op": float(m.group(3))}
         for value, unit in METRIC.findall(m.group(4)):
-            entry[unit.replace("/", "_per_")] = float(value)
-        results[m.group(1)] = entry
+            sample[unit.replace("/", "_per_")] = float(value)
+        samples.setdefault(m.group(1), []).append(sample)
+    results = {name: merge(runs) for name, runs in samples.items()}
     comparisons = {}
     for name, cold in results.items():
         if not name.endswith("Cold"):
