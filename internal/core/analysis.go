@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -110,17 +109,6 @@ type AnalyzeOptions struct {
 	// critical-instant analysis). Used by the ablation experiments to
 	// quantify the value of the paper's offset refinement.
 	OffsetBlind bool
-	// Memo, when non-nil, serves the analysis stages (static schedule,
-	// per-resource RTA fixed points, OutTTP queue) through exact-input
-	// tables shared across configurations, and lends the analysis its
-	// prebuilt frame and recycled scratch (see Memo). Results are
-	// bit-identical to Memo == nil; the nil path remains the reference
-	// implementation. AnalyzeWith fails when the Memo was built for
-	// another (app, arch) pair. Memo.Analyze never sets OffsetBlind, and
-	// the interned RTA and queue inputs carry each task's transaction
-	// id, which is -1 only when offset-blind, so the stage tables never
-	// mix the two settings.
-	Memo *Memo
 }
 
 // Analyze runs MultiClusterScheduling (Fig. 5): starting from a static
@@ -137,15 +125,15 @@ func Analyze(app *model.Application, arch *model.Architecture, cfg *Config) (*An
 
 // EvalFunc analyzes one configuration of a fixed (application,
 // architecture) pair. It is the one evaluation seam of the optimizers
-// (OS, OR, HOPA, SA, DSE) and the engine's batches: Evaluator is the
-// cold reference, delta.(*Evaluator).Analyze the incremental one.
+// (OS, OR, HOPA, SA, DSE) and the engine's batches: Evaluator reuses
+// nothing across configurations, Memo.Analyze everything it can.
 // Implementations must be safe for concurrent use and return identical
 // results for identical configurations, so batches stay worker-count
 // independent.
 type EvalFunc func(*Config) (*Analysis, error)
 
-// Evaluator is Analyze partially applied to app and arch: the cold
-// EvalFunc.
+// Evaluator is Analyze partially applied to app and arch: the EvalFunc
+// that reuses nothing across configurations.
 func Evaluator(app *model.Application, arch *model.Architecture) EvalFunc {
 	return func(cfg *Config) (*Analysis, error) {
 		return Analyze(app, arch, cfg)
@@ -158,12 +146,21 @@ func AnalyzeOffsetBlind(app *model.Application, arch *model.Architecture, cfg *C
 	return AnalyzeWith(app, arch, cfg, AnalyzeOptions{OffsetBlind: true})
 }
 
-// AnalyzeWith is Analyze with explicit options.
+// AnalyzeWith is Analyze with explicit options. It runs through a Memo
+// of its own whose tables store nothing, so nothing is reused across
+// calls.
 func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, aopts AnalyzeOptions) (*Analysis, error) {
-	memo := aopts.Memo
-	if memo != nil && (memo.app != app || memo.arch != arch) {
-		return nil, errMemoPair
-	}
+	return (&Memo{app: app, arch: arch}).analyzeStages(cfg, aopts.OffsetBlind)
+}
+
+// analyzeStages runs MultiClusterScheduling of cfg on m's pair, serving
+// the static schedule, the per-resource RTA fixed points and the OutTTP
+// queue through m's stage tables; it never consults the whole-analysis
+// table. Memo.Analyze never sets offsetBlind, and the interned RTA and
+// queue inputs carry each task's transaction id, which is -1 only when
+// offset-blind, so the stage tables never mix the two settings.
+func (m *Memo) analyzeStages(cfg *Config, offsetBlind bool) (*Analysis, error) {
+	app, arch := m.app, m.arch
 	if err := cfg.Validate(app, arch); err != nil {
 		return nil, err
 	}
@@ -176,31 +173,21 @@ func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, 
 	}
 	horizon := hyper * horizonFactor
 
-	var lay *etLayout
-	if memo != nil {
-		lay = memo.layout()
-		defer memo.recycle(lay)
-	} else {
-		lay = newETLayout(newETFrame(app, arch), nil)
-	}
-	lay.start(cfg, horizon, aopts.OffsetBlind)
+	lay := m.layout()
+	defer m.recycle(lay)
+	lay.start(cfg, horizon, offsetBlind)
 	state := &lay.st
 	var sched *tsched.Schedule
 	iterations := 0
 	converged := false
 	for iterations < maxMCSIterations {
 		iterations++
-		in := tsched.Input{
+		sched, err = m.buildSchedule(tsched.Input{
 			App: app, Arch: arch, Round: cfg.Round,
 			ReleaseOffset: lay.release,
 			PinnedProc:    cfg.PinnedProc,
 			PinnedEdge:    cfg.PinnedEdge,
-		}
-		if memo != nil {
-			sched, err = memo.buildSchedule(in, lay)
-		} else {
-			sched, err = tsched.Build(in)
-		}
+		}, lay)
 		if err != nil {
 			return nil, err
 		}
@@ -230,12 +217,6 @@ func AnalyzeWith(app *model.Application, arch *model.Architecture, cfg *Config, 
 	a.finishMetrics(lay, state)
 	return a, nil
 }
-
-// errMemoPair rejects an AnalyzeWith whose Memo serves another
-// (application, architecture) pair: the Memo's frame and keys describe
-// only its own pair, so sharing it would return another system's
-// results.
-var errMemoPair = errors.New("core: AnalyzeOptions.Memo was built for another application or architecture")
 
 func errRoundNotNormalized(period, hyper model.Time) error {
 	return fmt.Errorf("core: round period %d does not divide hyper-period %d (call Config.Normalize)", period, hyper)
@@ -281,8 +262,7 @@ func (a *Analysis) finishMetrics(lay *etLayout, st *etState) {
 // etFrame is the configuration-independent half of the holistic ET
 // analysis of one (application, architecture) pair: everything the
 // analysis reads that no Config can change. A Memo builds it once and
-// shares it, read-only, with every analysis it serves; the reference
-// path builds a fresh one per analysis with the same builder.
+// shares it, read-only, with every analysis it serves.
 type etFrame struct {
 	app      *model.Application
 	arch     *model.Architecture
@@ -300,9 +280,7 @@ type etFrame struct {
 	// the names, resources, C, T and non-preemption; Trans holds the
 	// graph index, and Priority, B, O and J are left to the analysis.
 	// ids[i] is the ProcID of task i below procTasks and its EdgeID from
-	// there on. spans delimit the resources. The analysis reads only the
-	// previous pass's responses, so results never depend on the task
-	// order and the reference path runs the grouped set monolithically.
+	// there on. spans delimit the resources.
 	taskTmpl  []rta.Task
 	ids       []int
 	procTasks int
@@ -487,8 +465,7 @@ func newETFrame(app *model.Application, arch *model.Architecture) *etFrame {
 // the OutTTP vector with this configuration's priorities, transaction
 // ids and CAN blocking filled in, the dense state, the release offsets
 // and the key buffer. Only O and J move between holistic passes, and a
-// pass rewrites them in place. A Memo recycles its layouts; the
-// reference path fills its fresh frame's templates in place.
+// pass rewrites them in place. A Memo recycles its layouts.
 type etLayout struct {
 	*etFrame
 	cfg         *Config
@@ -496,12 +473,12 @@ type etLayout struct {
 	offsetBlind bool
 	memo        *Memo
 
-	tasks []rta.Task
-	res   []rta.Result
-	// hp is the higher-priority index of the whole task set (reference
-	// path); spanIDs hold each span's interned static input, which
-	// carries its index (memoized path).
-	hp      [][]int
+	// res and resp are the RTA results and scratch of the task set, by
+	// task index; spanIDs hold each span's interned static input, which
+	// carries its higher-priority index.
+	tasks   []rta.Task
+	res     []rta.Result
+	resp    []model.Time
 	spanIDs []*rtaStatic
 
 	queue       []gateway.QueueMsg
@@ -521,15 +498,17 @@ type etLayout struct {
 	keys keyScratch
 }
 
-// newETLayout builds a layout over f. With a memo it owns copies of the
-// task and queue templates, so f stays shared; without, it fills f's own
-// templates.
+// newETLayout builds a layout over f for memo. It owns copies of the
+// task and queue templates, so f stays shared.
 func newETLayout(f *etFrame, memo *Memo) *etLayout {
-	l := &etLayout{
+	return &etLayout{
 		etFrame: f,
 		memo:    memo,
-		tasks:   f.taskTmpl,
-		queue:   f.queueTmpl,
+		tasks:   slices.Clone(f.taskTmpl),
+		res:     make([]rta.Result, len(f.taskTmpl)),
+		resp:    make([]model.Time, len(f.taskTmpl)),
+		spanIDs: make([]*rtaStatic, len(f.spans)),
+		queue:   slices.Clone(f.queueTmpl),
 		st: etState{
 			proc: make([]ProcResult, len(f.app.Procs)),
 			edge: make([]EdgeResult, len(f.app.Edges)),
@@ -538,22 +517,15 @@ func newETLayout(f *etFrame, memo *Memo) *etLayout {
 		releaseAt: make([]model.Time, len(f.releaseDst)),
 		canMsgs:   make([]gateway.CANQueueMsg, 0, f.maxCANQueue),
 		queueRes:  make([]gateway.TTPResult, len(f.queueTmpl)),
+		keys:      keyScratch{buf: make([]byte, 0, keyBufSize(f))},
 	}
-	if memo != nil {
-		l.tasks = slices.Clone(f.taskTmpl)
-		l.queue = slices.Clone(f.queueTmpl)
-		l.res = make([]rta.Result, len(f.taskTmpl))
-		l.spanIDs = make([]*rtaStatic, len(f.spans))
-		l.keys.buf = make([]byte, 0, keyBufSize(f))
-	}
-	return l
 }
 
 // start prepares l for one analysis of cfg: it clears the release
 // offsets and fills the configuration's priorities, the transaction ids
 // and the CAN blocking factors into the task set and the queue vector.
-// With a memo it then interns each span's static RTA input and the
-// queue's static input, and encodes the schedule key's fixed prefix.
+// It then interns each span's static RTA input and the queue's static
+// input, and encodes the schedule key's fixed prefix.
 func (l *etLayout) start(cfg *Config, horizon model.Time, offsetBlind bool) {
 	l.cfg, l.horizon, l.offsetBlind = cfg, horizon, offsetBlind
 	clear(l.release)
@@ -582,12 +554,6 @@ func (l *etLayout) start(cfg *Config, horizon model.Time, offsetBlind bool) {
 	l.queueParams = gateway.TTPQueueParams{
 		Round: cfg.Round, GatewaySlot: cfg.Round.SlotIndexOf(l.arch.Gateway),
 		TickPerByte: l.arch.TTP.TickPerByte, Horizon: horizon,
-	}
-	if l.memo == nil {
-		if len(l.tasks) > 0 {
-			l.hp = rta.HigherPriorityIndex(l.tasks)
-		}
-		return
 	}
 	for k, sp := range l.spans {
 		group := l.tasks[sp.lo:sp.hi]
@@ -754,21 +720,24 @@ func (l *etLayout) runRTA(st *etState) bool {
 			t.O, t.J = er.CANO, er.CANJ
 		}
 	}
-	var (
-		res []rta.Result
-		err error
-	)
-	if l.memo != nil {
-		res, err = l.memoRTA()
-	} else {
-		res, _, err = rta.AnalyzeStable(l.tasks, l.hp, rta.Options{Horizon: l.horizon})
-	}
-	if err != nil {
-		st.converged = false
-		return false
+	// The fixed points run per resource, bit-identical to one
+	// rta.AnalyzeStable over the whole set: interference never crosses
+	// resources. The one coupling, the all-unconverged marking when any
+	// resource exhausts its pass budget, is reapplied across resources.
+	stable := true
+	for k := range l.spans {
+		sp := &l.spans[k]
+		ok, err := l.memo.analyzeResource(l.spanIDs[k], l.tasks[sp.lo:sp.hi], l.horizon, &l.keys,
+			l.res[sp.lo:sp.hi], l.resp[sp.lo:sp.hi])
+		if err != nil {
+			st.converged = false
+			return false
+		}
+		stable = stable && ok
 	}
 	changed := false
-	for i, r := range res {
+	for i, r := range l.res {
+		r.Converged = r.Converged && stable
 		if i < l.procTasks {
 			pr := &st.proc[l.ids[i]]
 			if pr.W != r.W || pr.R != r.R {
@@ -790,30 +759,6 @@ func (l *etLayout) runRTA(st *etState) bool {
 	return changed
 }
 
-// memoRTA serves the fixed points per resource through the memo. It is
-// bit-identical to the monolithic rta.AnalyzeStable because interference never
-// crosses resources; the one coupling, the all-unconverged marking when
-// any resource exhausts its pass budget, is reapplied here across
-// resources. The cached results are copied, never marked in place.
-func (l *etLayout) memoRTA() ([]rta.Result, error) {
-	stable := true
-	for k := range l.spans {
-		sp := &l.spans[k]
-		res, ok, err := l.memo.analyzeResource(l.spanIDs[k], l.tasks[sp.lo:sp.hi], l.horizon, &l.keys)
-		if err != nil {
-			return nil, err
-		}
-		stable = stable && ok
-		copy(l.res[sp.lo:sp.hi], res)
-	}
-	if !stable {
-		for i := range l.res {
-			l.res[i].Converged = false
-		}
-	}
-	return l.res, nil
-}
-
 // refreshQueue writes the current entry offsets and jitters into the
 // OutTTP vector.
 func (l *etLayout) refreshQueue(st *etState) {
@@ -829,15 +774,7 @@ func (l *etLayout) runQueue(st *etState) bool {
 		return false
 	}
 	l.refreshQueue(st)
-	var (
-		res []gateway.TTPResult
-		err error
-	)
-	if l.memo != nil {
-		res, err = l.memo.analyzeQueue(l.queueID, l.queue, &l.queueParams, &l.keys)
-	} else {
-		res, err = gateway.AnalyzeOutTTP(l.queue, l.queueParams)
-	}
+	res, err := l.memo.analyzeQueue(l.queueID, l.queue, &l.queueParams, &l.keys)
 	if err != nil {
 		st.converged = false
 		return false

@@ -34,14 +34,15 @@ func genConfig(tb testing.TB, seed int64, procsPerNode int) (*model.Application,
 // counts: a change that adds an allocation to the Fig. 5 loop fails
 // here, and a change that removes some should lower them.
 const (
-	analyzeColdAllocs = 182
-	analyzeMemoAllocs = 273
-	analyzeWarmAllocs = 148
+	analyzeColdAllocs = 145
+	analyzeMemoAllocs = 232
+	analyzeWarmAllocs = 116
 )
 
-// TestAnalyzeAllocs pins the allocations of a cold Analyze, of an
-// AnalyzeWith through a fresh Memo (the cost of a delta-memo miss on a
-// never-seen system, which builds the Memo's frame and first layout),
+// TestAnalyzeAllocs pins the allocations of a cold Analyze (through a
+// Memo that stores nothing), of an analysis through a fresh Memo's stage
+// tables (the cost of a memo miss on a never-seen system, which builds
+// the Memo's frame and first layout),
 // and of a Memo.Analyze of a new configuration on a Memo that has
 // already analyzed others (the miss path of a running synthesis loop,
 // which reuses the frame and a recycled layout).
@@ -53,7 +54,7 @@ func TestAnalyzeAllocs(t *testing.T) {
 		}
 	})
 	memo := testing.AllocsPerRun(10, func() {
-		if _, err := AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: NewMemo(app, arch)}); err != nil {
+		if _, err := NewMemo(app, arch).analyzeStages(cfg, false); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -83,7 +84,7 @@ func TestAnalyzeAllocs(t *testing.T) {
 		t.Errorf("cold Analyze: %v allocs/op, ceiling %d", cold, analyzeColdAllocs)
 	}
 	if memo > analyzeMemoAllocs {
-		t.Errorf("AnalyzeWith(fresh Memo): %v allocs/op, ceiling %d", memo, analyzeMemoAllocs)
+		t.Errorf("fresh Memo: %v allocs/op, ceiling %d", memo, analyzeMemoAllocs)
 	}
 	if warm > analyzeWarmAllocs {
 		t.Errorf("Memo.Analyze(new configuration): %v allocs/op, ceiling %d", warm, analyzeWarmAllocs)
@@ -184,9 +185,38 @@ func BenchmarkAnalyzeMemo(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: NewMemo(app, arch)}); err != nil {
+				if _, err := NewMemo(app, arch).analyzeStages(cfg, false); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// keySink keeps the benchmarked key alive.
+var keySink string
+
+// BenchmarkConfigKey times the full-configuration memo key of the SF
+// configuration of the paper's Fig. 9 systems (2 to 10 nodes, 40
+// processes per node), with one pinned process and message so that all
+// four maps are encoded.
+func BenchmarkConfigKey(b *testing.B) {
+	for _, nodes := range fig9Nodes {
+		b.Run(fmt.Sprintf("procs=%d", 40*nodes), func(b *testing.B) {
+			sys, err := gen.Paper(nodes, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			app, arch := sys.Application, sys.Architecture
+			cfg := DefaultConfig(app, arch)
+			if err := cfg.Normalize(app); err != nil {
+				b.Fatal(err)
+			}
+			cfg = cfg.PinProc(app.Procs[0].ID, 1).PinEdge(app.Edges[0].ID, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				keySink = ConfigKey(cfg)
 			}
 		})
 	}

@@ -1,4 +1,4 @@
-package delta
+package core_test
 
 import (
 	"bytes"
@@ -11,11 +11,11 @@ import (
 )
 
 // FuzzDeltaInvalidation replays fuzzer-chosen move sequences on corpus
-// systems through one long-lived Evaluator and cross-checks every step
-// against a cold core.Analyze. Each script byte picks the generated
-// move taken at one step, so the fuzzer explores the cache states a real
-// optimizer run can reach. Any divergence from the cold path fails the
-// target.
+// systems through one long-lived Memo and cross-checks every step
+// against a cold core.Analyze and the specification (specAnalyze). Each
+// script byte picks the generated move taken at one step, so the fuzzer
+// explores the cache states a real optimizer run can reach. Any
+// divergence fails the target.
 func FuzzDeltaInvalidation(f *testing.F) {
 	f.Add(int64(0), []byte{0, 1, 2, 3})
 	f.Add(int64(1), []byte{7, 7, 7, 7, 7, 7})
@@ -33,7 +33,7 @@ func FuzzDeltaInvalidation(f *testing.F) {
 			t.Fatal(err)
 		}
 		app, arch := sys.Application, sys.Architecture
-		ev := New(app, arch)
+		ev := core.NewMemo(app, arch)
 
 		cfg := core.DefaultConfig(app, arch)
 		if err := cfg.Normalize(app); err != nil {
@@ -71,6 +71,13 @@ func FuzzDeltaInvalidation(f *testing.F) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d move %v: delta analysis diverges from cold", steps, m)
+			}
+			spec, err := specAnalyze(app, arch, next, false)
+			if err != nil {
+				t.Fatalf("step %d move %v: spec: %v", steps, m, err)
+			}
+			if diff := specDiff(got, spec); diff != "" {
+				t.Fatalf("step %d move %v: analysis differs from the spec: %s", steps, m, diff)
 			}
 			cfg, a = next, got
 			steps++

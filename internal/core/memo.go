@@ -15,9 +15,12 @@ import (
 
 // Memo caches analysis results across the many near-identical
 // configurations that synthesis loops evaluate. One Memo serves exactly
-// one (application, architecture) pair, the one NewMemo binds it to:
-// AnalyzeWith refuses it for any other pair. It is safe for concurrent
-// use by the workers of an evaluation batch.
+// one (application, architecture) pair, the one NewMemo binds it to. It
+// is safe for concurrent use by the workers of an evaluation batch.
+//
+// Every analysis runs through a Memo. AnalyzeWith builds one per call
+// whose tables have no cap and so store nothing: it recomputes every
+// stage, and shares nothing with any other call.
 //
 // Every table is keyed by an exact binary encoding of its full input, so
 // a hit returns a result that is bit-identical to recomputing it; stale
@@ -53,8 +56,6 @@ import (
 // on the first analysis, and a free list of per-analysis layouts. The
 // list holds at most as many layouts as analyses ever ran at once, and
 // no returned Analysis refers to one.
-//
-// The last three tables serve AnalyzeWith through AnalyzeOptions.Memo.
 type Memo struct {
 	app  *model.Application
 	arch *model.Architecture
@@ -91,7 +92,8 @@ type rtaMemoEntry struct {
 // table is one exact-keyed cache with its own lock and counters. When
 // the map reaches its cap it is dropped whole: the tables only affect
 // speed, never results, so the simplest policy wins (no LRU bookkeeping
-// on the hot path).
+// on the hot path). A table of cap 0 stores nothing: every lookup
+// misses, and no map is ever made.
 type table[V any] struct {
 	mu           sync.Mutex
 	m            map[string]V
@@ -114,7 +116,7 @@ func (t *table[V]) get(key []byte) (V, bool) {
 }
 
 // put inserts v under key, first dropping the map whole at its cap. The
-// key becomes a string only here.
+// key becomes a string only here. A table of cap 0 ignores it.
 func (t *table[V]) put(key []byte, v V) {
 	t.mu.Lock()
 	t.putLocked(key, v)
@@ -122,6 +124,9 @@ func (t *table[V]) put(key []byte, v V) {
 }
 
 func (t *table[V]) putLocked(key []byte, v V) {
+	if t.cap == 0 {
+		return
+	}
 	if t.m == nil || len(t.m) >= t.cap {
 		t.m = make(map[string]V)
 	}
@@ -236,7 +241,7 @@ func (m *Memo) Analyze(cfg *Config) (*Analysis, error) {
 	if a, ok := m.config.get(key); ok {
 		return a, nil
 	}
-	a, err := AnalyzeWith(m.app, m.arch, cfg, AnalyzeOptions{Memo: m})
+	a, err := m.analyzeStages(cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -460,22 +465,26 @@ func (m *Memo) buildSchedule(in tsched.Input, l *etLayout) (*tsched.Schedule, er
 }
 
 // analyzeResource runs (or recalls) the fixed point of one resource,
-// whose tasks are group and whose static input is interned as s. The
-// returned slice may be shared with the table and must not be modified;
-// the bool mirrors rta.AnalyzeStable's stability, which the caller turns
-// into the global all-unconverged marking exactly like the monolithic
-// analysis.
-func (m *Memo) analyzeResource(s *rtaStatic, group []rta.Task, horizon model.Time, ks *keyScratch) ([]rta.Result, bool, error) {
+// whose tasks are group and whose static input is interned as s, into
+// res with resp as scratch (both parallel to group and owned by the
+// caller). The bool mirrors rta.AnalyzeStable's stability, which the
+// caller turns into the global all-unconverged marking exactly like the
+// monolithic analysis. The table keeps a copy of res, made only when it
+// stores one.
+func (m *Memo) analyzeResource(s *rtaStatic, group []rta.Task, horizon model.Time, ks *keyScratch, res []rta.Result, resp []model.Time) (bool, error) {
 	key := ks.rtaKey(s.id, group)
 	if e, ok := m.rta.get(key); ok {
-		return e.res, e.stable, nil
+		copy(res, e.res)
+		return e.stable, nil
 	}
-	res, stable, err := rta.AnalyzeStable(group, s.hp, rta.Options{Horizon: horizon})
+	stable, err := rta.AnalyzeStable(group, s.hp, rta.Options{Horizon: horizon}, res, resp)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	m.rta.put(key, rtaMemoEntry{res: res, stable: stable})
-	return res, stable, nil
+	if m.rta.cap > 0 {
+		m.rta.put(key, rtaMemoEntry{res: slices.Clone(res), stable: stable})
+	}
+	return stable, nil
 }
 
 // analyzeQueue serves gateway.AnalyzeOutTTP through the queue table;

@@ -57,7 +57,8 @@ func TestConfigKeyGolden(t *testing.T) {
 
 // TestTableCapDrop pins the cap-and-drop policy on a table of cap 2: the
 // third insert drops the map whole, the counters keep growing across the
-// drop, and a dropped key misses and then refills.
+// drop, and a dropped key misses and then refills. A table of cap 0
+// stores nothing.
 func TestTableCapDrop(t *testing.T) {
 	tb := table[int]{cap: 2}
 	lookup := func(key string, want int, wantOK bool) {
@@ -88,6 +89,20 @@ func TestTableCapDrop(t *testing.T) {
 
 	if hits, misses := tb.counts(); hits != 5 || misses != 4 {
 		t.Errorf("counts = %d hits, %d misses; want 5, 4", hits, misses)
+	}
+
+	// At cap 0 the table stores nothing: put makes no map, and every
+	// get, also of a key just put, counts a miss.
+	var none table[int]
+	none.put([]byte("a"), 1)
+	if v, ok := none.get([]byte("a")); ok || v != 0 {
+		t.Errorf("cap 0: get after put = %d, %t; want 0, false", v, ok)
+	}
+	if none.m != nil {
+		t.Errorf("cap 0: put made a map of %d entries", len(none.m))
+	}
+	if hits, misses := none.counts(); hits != 0 || misses != 1 {
+		t.Errorf("cap 0: counts = %d hits, %d misses; want 0, 1", hits, misses)
 	}
 }
 
@@ -150,42 +165,6 @@ func walkSmallCaps(t *testing.T, rtaCap int, seed int64) {
 	}
 }
 
-// TestMemoRefusesOtherPair: a Memo serves only the pair it was built
-// for. AnalyzeWith through it fails for another application or another
-// architecture, even a structurally identical copy, and stays usable for
-// its own pair.
-func TestMemoRefusesOtherPair(t *testing.T) {
-	app, arch, cfg := genConfig(t, 3, 4)
-	otherApp, otherArch, _ := genConfig(t, 3, 4)
-	m := NewMemo(app, arch)
-	for _, pair := range []struct {
-		name string
-		app  *model.Application
-		arch *model.Architecture
-	}{
-		{"application", otherApp, arch},
-		{"architecture", app, otherArch},
-	} {
-		if _, err := AnalyzeWith(pair.app, pair.arch, cfg, AnalyzeOptions{Memo: m}); err == nil {
-			t.Errorf("another %s: AnalyzeWith through the Memo succeeded", pair.name)
-		}
-	}
-	if s := m.Stats(); s != (MemoStats{}) {
-		t.Errorf("a refused analysis moved the counters: %+v", s)
-	}
-	got, err := AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Analyze(app, arch, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("own pair: memoised analysis differs from cold")
-	}
-}
-
 // TestMemoOffsetBlindMatchesCold interleaves offset-blind and
 // offset-aware analyses of a priority walk through one Memo. Each must
 // deep-equal its cold counterpart: the two settings intern different
@@ -198,7 +177,7 @@ func TestMemoOffsetBlindMatchesCold(t *testing.T) {
 		procs := slices.Sorted(maps.Keys(cfg.ProcPriority))
 		for step := 0; step < 6; step++ {
 			for _, blind := range []bool{true, false} {
-				got, err := AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: m, OffsetBlind: blind})
+				got, err := m.analyzeStages(cfg, blind)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -220,8 +199,8 @@ func TestMemoOffsetBlindMatchesCold(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrentLayouts runs four workers' AnalyzeWith calls through
-// one Memo at once, bypassing the whole-analysis table, so concurrent
+// TestMemoConcurrentLayouts runs four workers' analyses through one Memo
+// at once, bypassing the whole-analysis table, so concurrent
 // analyses take layouts off the free list, share the frame and the
 // interned inputs, and return their layouts. Every result must
 // deep-equal the cold analysis, an analysis returned before the workers
@@ -252,7 +231,7 @@ func TestMemoConcurrentLayouts(t *testing.T) {
 		want[i] = a
 	}
 	m := NewMemo(app, arch)
-	first, err := AnalyzeWith(app, arch, walk[0], AnalyzeOptions{Memo: m})
+	first, err := m.analyzeStages(walk[0], false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +241,7 @@ func TestMemoConcurrentLayouts(t *testing.T) {
 			for rep := 0; rep < 3; rep++ {
 				for k := range walk {
 					i := (k + w) % len(walk)
-					a, err := AnalyzeWith(app, arch, walk[i], AnalyzeOptions{Memo: m})
+					a, err := m.analyzeStages(walk[i], false)
 					if err != nil {
 						done <- err
 						return
@@ -299,9 +278,9 @@ func swapPriorities[K comparable](rng *rand.Rand, prio map[K]int, ids []K) {
 
 // BenchmarkMemoLayers measures what each memo layer saves on one
 // analysis of the genConfig systems: a whole-analysis hit on a warm
-// memo (config-hit), an AnalyzeWith whose stages all hit (stage-hit),
+// memo (config-hit), an analysis whose stages all hit (stage-hit),
 // Memo.Analyze on a new Memo per op (fresh: every table misses and pays
-// its keys and inserts), and no memo at all (cold).
+// its keys and inserts), and a Memo that stores nothing (cold).
 func BenchmarkMemoLayers(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("ppn=%d", n), func(b *testing.B) {
@@ -315,7 +294,7 @@ func BenchmarkMemoLayers(b *testing.B) {
 				run  func() (*Analysis, error)
 			}{
 				{"config-hit", func() (*Analysis, error) { return warm.Analyze(cfg) }},
-				{"stage-hit", func() (*Analysis, error) { return AnalyzeWith(app, arch, cfg, AnalyzeOptions{Memo: warm}) }},
+				{"stage-hit", func() (*Analysis, error) { return warm.analyzeStages(cfg, false) }},
 				{"fresh", func() (*Analysis, error) { return NewMemo(app, arch).Analyze(cfg) }},
 				{"cold", func() (*Analysis, error) { return Analyze(app, arch, cfg) }},
 			} {

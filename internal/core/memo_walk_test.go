@@ -1,4 +1,4 @@
-package delta
+package core_test
 
 import (
 	"context"
@@ -57,14 +57,13 @@ func walkConfigs(t testing.TB, app *model.Application, arch *model.Architecture,
 	return out
 }
 
-// TestAnalyzeMatchesCold is the package-level bit-identity check: over
-// corpus systems and optimizer-shaped move walks, every Evaluator
-// analysis — cold miss, stage hit and memo hit alike — must deep-equal
-// the reference core.Analyze result.
+// TestAnalyzeMatchesCold: over corpus systems and optimizer-shaped move
+// walks, every Memo.Analyze — cold miss, stage hit and memo hit alike —
+// must deep-equal core.Analyze, which reuses nothing.
 func TestAnalyzeMatchesCold(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		app, arch := corpusSystem(t, i)
-		ev := New(app, arch)
+		ev := core.NewMemo(app, arch)
 		for step, cfg := range walkConfigs(t, app, arch, 8, int64(100+i)) {
 			want, err := core.Analyze(app, arch, cfg)
 			if err != nil {
@@ -101,8 +100,8 @@ func TestConfigKey(t *testing.T) {
 	if err := cfg.Normalize(app); err != nil {
 		t.Fatal(err)
 	}
-	base := ConfigKey(cfg)
-	if got := ConfigKey(cfg.Clone()); got != base {
+	base := core.ConfigKey(cfg)
+	if got := core.ConfigKey(cfg.Clone()); got != base {
 		t.Fatal("clone keys differ")
 	}
 
@@ -130,26 +129,24 @@ func TestConfigKey(t *testing.T) {
 		"proc pin": func(c *core.Config) *core.Config { return c.PinProc(app.Procs[0].ID, 123) },
 	}
 	for name, mutate := range perturb {
-		if ConfigKey(mutate(cfg.Clone())) == base {
+		if core.ConfigKey(mutate(cfg.Clone())) == base {
 			t.Errorf("%s perturbation did not change the key", name)
 		}
 	}
 }
 
-// TestSharedMemoStageHitsMatchCold drives one core.Memo through
-// core.AnalyzeWith along a move chain, with no full-configuration memo
-// in front: every configuration is new, so each analysis mixes stage
+// TestSharedMemoStageHitsMatchCold drives one core.Memo's stage tables
+// along a move chain, with no full-configuration memo in front: every configuration is new, so each analysis mixes stage
 // hits from its predecessors with fresh misses, and must still equal
 // the cold path.
 func TestSharedMemoStageHitsMatchCold(t *testing.T) {
 	app, arch := corpusSystem(t, 1)
 	memo := core.NewMemo(app, arch)
-	aopts := core.AnalyzeOptions{Memo: memo}
 	cfg := core.DefaultConfig(app, arch)
 	if err := cfg.Normalize(app); err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.AnalyzeWith(app, arch, cfg, aopts)
+	a, err := memo.AnalyzeStages(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +162,7 @@ func TestSharedMemoStageHitsMatchCold(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		got, err := core.AnalyzeWith(app, arch, next, aopts)
+		got, err := memo.AnalyzeStages(next)
 		if err != nil {
 			continue
 		}
@@ -183,10 +180,10 @@ func TestSharedMemoStageHitsMatchCold(t *testing.T) {
 	}
 }
 
-// TestOSScanDeltaProperty is the satellite property test: over an
-// OptimizeSchedule scan, the delta evaluator's caches must actually
-// hit (hit rate > 0) while the reported result — the Evaluations
-// counter included — stays exactly the full-path one.
+// TestOSScanDeltaProperty: over an OptimizeSchedule scan, the Memo's
+// caches must actually hit (hit rate > 0) while the reported result —
+// the Evaluations counter included — stays exactly the one through
+// core.Evaluator.
 func TestOSScanDeltaProperty(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
@@ -196,7 +193,7 @@ func TestOSScanDeltaProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("system %d: cold OS: %v", i, err)
 		}
-		ev := New(app, arch)
+		ev := core.NewMemo(app, arch)
 		warm, err := opt.OptimizeSchedule(ctx, app, arch, opt.OSOptions{Hooks: opt.Hooks{Eval: ev.Analyze}})
 		if err != nil {
 			t.Fatalf("system %d: delta OS: %v", i, err)
@@ -222,14 +219,14 @@ func TestOSScanDeltaProperty(t *testing.T) {
 	}
 }
 
-// TestEvaluatorConcurrent drives one Evaluator from parallel workers the
-// way the optimizers' engine.Map batches do, while one more goroutine
-// reads Stats as the service's /metrics scrape does; run under -race
-// this is the evaluator's data-race coverage. Each table's lookup count
+// TestEvaluatorConcurrent drives one Memo from parallel workers the way
+// the optimizers' engine.Map batches do, while one more goroutine reads
+// Stats as the service's /metrics scrape does; run under -race this is
+// the Memo's data-race coverage. Each table's lookup count
 // (hits plus misses) must never decrease between two reads.
 func TestEvaluatorConcurrent(t *testing.T) {
 	app, arch := corpusSystem(t, 2)
-	ev := New(app, arch)
+	ev := core.NewMemo(app, arch)
 	cfgs := walkConfigs(t, app, arch, 6, 55)
 	want := make([]*core.Analysis, len(cfgs))
 	for i, cfg := range cfgs {
@@ -241,7 +238,7 @@ func TestEvaluatorConcurrent(t *testing.T) {
 	}
 	stop, scraped := make(chan struct{}), make(chan int)
 	go func() {
-		lookups := func(s Stats) [4]int64 {
+		lookups := func(s core.MemoStats) [4]int64 {
 			return [4]int64{
 				s.ConfigHits + s.ConfigMisses, s.ScheduleHits + s.ScheduleMisses,
 				s.RTAHits + s.RTAMisses, s.QueueHits + s.QueueMisses,
@@ -302,7 +299,7 @@ func TestEvaluatorConcurrent(t *testing.T) {
 // new configuration, a hit per repeat — and keep accumulating.
 func TestStatsAccumulate(t *testing.T) {
 	app, arch := corpusSystem(t, 0)
-	ev := New(app, arch)
+	ev := core.NewMemo(app, arch)
 	cfgs := walkConfigs(t, app, arch, 3, 9)
 	for rep := 0; rep < 2; rep++ {
 		for _, cfg := range cfgs {

@@ -311,7 +311,9 @@ func (s *specSystem) responseTimes(st *specState) bool {
 			tasks[i].B = rta.MaxLowerC(tasks, i)
 		}
 	}
-	res, _, err := rta.AnalyzeStable(tasks, rta.HigherPriorityIndex(tasks), rta.Options{Horizon: s.horizon})
+	res := make([]rta.Result, len(tasks))
+	_, err := rta.AnalyzeStable(tasks, rta.HigherPriorityIndex(tasks), rta.Options{Horizon: s.horizon},
+		res, make([]model.Time, len(tasks)))
 	if err != nil {
 		st.converged = false
 		return false

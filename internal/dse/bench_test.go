@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/delta"
 	"repro/internal/gen"
 )
 
@@ -54,13 +53,13 @@ func benchmarkExploreDelta(b *testing.B, useDelta bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var stats delta.Stats
+	var stats core.MemoStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := Options{Population: 12, Generations: 6, Seed: 3, Eval: core.Evaluator(sys.Application, sys.Architecture)}
-		var ev *delta.Evaluator
+		var ev *core.Memo
 		if useDelta {
-			ev = delta.New(sys.Application, sys.Architecture)
+			ev = core.NewMemo(sys.Application, sys.Architecture)
 			opts.Eval = ev.Analyze
 		}
 		if _, err := Explore(context.Background(), sys.Application, sys.Architecture, opts); err != nil {

@@ -64,12 +64,12 @@ type Options struct {
 	// front always weakly dominates every seed point. Their analyses
 	// are not counted again in Result.Evaluations.
 	SeedPoints []Point
-	// Eval analyzes every offspring; it is required. core.Evaluator is
-	// the cold reference, the Solver passes its incremental delta
-	// evaluator. The variation operators emit §5.1 moves (see mutate),
-	// so generations step through move-derived neighbours the delta
-	// evaluator can serve from its caches; fronts, hypervolumes and
-	// Evaluations counts are identical for every evaluator.
+	// Eval analyzes every offspring; it is required. core.Evaluator
+	// reuses nothing across configurations; the Solver passes its
+	// core.Memo. The variation operators emit §5.1 moves (see mutate),
+	// so generations step through move-derived neighbours the Memo can
+	// serve from its caches; fronts, hypervolumes and Evaluations counts
+	// are identical for every evaluator.
 	Eval core.EvalFunc
 	// OnProgress, when non-nil, receives one event per generation,
 	// emitted from the serial reducing loop.

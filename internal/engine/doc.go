@@ -19,9 +19,9 @@
 //   - EvaluateAll: Map specialized to a core.EvalFunc over candidate
 //     configurations.
 //
-// EvaluateAll analyzes through the caller's core.EvalFunc: the cold
-// core.Evaluator or a session's incremental delta evaluator. The engine
-// has no evaluator of its own.
+// EvaluateAll analyzes through the caller's core.EvalFunc: core.Evaluator,
+// which reuses nothing across configurations, or a session's core.Memo.
+// The engine has no evaluator of its own.
 //
 // The worker count is the only concurrency setting. It bounds each
 // batch on its own: every call starts its own goroutines and there is

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/delta"
 	"repro/internal/gen"
 	"repro/internal/sa"
 )
@@ -34,7 +33,7 @@ func TestBestSAAnnealsThroughSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lookups := func(s delta.Stats) int64 { return s.ConfigHits + s.ConfigMisses }
+	lookups := func(s core.MemoStats) int64 { return s.ConfigHits + s.ConfigMisses }
 	before := lookups(sv.DeltaStats())
 	if _, err := bestSA(ctx, sv, osres.Best, sa.MinimizeBuffers, 3); err != nil {
 		t.Fatal(err)

@@ -37,8 +37,8 @@ type Hooks struct {
 	// OnProgress, when non-nil, receives one event per reduction step.
 	OnProgress func(Progress)
 	// Eval analyzes every candidate, HOPA's included; it is required.
-	// core.Evaluator is the cold reference, a session passes its
-	// incremental delta evaluator. Evaluation counters count the
+	// core.Evaluator reuses nothing across configurations; a session
+	// passes its core.Memo. Evaluation counters count the
 	// analyses the optimizers request, not what Eval recomputes, so
 	// reported Evaluations are identical for every evaluator.
 	Eval core.EvalFunc

@@ -168,18 +168,20 @@ func ceilDiv(a, b model.Time) model.Time {
 // back into the lingering-instance windows of same-transaction tasks.
 const maxResponsePasses = 64
 
-// AnalyzeStable computes the response times of all tasks. The jitters J
-// are taken as inputs (the holistic propagation of jitters along process
-// graphs is driven by the caller, see internal/core). The returned slice
-// is parallel to tasks.
+// AnalyzeStable computes the response times of all tasks into res. The
+// jitters J are taken as inputs (the holistic propagation of jitters
+// along process graphs is driven by the caller, see internal/core). res
+// is parallel to tasks, and resp is scratch of the same length: the
+// caller owns both, so an analysis that runs many passes over one task
+// set allocates nothing here. Their contents on entry are ignored.
 //
 // Internally the analysis runs to a global fixed point: the lingering
 // window of same-transaction interference (see CountArrivals) needs the
 // interferers' response times, which start at zero and grow
 // monotonically across passes until stable. stable reports whether it
 // stabilized within the pass budget; when it did not, every task is
-// marked unconverged. The memoised per-resource analysis (internal/core's
-// Memo) uses the flag to keep that marking exact when the task set is
+// marked unconverged. The per-resource analysis of internal/core's Memo
+// uses the flag to keep that marking exact when the task set is
 // analyzed one resource at a time.
 //
 // hp must be HigherPriorityIndex(tasks), or the index of a task set with
@@ -193,18 +195,21 @@ const maxResponsePasses = 64
 // least fixed point bounds the next one's from below. The pass
 // trajectory — and with it every W/R value, every convergence flag and
 // the pass budget — is identical to a cold iteration.
-func AnalyzeStable(tasks []Task, hp [][]int, opt Options) (res []Result, stable bool, err error) {
+func AnalyzeStable(tasks []Task, hp [][]int, opt Options, res []Result, resp []model.Time) (stable bool, err error) {
 	if opt.Horizon <= 0 {
-		return nil, false, fmt.Errorf("rta: positive horizon required, got %d", opt.Horizon)
+		return false, fmt.Errorf("rta: positive horizon required, got %d", opt.Horizon)
 	}
 	if err := ValidateTasks(tasks); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	if len(hp) != len(tasks) {
-		return nil, false, fmt.Errorf("rta: priority index covers %d tasks, want %d", len(hp), len(tasks))
+		return false, fmt.Errorf("rta: priority index covers %d tasks, want %d", len(hp), len(tasks))
 	}
-	res = make([]Result, len(tasks))
-	resp := make([]model.Time, len(tasks))
+	if len(res) != len(tasks) || len(resp) != len(tasks) {
+		return false, fmt.Errorf("rta: %d results and %d responses for %d tasks", len(res), len(resp), len(tasks))
+	}
+	clear(res)
+	clear(resp)
 	for pass := 0; pass < maxResponsePasses; pass++ {
 		changed := false
 		for i := range tasks {
@@ -219,13 +224,13 @@ func AnalyzeStable(tasks []Task, hp [][]int, opt Options) (res []Result, stable 
 			}
 		}
 		if !changed {
-			return res, true, nil
+			return true, nil
 		}
 	}
 	for i := range res {
 		res[i].Converged = false
 	}
-	return res, false, nil
+	return false, nil
 }
 
 // HigherPriorityIndex precomputes, per task, the indices of the tasks
@@ -327,15 +332,6 @@ func analyzeOne(tasks []Task, i int, horizon model.Time, resp []model.Time, hp [
 }
 
 func higher(a, b *Task) bool { return a.Priority < b.Priority }
-
-// Utilization returns the load of each resource as sum(C/T).
-func Utilization(tasks []Task) map[int]float64 {
-	u := make(map[int]float64)
-	for _, t := range tasks {
-		u[t.Resource] += float64(t.C) / float64(t.T)
-	}
-	return u
-}
 
 // MaxLowerC returns the blocking factor B_m = max over lower-priority
 // tasks on the same resource of C_k, the paper's CAN blocking term.

@@ -53,10 +53,10 @@ type Options struct {
 	// serial). The best-ever result is identical for every value.
 	Workers int
 	// Eval analyzes every configuration of the chains; it is required.
-	// core.Evaluator is the cold reference, the Solver passes its
-	// incremental delta evaluator. Results and Evaluations counts are
-	// identical for every evaluator; with the delta evaluator,
-	// successive chain steps share the parent state through its caches.
+	// core.Evaluator reuses nothing across configurations; the Solver
+	// passes its core.Memo. Results and Evaluations counts are identical
+	// for every evaluator; with the Memo, successive chain steps share
+	// the parent state through its caches.
 	Eval core.EvalFunc
 	// OnProgress, when non-nil, receives one event per evaluated move.
 	// With several restart chains the callback runs concurrently and

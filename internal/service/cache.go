@@ -4,7 +4,7 @@ import (
 	"container/list"
 	"sync"
 
-	"repro/internal/delta"
+	"repro/internal/core"
 	"repro/internal/solve"
 )
 
@@ -75,10 +75,10 @@ func (c *solverCache) stats() (hits, misses, size int) {
 // caches, so this covers all live solver state). Evicted sessions take
 // their counts with them: the aggregate tracks the cache population,
 // which is what a hit-rate dashboard wants.
-func (c *solverCache) deltaStats() delta.Stats {
+func (c *solverCache) deltaStats() core.MemoStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var agg delta.Stats
+	var agg core.MemoStats
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		agg.Add(el.Value.(*cacheEntry).solver.DeltaStats())
 	}

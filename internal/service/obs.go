@@ -5,7 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/delta"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/solve"
@@ -69,21 +69,21 @@ func (s *Service) registerMetrics() {
 		func() float64 { _, _, n := s.cache.stats(); return float64(n) })
 
 	// Incremental-evaluation caches, aggregated across cached sessions.
-	deltaStat := func(sel func(delta.Stats) int64) func() float64 {
+	deltaStat := func(sel func(core.MemoStats) int64) func() float64 {
 		return func() float64 { return float64(sel(s.cache.deltaStats())) }
 	}
 	r.CounterFunc("mcs_delta_config_hits_total", "Full-configuration memo hits across cached sessions.",
-		deltaStat(func(d delta.Stats) int64 { return d.ConfigHits }))
+		deltaStat(func(d core.MemoStats) int64 { return d.ConfigHits }))
 	r.CounterFunc("mcs_delta_config_misses_total", "Full-configuration memo misses across cached sessions.",
-		deltaStat(func(d delta.Stats) int64 { return d.ConfigMisses }))
+		deltaStat(func(d core.MemoStats) int64 { return d.ConfigMisses }))
 	for _, stage := range []struct {
 		name string
-		hit  func(delta.Stats) int64
-		miss func(delta.Stats) int64
+		hit  func(core.MemoStats) int64
+		miss func(core.MemoStats) int64
 	}{
-		{"schedule", func(d delta.Stats) int64 { return d.ScheduleHits }, func(d delta.Stats) int64 { return d.ScheduleMisses }},
-		{"rta", func(d delta.Stats) int64 { return d.RTAHits }, func(d delta.Stats) int64 { return d.RTAMisses }},
-		{"queue", func(d delta.Stats) int64 { return d.QueueHits }, func(d delta.Stats) int64 { return d.QueueMisses }},
+		{"schedule", func(d core.MemoStats) int64 { return d.ScheduleHits }, func(d core.MemoStats) int64 { return d.ScheduleMisses }},
+		{"rta", func(d core.MemoStats) int64 { return d.RTAHits }, func(d core.MemoStats) int64 { return d.RTAMisses }},
+		{"queue", func(d core.MemoStats) int64 { return d.QueueHits }, func(d core.MemoStats) int64 { return d.QueueMisses }},
 	} {
 		r.CounterFunc("mcs_memo_hits_total", "Stage-cache hits across cached sessions.",
 			deltaStat(stage.hit), obs.L("cache", stage.name))

@@ -130,7 +130,8 @@ func benchSynthesizeDelta(b *testing.B, useDelta bool) {
 	}
 }
 
-// BenchmarkSolverSynthesizeDeltaOff is the cold reference leg.
+// BenchmarkSolverSynthesizeDeltaOff is the leg that reuses nothing across
+// configurations.
 func BenchmarkSolverSynthesizeDeltaOff(b *testing.B) { benchSynthesizeDelta(b, false) }
 
 // BenchmarkSolverSynthesizeDeltaOn is the delta-evaluated leg.

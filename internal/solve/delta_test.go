@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/delta"
+	"repro/internal/core"
 	"repro/internal/gen"
 )
 
@@ -78,7 +78,7 @@ func TestDeriveNoDeltaDoesNotShare(t *testing.T) {
 	before := parent.DeltaStats()
 
 	off := parent.Derive(WithDelta(false), WithSAIterations(15))
-	if off.DeltaStats() != (delta.Stats{}) {
+	if off.DeltaStats() != (core.MemoStats{}) {
 		t.Errorf("delta-off session reports evaluator stats: %v", off.DeltaStats())
 	}
 	got, err := off.SynthesizeWith(ctx, SAS)
@@ -91,7 +91,7 @@ func TestDeriveNoDeltaDoesNotShare(t *testing.T) {
 	if parent.DeltaStats() != before {
 		t.Errorf("delta-off run moved the shared counters: %v -> %v", before, parent.DeltaStats())
 	}
-	if off.DeltaStats() != (delta.Stats{}) {
+	if off.DeltaStats() != (core.MemoStats{}) {
 		t.Errorf("delta-off session accumulated evaluator stats: %v", off.DeltaStats())
 	}
 }
@@ -160,7 +160,7 @@ func TestDeriveDeltaConcurrent(t *testing.T) {
 // exact, so a key encoding with the same equality classes reproduces
 // every hit and every miss; one that merges or splits a class moves a
 // counter here.
-var goldenORTraffic = delta.Stats{
+var goldenORTraffic = core.MemoStats{
 	ConfigHits: 2084, ConfigMisses: 2417,
 	ScheduleHits: 1906, ScheduleMisses: 3130,
 	RTAHits: 37872, RTAMisses: 18476,
@@ -173,7 +173,7 @@ func TestGoldenORTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("OR over 32 systems")
 	}
-	var got delta.Stats
+	var got core.MemoStats
 	for _, spec := range gen.Corpus(32, 1, 4) {
 		sys, err := gen.Generate(spec)
 		if err != nil {

@@ -28,12 +28,13 @@ type Options struct {
 	// run-wide settings (OR.Workers, OR.OS.Workers, OR.RandSeed) are
 	// always the top-level Workers and Seed.
 	OR opt.OROptions
-	// NoDelta disables the incremental delta-evaluation engine
-	// (internal/delta): every analysis then runs the cold
-	// core.Analyze path. The zero value keeps delta-eval ON — it is
-	// bit-identical to the cold path (the differential harness proves
-	// it), so the escape hatch exists for benchmarking and debugging,
-	// not correctness (the CLIs expose it as -delta=false).
+	// NoDelta disables the incremental delta-evaluation engine (the
+	// session's core.Memo): every analysis then runs through
+	// core.Evaluator, which reuses nothing across configurations. The
+	// zero value keeps delta-eval ON — it is bit-identical either way
+	// (the differential harness proves it), so the escape hatch exists
+	// for benchmarking and debugging, not correctness (the CLIs expose
+	// it as -delta=false).
 	NoDelta bool
 	// Observer, when non-nil, receives progress events.
 	Observer Observer

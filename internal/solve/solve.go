@@ -1,7 +1,7 @@
 // Package solve is the session layer of the reproduction: a Solver is
 // created once per (Application, Architecture) pair and owns the one
 // thing repeated operations share, the exact-keyed incremental
-// evaluator (package delta), so that iterated exploration (the
+// evaluator (a core.Memo), so that iterated exploration (the
 // service's workload) recalls every configuration and analysis stage
 // it has already solved. Everything else — the default configuration,
 // the slot-length candidates — is recomputed per call, which costs
@@ -23,7 +23,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/delta"
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/opt"
@@ -53,7 +52,7 @@ type Solver struct {
 	// (Derive) share it across seeds, strategies and worker counts
 	// without perturbing results; sessions built with WithDelta(false)
 	// bypass it.
-	ev *delta.Evaluator
+	ev *core.Memo
 
 	obsMu *sync.Mutex // serializes Observer delivery across SA chains
 }
@@ -64,7 +63,7 @@ func New(app *model.Application, arch *model.Architecture, options ...Option) (*
 	if app == nil || arch == nil {
 		return nil, fmt.Errorf("solve: nil application or architecture")
 	}
-	return &Solver{app: app, arch: arch, opts: buildOptions(options), ev: delta.New(app, arch), obsMu: &sync.Mutex{}}, nil
+	return &Solver{app: app, arch: arch, opts: buildOptions(options), ev: core.NewMemo(app, arch), obsMu: &sync.Mutex{}}, nil
 }
 
 // Derive returns a session for the same system with a fresh option set
@@ -97,9 +96,9 @@ func (s *Solver) normalizedBase() (*core.Config, error) {
 }
 
 // eval is the session's analysis function, the one place that picks
-// an evaluator: the incremental evaluator when delta-eval is on (the
-// default), the cold core.Evaluator otherwise. Results are
-// bit-identical either way.
+// an evaluator: the session's Memo when delta-eval is on (the default),
+// core.Evaluator, which reuses nothing across configurations, otherwise.
+// Results are bit-identical either way.
 func (s *Solver) eval() core.EvalFunc {
 	if !s.opts.NoDelta {
 		return s.ev.Analyze
@@ -107,13 +106,13 @@ func (s *Solver) eval() core.EvalFunc {
 	return core.Evaluator(s.app, s.arch)
 }
 
-// DeltaStats reports the incremental evaluator's cache counters (the
-// zero Stats when the session runs with WithDelta(false) or nothing was
-// analyzed yet). Derived sessions share the evaluator, so the counters
-// aggregate over every session of the system.
-func (s *Solver) DeltaStats() delta.Stats {
+// DeltaStats reports the incremental evaluator's cache counters (zero
+// when the session runs with WithDelta(false) or nothing was analyzed
+// yet). Derived sessions share the evaluator, so the counters aggregate
+// over every session of the system.
+func (s *Solver) DeltaStats() core.MemoStats {
 	if s.opts.NoDelta {
-		return delta.Stats{}
+		return core.MemoStats{}
 	}
 	return s.ev.Stats()
 }

@@ -1,7 +1,7 @@
 package repro
 
 import (
-	"repro/internal/delta"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/opt"
 	"repro/internal/solve"
@@ -46,7 +46,7 @@ type Evaluation = engine.Evaluation
 
 // DeltaStats reports the incremental delta-evaluation engine's cache
 // counters (see Solver.DeltaStats and WithDelta).
-type DeltaStats = delta.Stats
+type DeltaStats = core.MemoStats
 
 // NewSolver builds a synthesis session for the application/architecture
 // pair. Options normalize exactly once, here: worker counts propagate
