@@ -89,7 +89,7 @@ func main() {
 		_, rep := st.Replay()
 		logger.Info("journal replayed", "dir", *dataDir, "records", rep.Records, "segments", rep.Segments)
 		for _, torn := range rep.Torn {
-			logger.Warn("journal tail torn",
+			logger.Warn("store tail torn",
 				"segment", torn.Segment, "offset", torn.Offset, "dropped", torn.Dropped, "reason", torn.Reason)
 		}
 	}

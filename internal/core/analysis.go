@@ -187,6 +187,7 @@ func (m *Memo) analyzeStages(cfg *Config, offsetBlind bool) (*Analysis, error) {
 			ReleaseOffset: lay.release,
 			PinnedProc:    cfg.PinnedProc,
 			PinnedEdge:    cfg.PinnedEdge,
+			LongestPath:   lay.longestPath,
 		}, lay)
 		if err != nil {
 			return nil, err
@@ -274,6 +275,9 @@ type etFrame struct {
 	// when the graphs are cyclic (validated applications never are).
 	order    []model.ProcID
 	orderErr error
+	// longestPath is the list scheduler's tie-break table
+	// (App.LongestPathToSink), nil when the graphs are cyclic.
+	longestPath []model.Time
 
 	// taskTmpl is the RTA task set, contiguous per resource: the ET CPUs
 	// in the order of their first process, then the CAN bus. It carries
@@ -338,6 +342,7 @@ func newETFrame(app *model.Application, arch *model.Architecture) *etFrame {
 		canTime: make([]model.Time, len(app.Edges)),
 	}
 	f.order, f.orderErr = app.TopoOrderAll()
+	f.longestPath, _ = app.LongestPathToSink() // its error is orderErr's
 	canLegs, etTT := 0, 0
 	for _, e := range app.Edges {
 		r := app.RouteOf(e.ID, arch)

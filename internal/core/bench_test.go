@@ -34,9 +34,9 @@ func genConfig(tb testing.TB, seed int64, procsPerNode int) (*model.Application,
 // counts: a change that adds an allocation to the Fig. 5 loop fails
 // here, and a change that removes some should lower them.
 const (
-	analyzeColdAllocs = 145
-	analyzeMemoAllocs = 232
-	analyzeWarmAllocs = 116
+	analyzeColdAllocs = 143
+	analyzeMemoAllocs = 230
+	analyzeWarmAllocs = 115
 )
 
 // TestAnalyzeAllocs pins the allocations of a cold Analyze (through a

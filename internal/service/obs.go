@@ -103,9 +103,11 @@ func (s *Service) registerMetrics() {
 	}
 	r.CounterFunc("mcs_store_appends_total", "Journal records appended since open.",
 		storeStat(func(x store.Stats) float64 { return float64(x.Appends) }))
+	r.CounterFunc("mcs_store_fsyncs_total", "File and directory fsyncs since open (journal and results log).",
+		storeStat(func(x store.Stats) float64 { return float64(x.Fsyncs) }))
 	r.CounterFunc("mcs_store_compactions_total", "Journal rewrites since open.",
 		storeStat(func(x store.Stats) float64 { return float64(x.Compactions) }))
-	r.CounterFunc("mcs_store_torn_tails_total", "Torn journal tails truncated at replay.",
+	r.CounterFunc("mcs_store_torn_tails_total", "Torn journal and results-log tails found at open.",
 		storeStat(func(x store.Stats) float64 { return float64(x.TornTails) }))
 	r.CounterFunc("mcs_store_results_stored_total", "Results persisted to the durable store.",
 		storeStat(func(x store.Stats) float64 { return float64(x.ResultsStored) }))
@@ -119,6 +121,10 @@ func (s *Service) registerMetrics() {
 		storeStat(func(x store.Stats) float64 { return float64(x.Segments) }))
 	r.GaugeFunc("mcs_store_journal_bytes", "Journal footprint in bytes.",
 		storeStat(func(x store.Stats) float64 { return float64(x.JournalBytes) }))
+	r.GaugeFunc("mcs_store_result_bytes", "Results-log footprint in bytes: the latest unexpired result per key (live) and the rest (dead).",
+		storeStat(func(x store.Stats) float64 { return float64(x.ResultsLiveBytes) }), obs.L("state", "live"))
+	r.GaugeFunc("mcs_store_result_bytes", "Results-log footprint in bytes: the latest unexpired result per key (live) and the rest (dead).",
+		storeStat(func(x store.Stats) float64 { return float64(x.ResultsDeadBytes) }), obs.L("state", "dead"))
 	r.CounterFunc("mcs_store_errors_total", "Non-fatal journal/result-store write failures.",
 		func() float64 { return float64(s.storeErrs.Load()) })
 

@@ -101,6 +101,7 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 		"mcs_engine_batch_size_bucket",
 		"mcs_sse_subscribers 0",
 		"mcs_store_appends_total 0", // no store configured
+		"mcs_store_fsyncs_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -421,6 +423,49 @@ func TestPersistCompactionBoundsJournal(t *testing.T) {
 	}
 	if stats.Store.Segments >= 8 {
 		t.Fatalf("journal not bounded: %d segments after compaction", stats.Store.Segments)
+	}
+}
+
+// TestPersistFsyncsPerJob pins the fsyncs of the durable path once the
+// journal and results segments are open: a fresh job takes three (its
+// submit and finish records and its result frame; the start record
+// rides on the next fsync), a persistent hit two, and no result after
+// a segment's first creates a file.
+func TestPersistFsyncsPerJob(t *testing.T) {
+	dir := t.TempDir()
+	clk := newTestClock()
+	st := openTestStore(t, dir, clk, store.Options{})
+	svc := New(Options{Workers: 1, JobWorkers: 1, Store: st, Clock: clk})
+	defer svc.Close()
+
+	fsyncs := func(seed int64) (int64, *JobStatus) {
+		t.Helper()
+		before := st.Stats().Fsyncs
+		resp, err := svc.Submit(SynthesisRequest{System: testSystem(t, seed), Strategy: "os"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		status := waitDone(t, svc, resp.ID)
+		if status.State != StateDone {
+			t.Fatalf("job finished %s (%s)", status.State, status.Error)
+		}
+		return st.Stats().Fsyncs - before, status
+	}
+	fsyncs(51) // opens both segments
+	for _, seed := range []int64{52, 53} {
+		if n, status := fsyncs(seed); n != 3 || status.Result.PersistentHit {
+			t.Fatalf("fresh job took %d fsyncs (persistentHit %v), want 3", n, status.Result.PersistentHit)
+		}
+	}
+	if n, status := fsyncs(52); n != 2 || !status.Result.PersistentHit {
+		t.Fatalf("persistent hit took %d fsyncs (persistentHit %v), want 2", n, status.Result.PersistentHit)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("3 results left %d files in the results directory, want one segment", len(entries))
 	}
 }
 

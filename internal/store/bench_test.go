@@ -62,22 +62,48 @@ func BenchmarkJournalReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkResultCacheHit measures a persistent result-store hit — the
+// benchResult is a realistic config+analysis payload.
+func benchResult() []byte {
+	result := make([]byte, 8<<10)
+	for i := range result {
+		result[i] = byte('a' + i%16)
+	}
+	result[0], result[len(result)-1] = '"', '"'
+	return result
+}
+
+// BenchmarkPutResult measures a durable result put (frame, write and
+// fsync of the open results-log segment) — the cost a fresh job's
+// result adds before its finish record.
+func BenchmarkPutResult(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{Clock: newFakeClock()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	result := benchResult()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.PutResult(fmt.Sprintf("deadbeef.%016x", i), result); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.Stats().Fsyncs)/float64(b.N), "fsyncs/op")
+}
+
+// BenchmarkGetResult measures a persistent result-store hit — the
 // latency of serving a finished job's result from disk instead of
 // recomputing it.
-func BenchmarkResultCacheHit(b *testing.B) {
+func BenchmarkGetResult(b *testing.B) {
 	s, err := Open(b.TempDir(), Options{Clock: newFakeClock()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
 	key := "deadbeef.0011223344556677"
-	result := make([]byte, 8<<10) // a realistic config+analysis payload
-	for i := range result {
-		result[i] = byte('a' + i%16)
-	}
-	result[0], result[len(result)-1] = '"', '"'
-	if err := s.PutResult(key, result); err != nil {
+	if err := s.PutResult(key, benchResult()); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

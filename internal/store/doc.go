@@ -20,8 +20,9 @@
 //	[4-byte little-endian CRC-32C of the payload]
 //	[payload]
 //
-// Appends are fsynced before they are acknowledged, the active segment
-// rotates once it exceeds the configured size, and compaction rewrites
+// Appends are fsynced before they are acknowledged (except OpStart
+// records, which replay does not need; the next durable append covers
+// them), the active segment rotates once it exceeds the configured size, and compaction rewrites
 // the sealed segments down to the live job state (see FileStore.Compact
 // for the crash-safety argument). Recovery keeps the longest valid
 // record prefix: a torn or corrupt frame stops replay at that point and
@@ -31,9 +32,14 @@
 // # Result store
 //
 // Results are opaque byte blobs keyed by the request key (system
-// fingerprint + option digest, computed by the service). A result older
-// than the configured TTL is evicted on lookup and during compaction
-// sweeps; TTL zero keeps results forever. Time is read through the
+// fingerprint + option digest, computed by the service). They live in
+// the results log, numbered segments of frames in the journal's framing
+// whose payload is the key, the put stamp and the raw result bytes; an
+// in-memory index maps each key to its latest frame's offset, so a put
+// is one write and one fsync of an open file and a lookup one read. A
+// result older than the configured TTL is evicted on lookup and during
+// compaction sweeps, which rewrite the log down to its live frames once
+// the dead ones outweigh them; TTL zero keeps results forever. Time is read through the
 // injected Clock so tests drive expiry on a fake clock; the system
 // clock lives behind the single SystemClock constructor.
 package store

@@ -1,21 +1,24 @@
 package store
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Options tunes a FileStore. Zero values select the defaults.
 type Options struct {
-	// SegmentBytes rotates the active journal segment once it reaches
-	// this size (default 4 MiB; floor 4 KiB). Smaller segments compact
-	// more often; the value never affects replayed state.
+	// SegmentBytes rotates the active journal segment, and the active
+	// results-log segment, once it reaches this size (default 4 MiB;
+	// floor 4 KiB). Smaller segments compact more often; the value
+	// never affects replayed state.
 	SegmentBytes int64
 	// ResultTTL evicts persisted results older than this on lookup and
 	// during compaction sweeps; zero keeps results forever.
@@ -41,28 +44,43 @@ func (o *Options) normalize() {
 }
 
 // FileStore is the pure-Go, file-backed Store: journal segments under
-// <dir>/journal, one result file per request key under <dir>/results.
-// It assumes a single writing process (the service); recovery happens
-// once, in Open.
+// <dir>/journal and the results log, append-only segments of framed
+// results indexed in memory by request key, under <dir>/results (see
+// results.go). A durable job costs one fsync per acknowledged journal
+// record and one per result, all on files that are already open: the
+// only files ever created are new segments. It assumes a single writing
+// process (the service); recovery happens once, in Open.
+//
+// The journal and the results log have locks of their own, so a
+// result's write and fsync never hold up a journal append.
 type FileStore struct {
 	dir  string
 	opts Options
 
+	// closed is set by Close under both mu and rmu, so holding either
+	// orders a read against it.
+	closed atomic.Bool
+	fsyncs atomic.Int64
+
 	mu         sync.Mutex
-	closed     bool
 	compacting bool
 	active     *os.File
 	activeIdx  int
 	activeSize int64
-	nextIdx    int
-	segs       []segInfo // every on-disk segment, ascending index
+	// unsynced reports frames on the active segment that no fsync
+	// covers yet (OpStart records); sealing the segment syncs them.
+	unsynced bool
+	nextIdx  int
+	segs     []segInfo // every on-disk segment, ascending index
 
 	recs   []Record
 	report ReplayReport
 
-	appends, appendBytes          int64
-	compactions                   int64
-	stored, hits, misses, expired int64
+	appends, appendBytes int64
+	compactions          int64
+
+	rmu     sync.Mutex
+	results resultsLog
 }
 
 type segInfo struct {
@@ -77,13 +95,20 @@ const (
 
 func segName(idx int) string { return fmt.Sprintf("%s%08d%s", segPrefix, idx, segSuffix) }
 
+// parseName reads the index out of a segment file name, prefix + eight
+// digits + suffix; false for any other name.
+func parseName(name, prefix, suffix string, idx *int) bool {
+	_, err := fmt.Sscanf(name, prefix+"%d"+suffix, idx)
+	return err == nil && fmt.Sprintf("%s%08d%s", prefix, *idx, suffix) == name
+}
+
 // Open recovers the journal under dir (creating the layout on first
 // use): segments are replayed in order, the longest valid record
 // prefix is kept, a torn tail on the final segment is truncated away,
 // and corruption in an earlier segment stops replay there (later
 // segments are reported dropped and reclaimed by the next compaction).
 // Appends always start a fresh segment, so recovery never writes after
-// damage.
+// damage. Open then indexes the results log (see openResults).
 func Open(dir string, opts Options) (*FileStore, error) {
 	opts.normalize()
 	s := &FileStore{dir: dir, opts: opts, nextIdx: 1}
@@ -104,7 +129,7 @@ func Open(dir string, opts Options) (*FileStore, error) {
 			continue
 		}
 		var idx int
-		if _, err := fmt.Sscanf(name, segPrefix+"%d"+segSuffix, &idx); err != nil || segName(idx) != name {
+		if !parseName(name, segPrefix, segSuffix, &idx) {
 			continue // foreign file; leave it alone
 		}
 		if idx >= s.nextIdx {
@@ -146,6 +171,10 @@ func Open(dir string, opts Options) (*FileStore, error) {
 		}
 		s.segs = append(s.segs, segInfo{idx: idx, size: size})
 	}
+	if err := s.openResults(); err != nil {
+		s.results.close()
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -166,6 +195,11 @@ func (s *FileStore) Replay() ([]Record, ReplayReport) {
 // Append durably appends one record: frame, write, fsync, then rotate
 // the segment if it reached the size bound. An error means the record
 // must be treated as unwritten.
+//
+// An OpStart record is written without its own fsync: replay treats a
+// started job exactly like a queued one, so losing the record costs
+// nothing, and the next durable append (or sealing the segment) covers
+// it anyway.
 func (s *FileStore) Append(rec Record) error {
 	frame, err := encodeFrame(nil, rec)
 	if err != nil {
@@ -173,7 +207,7 @@ func (s *FileStore) Append(rec Record) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return fmt.Errorf("store: append on closed store")
 	}
 	if s.active != nil && s.activeSize > 0 && s.activeSize+int64(len(frame)) > s.opts.SegmentBytes {
@@ -184,6 +218,13 @@ func (s *FileStore) Append(rec Record) error {
 		if err != nil {
 			return fmt.Errorf("store: opening segment: %w", err)
 		}
+		// The new name must be durable before any record in it is
+		// acknowledged.
+		if err := s.syncDir(s.journalDir()); err != nil {
+			f.Close()
+			os.Remove(f.Name())
+			return fmt.Errorf("store: syncing journal directory: %w", err)
+		}
 		s.active = f
 		s.activeIdx = s.nextIdx
 		s.activeSize = 0
@@ -193,8 +234,13 @@ func (s *FileStore) Append(rec Record) error {
 	if _, err := s.active.Write(frame); err != nil {
 		return fmt.Errorf("store: appending record: %w", err)
 	}
-	if err := s.active.Sync(); err != nil {
-		return fmt.Errorf("store: syncing journal: %w", err)
+	if rec.Op == OpStart {
+		s.unsynced = true
+	} else {
+		if err := s.sync(s.active); err != nil {
+			return fmt.Errorf("store: syncing journal: %w", err)
+		}
+		s.unsynced = false
 	}
 	s.activeSize += int64(len(frame))
 	for i := range s.segs {
@@ -207,10 +253,15 @@ func (s *FileStore) Append(rec Record) error {
 	return nil
 }
 
-// sealActiveLocked closes the active segment; the next append opens a
-// fresh one. Callers hold s.mu.
+// sealActiveLocked syncs any unsynced tail and closes the active
+// segment; the next append opens a fresh one. A failed sync can lose
+// only OpStart records, which replay does not need. Callers hold s.mu.
 func (s *FileStore) sealActiveLocked() {
 	if s.active != nil {
+		if s.unsynced {
+			s.sync(s.active)
+			s.unsynced = false
+		}
 		s.active.Close()
 		s.active = nil
 		s.activeSize = 0
@@ -224,9 +275,11 @@ func (s *FileStore) sealActiveLocked() {
 //     the compacted segment. Appends from here on go to segments > C.
 //  2. Outside the lock: snapshot() collects the live records — it may
 //     take service locks, and appends may interleave freely.
-//  3. Under the lock: write the live records to seg-C.tmp, fsync,
-//     rename to seg-C.wal (atomic), then delete the sealed segments
-//     (< C) and sweep expired results.
+//  3. Write the live records to seg-C.tmp and fsync it; then, under
+//     the lock, rename it to seg-C.wal (atomic), fsync the directory so
+//     the rename is durable before anything it replaces is gone, and
+//     delete the sealed segments (< C).
+//  4. Under the results lock: sweep the results log (sweepResults).
 //
 // Every crash point replays to a superset of the live state: before
 // the rename the old segments are intact; after it, stale old records
@@ -234,8 +287,16 @@ func (s *FileStore) sealActiveLocked() {
 // records appended during the snapshot live in segments after C either
 // way. Concurrent Compact calls coalesce (the second returns nil).
 func (s *FileStore) Compact(snapshot func() []Record) error {
+	if err := s.compactJournal(snapshot); err != nil {
+		return err
+	}
+	return s.sweepResults()
+}
+
+// compactJournal is Compact's journal rewrite, steps 1 to 3.
+func (s *FileStore) compactJournal(snapshot func() []Record) error {
 	s.mu.Lock()
-	if s.closed || s.compacting {
+	if s.closed.Load() || s.compacting {
 		s.mu.Unlock()
 		return nil
 	}
@@ -262,20 +323,28 @@ func (s *FileStore) Compact(snapshot func() []Record) error {
 
 	name := segName(compactIdx)
 	tmp := filepath.Join(s.journalDir(), name+".tmp")
-	if err := writeFileSync(tmp, buf); err != nil {
+	if err := s.writeFileSync(tmp, buf); err != nil {
 		return finish(fmt.Errorf("store: writing compacted segment: %w", err))
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.compacting = false
-	if s.closed {
+	if s.closed.Load() {
 		os.Remove(tmp)
 		return fmt.Errorf("store: compact on closed store")
 	}
 	if err := os.Rename(tmp, filepath.Join(s.journalDir(), name)); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("store: installing compacted segment: %w", err)
+	}
+	if err := s.syncDir(s.journalDir()); err != nil {
+		// Keep the sealed segments: replay folds their records and the
+		// compacted copies back to the same state, and the next
+		// compaction reclaims them and C.
+		s.segs = append(s.segs, segInfo{idx: compactIdx, size: int64(len(buf))})
+		slices.SortFunc(s.segs, func(a, b segInfo) int { return cmp.Compare(a.idx, b.idx) })
+		return fmt.Errorf("store: syncing journal directory: %w", err)
 	}
 	live := []segInfo{{idx: compactIdx, size: int64(len(buf))}}
 	for _, seg := range s.segs {
@@ -287,144 +356,44 @@ func (s *FileStore) Compact(snapshot func() []Record) error {
 	}
 	s.segs = live
 	s.compactions++
-	s.sweepResultsLocked()
 	return nil
-}
-
-// resultFile is the on-disk envelope of one persisted result.
-type resultFile struct {
-	Key    string          `json:"key"`
-	Unix   int64           `json:"unix"`
-	Result json.RawMessage `json:"result"`
-}
-
-// PutResult persists the canonical result bytes for a request key
-// (write-to-temp, fsync, atomic rename).
-func (s *FileStore) PutResult(key string, result []byte) error {
-	if !validKey(key) {
-		return fmt.Errorf("store: invalid result key %q", key)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: put on closed store")
-	}
-	blob, err := json.Marshal(resultFile{Key: key, Unix: s.opts.Clock.Now().Unix(), Result: result})
-	if err != nil {
-		return fmt.Errorf("store: encoding result: %w", err)
-	}
-	path := filepath.Join(s.resultsDir(), key+".json")
-	if err := writeFileSync(path+".tmp", blob); err != nil {
-		return fmt.Errorf("store: writing result: %w", err)
-	}
-	if err := os.Rename(path+".tmp", path); err != nil {
-		os.Remove(path + ".tmp")
-		return fmt.Errorf("store: installing result: %w", err)
-	}
-	s.stored++
-	return nil
-}
-
-// GetResult returns the unexpired result bytes for a key. Expired
-// entries are evicted on the way out; unreadable or foreign files are
-// misses, never errors — the caller recomputes and overwrites.
-func (s *FileStore) GetResult(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || !validKey(key) {
-		s.misses++
-		return nil, false
-	}
-	path := filepath.Join(s.resultsDir(), key+".json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		s.misses++
-		return nil, false
-	}
-	var rf resultFile
-	if err := json.Unmarshal(data, &rf); err != nil || len(rf.Result) == 0 {
-		s.misses++
-		return nil, false
-	}
-	if s.expiredLocked(rf.Unix) {
-		os.Remove(path)
-		s.expired++
-		s.misses++
-		return nil, false
-	}
-	s.hits++
-	return rf.Result, true
-}
-
-// expiredLocked applies the TTL to a stored-at timestamp.
-func (s *FileStore) expiredLocked(unix int64) bool {
-	if s.opts.ResultTTL <= 0 {
-		return false
-	}
-	return s.opts.Clock.Now().Sub(time.Unix(unix, 0)) > s.opts.ResultTTL
-}
-
-// sweepResultsLocked deletes every expired result file, so the result
-// store's disk footprint is bounded by the TTL even for keys that are
-// never looked up again. Runs under s.mu during compaction.
-func (s *FileStore) sweepResultsLocked() {
-	if s.opts.ResultTTL <= 0 {
-		return
-	}
-	names, err := sortedNames(s.resultsDir())
-	if err != nil {
-		return
-	}
-	for _, name := range names {
-		if !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		path := filepath.Join(s.resultsDir(), name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		var rf resultFile
-		if err := json.Unmarshal(data, &rf); err != nil {
-			continue
-		}
-		if s.expiredLocked(rf.Unix) {
-			if os.Remove(path) == nil {
-				s.expired++
-			}
-		}
-	}
 }
 
 // Stats snapshots the durability counters.
 func (s *FileStore) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := Stats{
-		Segments:         len(s.segs),
-		Appends:          s.appends,
-		AppendBytes:      s.appendBytes,
-		ReplayedRecords:  s.report.Records,
-		TornTails:        len(s.report.Torn),
-		SegmentsDropped:  s.report.SegmentsDropped,
-		Compactions:      s.compactions,
-		ResultsStored:    s.stored,
-		PersistentHits:   s.hits,
-		PersistentMisses: s.misses,
-		ResultsExpired:   s.expired,
+		Segments:        len(s.segs),
+		Appends:         s.appends,
+		AppendBytes:     s.appendBytes,
+		ReplayedRecords: s.report.Records,
+		TornTails:       len(s.report.Torn),
+		SegmentsDropped: s.report.SegmentsDropped,
+		Compactions:     s.compactions,
 	}
 	for _, seg := range s.segs {
 		st.JournalBytes += seg.size
 	}
+	s.mu.Unlock()
+	s.rmu.Lock()
+	r := &s.results
+	st.ResultsStored, st.PersistentHits, st.PersistentMisses, st.ResultsExpired = r.stored, r.hits, r.misses, r.expired
+	st.ResultsLiveBytes, st.ResultsDeadBytes = r.liveBytes, r.deadBytes
+	s.rmu.Unlock()
+	st.Fsyncs = s.fsyncs.Load()
 	return st
 }
 
-// Close seals the journal; further mutations fail. Idempotent.
+// Close seals the journal and closes the results log; further
+// mutations fail and lookups miss. Idempotent.
 func (s *FileStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.rmu.Lock()
+	defer s.rmu.Unlock()
 	s.sealActiveLocked()
-	s.closed = true
+	s.closed.Store(true)
+	s.results.close()
 	return nil
 }
 
@@ -432,7 +401,7 @@ func (s *FileStore) Close() error {
 // digest separator) and refuses anything that could escape the results
 // directory.
 func validKey(key string) bool {
-	if key == "" || len(key) > 300 {
+	if key == "" || len(key) > maxKeyBytes {
 		return false
 	}
 	for _, r := range key {
@@ -448,7 +417,7 @@ func validKey(key string) bool {
 
 // writeFileSync writes data and fsyncs before closing, so a following
 // rename installs fully-durable content.
-func writeFileSync(path string, data []byte) error {
+func (s *FileStore) writeFileSync(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -457,11 +426,31 @@ func writeFileSync(path string, data []byte) error {
 		f.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := s.sync(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// sync fsyncs f and counts it.
+func (s *FileStore) sync(f *os.File) error {
+	s.fsyncs.Add(1)
+	return f.Sync()
+}
+
+// syncDir fsyncs a directory, making the names created, renamed or
+// removed in it durable.
+func (s *FileStore) syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = s.sync(d)
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // sortedNames lists a directory deterministically.

@@ -280,14 +280,17 @@ func TestFileStoreResultTTL(t *testing.T) {
 	if got, ok := s.GetResult(key); !ok || string(got) != `{"evaluations":42}` {
 		t.Fatalf("GetResult before expiry = %q, %v", got, ok)
 	}
+	live := s.Stats().ResultsLiveBytes
 	clk.advance(2 * time.Hour)
 	if _, ok := s.GetResult(key); ok {
 		t.Fatal("GetResult returned an expired result")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "results", key+".json")); !os.IsNotExist(err) {
-		t.Fatal("expired result file not evicted on lookup")
-	}
+	// Evicted on lookup: its frame no longer counts as live.
 	st := s.Stats()
+	if st.ResultsLiveBytes != 0 || st.ResultsDeadBytes != live {
+		t.Fatalf("expired result not evicted on lookup: live %d, dead %d bytes (frame %d)",
+			st.ResultsLiveBytes, st.ResultsDeadBytes, live)
+	}
 	if st.ResultsStored != 1 || st.PersistentHits != 1 || st.ResultsExpired != 1 {
 		t.Fatalf("TTL counters = %+v", st)
 	}
@@ -297,7 +300,8 @@ func TestFileStoreCompactionSweepsExpiredResults(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
 	s := mustOpen(t, dir, Options{ResultTTL: time.Hour, Clock: clk})
-	if err := s.PutResult("aa.bb", []byte(`1`)); err != nil {
+	// The expired result outweighs the live one, so the sweep rewrites.
+	if err := s.PutResult("aa.bb", bytes.Repeat([]byte("1"), 512)); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(2 * time.Hour)
@@ -307,12 +311,35 @@ func TestFileStoreCompactionSweepsExpiredResults(t *testing.T) {
 	if err := s.Compact(func() []Record { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "results", "aa.bb.json")); !os.IsNotExist(err) {
-		t.Fatal("compaction sweep kept an expired result")
+	st := s.Stats()
+	live := int64(frameHeader + resultFixed + len("cc.dd") + 1)
+	if st.ResultsExpired != 1 || st.ResultsLiveBytes != live || st.ResultsDeadBytes != 0 {
+		t.Fatalf("compaction sweep kept an expired result: %+v, want %d live bytes", st, live)
+	}
+	if got := resultsLogBytes(t, dir); got != live {
+		t.Fatalf("results log holds %d bytes after the sweep, want the %d live ones", got, live)
 	}
 	if _, ok := s.GetResult("cc.dd"); !ok {
 		t.Fatal("compaction sweep evicted a live result")
 	}
+}
+
+// resultsLogBytes sums the results-log segments on disk.
+func resultsLogBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	matches, err := filepath.Glob(filepath.Join(dir, "results", resPrefix+"*"+resSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, m := range matches {
+		fi, err := os.Stat(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += fi.Size()
+	}
+	return n
 }
 
 func TestFileStoreResultSurvivesReopen(t *testing.T) {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -69,5 +70,74 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 		_ = bytes.Equal(reenc, data[:consumed]) // encodings may differ (JSON field order); only record equality matters
+	})
+}
+
+// FuzzResultsLog pins the recovery contract of the results-log scanner
+// the way FuzzJournalReplay pins the journal's: on any byte sequence it
+// never panics, visits contiguous frames from offset 0, stops at the
+// longest valid prefix and explains the rest, and rescanning exactly
+// that prefix visits the same frames with no damage.
+func FuzzResultsLog(f *testing.F) {
+	var valid []byte
+	for i := 1; i <= 3; i++ {
+		frame, err := encodeResult(fmt.Sprintf("deadbeef.%016x", i), 1_700_000_000, []byte(`{"x":1}`))
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid = append(valid, frame...)
+	}
+	journal, err := encodeFrame(nil, submitRec(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)                   // clean log
+	f.Add(valid[:len(valid)-5])    // torn tail mid-frame
+	f.Add(valid[:3])               // torn header
+	f.Add(append(valid, valid...)) // duplicated keys
+	f.Add(append(valid, 0xFF))     // trailing garbage
+	f.Add([]byte{})                // empty log
+	f.Add(journal)                 // a valid frame that is not a result
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x01
+	f.Add(flipped) // bit flip mid-payload
+
+	type visit struct{ off, size int64 }
+	scan := func(t *testing.T, data []byte) ([]visit, int64, string) {
+		var seen []visit
+		consumed, reason, err := scanResults(bytes.NewReader(data), func(key []byte, _, off, size int64) {
+			if !validKey(string(key)) {
+				t.Fatalf("visited an invalid key %q", key)
+			}
+			seen = append(seen, visit{off, size})
+		})
+		if err != nil {
+			t.Fatalf("scanning an in-memory log failed: %v", err)
+		}
+		return seen, consumed, reason
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		seen, consumed, reason := scan(t, data)
+		if consumed < 0 || consumed > int64(len(data)) {
+			t.Fatalf("consumed %d of %d bytes", consumed, len(data))
+		}
+		if (reason == "") != (consumed == int64(len(data))) {
+			t.Fatalf("reason %q with %d of %d bytes consumed", reason, consumed, len(data))
+		}
+		next := int64(0)
+		for _, v := range seen {
+			if v.off != next {
+				t.Fatalf("frame at %d, want %d: frames are not contiguous", v.off, next)
+			}
+			next += v.size
+		}
+		if next != consumed {
+			t.Fatalf("visited frames span %d bytes, consumed %d", next, consumed)
+		}
+		again, consumed2, reason2 := scan(t, data[:consumed])
+		if reason2 != "" || consumed2 != consumed || len(again) != len(seen) {
+			t.Fatalf("prefix not self-consistent: %d/%d frames, %d/%d bytes, reason %q",
+				len(again), len(seen), consumed2, consumed, reason2)
+		}
 	})
 }

@@ -30,14 +30,46 @@ func encodeFrame(buf []byte, rec Record) ([]byte, error) {
 	if err != nil {
 		return buf, fmt.Errorf("store: encoding record: %w", err)
 	}
+	return appendFrame(buf, payload)
+}
+
+// appendFrame appends one frame carrying payload to buf.
+func appendFrame(buf, payload []byte) ([]byte, error) {
 	if len(payload) > maxRecordBytes {
 		return buf, fmt.Errorf("store: record of %d bytes exceeds the %d byte frame cap", len(payload), maxRecordBytes)
 	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...), nil
+	start := len(buf)
+	buf = append(buf, make([]byte, frameHeader)...)
+	buf = append(buf, payload...)
+	putFrameHeader(buf[start:])
+	return buf, nil
+}
+
+// putFrameHeader fills the header of a frame whose payload is already
+// in place after it. The journal and the results log share it, so both
+// files have one framing.
+func putFrameHeader(frame []byte) {
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+}
+
+// frameSize reads a frame header: the payload length, or the reason
+// the header cannot start a valid frame.
+func frameSize(hdr []byte) (int64, string) {
+	size := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	if size > maxRecordBytes {
+		return 0, fmt.Sprintf("frame length %d exceeds the %d byte cap", size, maxRecordBytes)
+	}
+	return size, ""
+}
+
+// frameCRC checks a payload against its frame header's checksum.
+func frameCRC(hdr, payload []byte) string {
+	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
+		return fmt.Sprintf("CRC mismatch: %08x != %08x", got, want)
+	}
+	return ""
 }
 
 // decodeFrames recovers the longest valid prefix of framed records
@@ -53,16 +85,16 @@ func decodeFrames(data []byte) (recs []Record, consumed int64, reason string) {
 		if len(rest) < frameHeader {
 			return recs, off, fmt.Sprintf("torn frame header: %d trailing bytes", len(rest))
 		}
-		size := int64(binary.LittleEndian.Uint32(rest[0:4]))
-		if size > maxRecordBytes {
-			return recs, off, fmt.Sprintf("frame length %d exceeds the %d byte cap", size, maxRecordBytes)
+		size, bad := frameSize(rest)
+		if bad != "" {
+			return recs, off, bad
 		}
 		if int64(len(rest)) < frameHeader+size {
 			return recs, off, fmt.Sprintf("torn frame payload: %d of %d bytes", int64(len(rest))-frameHeader, size)
 		}
 		payload := rest[frameHeader : frameHeader+size]
-		if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(rest[4:8]); got != want {
-			return recs, off, fmt.Sprintf("CRC mismatch: %08x != %08x", got, want)
+		if bad := frameCRC(rest, payload); bad != "" {
+			return recs, off, bad
 		}
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {

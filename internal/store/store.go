@@ -92,9 +92,9 @@ type Store interface {
 	Close() error
 }
 
-// TornTail describes an invalid journal suffix found during recovery:
-// a torn final write, a corrupt frame, or a frame whose payload is not
-// a record. Everything before Offset was recovered; Dropped bytes from
+// TornTail describes an invalid journal or results-log suffix found
+// during recovery: a torn final write, a corrupt frame, or a frame
+// whose payload is not a record (or not a result). Everything before Offset was recovered; Dropped bytes from
 // Offset on were not.
 type TornTail struct {
 	Segment string `json:"segment"`
@@ -104,7 +104,8 @@ type TornTail struct {
 }
 
 // ReplayReport summarizes journal recovery. Torn is non-empty whenever
-// bytes were dropped — recovery reports damage, it never hides it.
+// bytes were dropped, from the journal or the results log — recovery
+// reports damage, it never hides it.
 type ReplayReport struct {
 	Segments int        `json:"segments"`
 	Records  int        `json:"records"`
@@ -133,10 +134,20 @@ type Stats struct {
 	SegmentsDropped int `json:"segmentsDropped,omitempty"`
 	// Compactions counts journal rewrites since open.
 	Compactions int64 `json:"compactions"`
+	// Fsyncs counts file and directory fsyncs since open: one per
+	// durable journal record and one per result, plus one per segment
+	// created and the few a compaction adds.
+	Fsyncs int64 `json:"fsyncs"`
 	// Result-store counters: stored results, cache hits and misses,
 	// TTL evictions.
 	ResultsStored    int64 `json:"resultsStored"`
 	PersistentHits   int64 `json:"persistentHits"`
 	PersistentMisses int64 `json:"persistentMisses"`
 	ResultsExpired   int64 `json:"resultsExpired"`
+	// ResultsLiveBytes is the results-log footprint of the latest
+	// unexpired result of every key; ResultsDeadBytes the rest (results
+	// overwritten or evicted, damaged tails), which a compaction sweep
+	// reclaims once it exceeds the live bytes.
+	ResultsLiveBytes int64 `json:"resultsLiveBytes"`
+	ResultsDeadBytes int64 `json:"resultsDeadBytes"`
 }

@@ -45,6 +45,10 @@ type Input struct {
 	// PinnedEdge delays the bus transmission of a TTP message to at
 	// least the given in-period offset.
 	PinnedEdge map[model.EdgeID]model.Time
+	// LongestPath is App.LongestPathToSink(), the list scheduler's tie
+	// break, for a caller that schedules one application many times;
+	// nil makes Build compute it.
+	LongestPath []model.Time
 }
 
 // Schedule is the static schedule of the TTC over one hyper-period.
@@ -92,9 +96,11 @@ func Build(in Input) (*Schedule, error) {
 	if p := in.Round.Period(); p <= 0 || hyper%p != 0 {
 		return nil, fmt.Errorf("tsched: round period %d does not divide the hyper-period %d", in.Round.Period(), hyper)
 	}
-	lp, err := app.LongestPathToSink()
-	if err != nil {
-		return nil, err
+	lp := in.LongestPath
+	if lp == nil {
+		if lp, err = app.LongestPathToSink(); err != nil {
+			return nil, err
+		}
 	}
 
 	js := collectJobs(in, hyper)
