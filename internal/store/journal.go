@@ -9,7 +9,7 @@ import (
 
 // Frame layout: 4-byte little-endian payload length, 4-byte
 // little-endian CRC-32C of the payload, then the payload (a JSON-
-// encoded Record). The CRC covers only the payload; a corrupt length
+// encoded Record in the journal, a result in the results log). The CRC covers only the payload; a corrupt length
 // manifests as an impossible size or a CRC mismatch one frame later,
 // either of which stops recovery at this offset.
 const frameHeader = 8
@@ -30,11 +30,6 @@ func encodeFrame(buf []byte, rec Record) ([]byte, error) {
 	if err != nil {
 		return buf, fmt.Errorf("store: encoding record: %w", err)
 	}
-	return appendFrame(buf, payload)
-}
-
-// appendFrame appends one frame carrying payload to buf.
-func appendFrame(buf, payload []byte) ([]byte, error) {
 	if len(payload) > maxRecordBytes {
 		return buf, fmt.Errorf("store: record of %d bytes exceeds the %d byte frame cap", len(payload), maxRecordBytes)
 	}

@@ -94,8 +94,8 @@ type Store interface {
 
 // TornTail describes an invalid journal or results-log suffix found
 // during recovery: a torn final write, a corrupt frame, or a frame
-// whose payload is not a record (or not a result). Everything before Offset was recovered; Dropped bytes from
-// Offset on were not.
+// whose payload is not a record (or not a result). Everything before
+// Offset was recovered; Dropped bytes from Offset on were not.
 type TornTail struct {
 	Segment string `json:"segment"`
 	Offset  int64  `json:"offset"`
