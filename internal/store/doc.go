@@ -22,12 +22,9 @@
 //
 // Appends are fsynced before they are acknowledged (except OpStart
 // records, which replay does not need; the next durable append covers
-// them), the active segment rotates once it exceeds the configured size, and compaction rewrites
-// the sealed segments down to the live job state (see FileStore.Compact
-// for the crash-safety argument). Recovery keeps the longest valid
-// record prefix: a torn or corrupt frame stops replay at that point and
-// is reported — never silently dropped — through ReplayReport and
-// Stats.
+// them), the active segment rotates once it exceeds the configured
+// size, and compaction rewrites the sealed segments down to the live
+// job state (see FileStore.Compact for the crash-safety argument).
 //
 // # Result store
 //
@@ -39,7 +36,19 @@
 // is one write and one fsync of an open file and a lookup one read. A
 // result older than the configured TTL is evicted on lookup and during
 // compaction sweeps, which rewrite the log down to its live frames once
-// the dead ones outweigh them; TTL zero keeps results forever. Time is read through the
-// injected Clock so tests drive expiry on a fake clock; the system
-// clock lives behind the single SystemClock constructor.
+// the dead ones outweigh them; TTL zero keeps results forever. Time is
+// read through the injected Clock so tests drive expiry on a fake
+// clock; the system clock lives behind the single SystemClock
+// constructor.
+//
+// # Segment log
+//
+// Both logs are one segment-log type (segments.go), which owns segment
+// naming, rotation, appends at the tracked end, sealing, installing a
+// rewritten segment, and recovery. Recovery keeps the longest valid
+// frame prefix of the whole log: a torn or corrupt frame stops the scan
+// there, the segments after it are removed and the damaged one is
+// truncated, and the damage is reported — never silently dropped —
+// through ReplayReport and Stats. Each log keeps only its payload
+// codec, its in-memory state, its lock and its compaction policy.
 package store

@@ -43,6 +43,11 @@ func mustOpen(t *testing.T, dir string, opts Options) *FileStore {
 	return s
 }
 
+// segName and resName name the journal's and the results log's
+// segment files.
+func segName(idx int) string { return (&segLog{prefix: segPrefix, suffix: segSuffix}).name(idx) }
+func resName(idx int) string { return (&segLog{prefix: resPrefix, suffix: resSuffix}).name(idx) }
+
 func submitRec(i int) Record {
 	return Record{
 		Op:          OpSubmit,
@@ -193,6 +198,125 @@ func TestFileStoreMidJournalCorruptionDropsLaterSegments(t *testing.T) {
 			t.Fatalf("replayed record %d = %q, want the original prefix order %q", i, rec.Job, want.Job)
 		}
 	}
+
+	// The dropped segments are gone for good: a record appended after
+	// recovery follows the prefix, and the next Open replays exactly
+	// that with nothing left to report.
+	prefix := len(recs)
+	if err := s2.Append(submitRec(1000)); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	s3 := mustOpen(t, dir, Options{Clock: newFakeClock()})
+	recs, rep = s3.Replay()
+	if len(recs) != prefix+1 || len(rep.Torn) != 0 || rep.SegmentsDropped != 0 {
+		t.Fatalf("second reopen replayed %d records with report %+v, want the %d-record prefix plus one and no damage",
+			len(recs), rep, prefix)
+	}
+	for i, rec := range recs[:prefix] {
+		if want := submitRec(i + 1); rec.Job != want.Job {
+			t.Fatalf("second reopen: record %d = %q, want %q", i, rec.Job, want.Job)
+		}
+	}
+	if last := recs[prefix].Job; last != submitRec(1000).Job {
+		t.Fatalf("second reopen: last record %q, want the one appended after recovery", last)
+	}
+}
+
+// TestFileStoreOpenIdempotent damages each log and opens it twice:
+// the first Open recovers and reports, the second must recover the
+// same records and results with nothing left to report.
+func TestFileStoreOpenIdempotent(t *testing.T) {
+	segments := func(t *testing.T, dir, sub, pattern string) []string {
+		t.Helper()
+		matches, err := filepath.Glob(filepath.Join(dir, sub, pattern))
+		if err != nil || len(matches) < 2 {
+			t.Fatalf("precondition: want several %s segments, got %d (%v)", sub, len(matches), err)
+		}
+		return matches // sorted, so by index
+	}
+	tear := func(path string) error {
+		fi, err := os.Stat(path)
+		if err != nil {
+			return err
+		}
+		return os.Truncate(path, fi.Size()-5)
+	}
+	flip := func(path string) error {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		data[len(data)/2] ^= 0xFF
+		return os.WriteFile(path, data, 0o644)
+	}
+	cases := []struct {
+		name    string
+		sub     string
+		pattern string
+		last    bool // damage the last segment, else the first
+		damage  func(path string) error
+	}{
+		{"journal torn tail", "journal", segPrefix + "*" + segSuffix, true, tear},
+		{"journal flipped byte", "journal", segPrefix + "*" + segSuffix, false, flip},
+		{"results torn tail", "results", resPrefix + "*" + resSuffix, true, tear},
+		{"results flipped byte", "results", resPrefix + "*" + resSuffix, false, flip},
+	}
+	const records, results = 100, 20
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{SegmentBytes: 1, Clock: newFakeClock()}
+			s := mustOpen(t, dir, opts)
+			for i := 1; i <= records; i++ {
+				if err := s.Append(submitRec(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			putResults(t, s, 1, results)
+			s.Close()
+			segs := segments(t, dir, tc.sub, tc.pattern)
+			target := segs[0]
+			if tc.last {
+				target = segs[len(segs)-1]
+			}
+			if err := tc.damage(target); err != nil {
+				t.Fatal(err)
+			}
+
+			open := func() ([]Record, ReplayReport, [][]byte) {
+				s := mustOpen(t, dir, opts)
+				defer s.Close()
+				recs, rep := s.Replay()
+				bodies := make([][]byte, results+1)
+				for i := 1; i <= results; i++ {
+					bodies[i], _ = s.GetResult(resultKey(i))
+				}
+				return recs, rep, bodies
+			}
+			recs, rep, bodies := open()
+			if len(rep.Torn) != 1 {
+				t.Fatalf("first Open reported %+v, want the damage", rep)
+			}
+			recs2, rep2, bodies2 := open()
+			if len(rep2.Torn) != 0 || rep2.SegmentsDropped != 0 {
+				t.Fatalf("second Open reported %+v, want no damage", rep2)
+			}
+			if len(recs2) != len(recs) {
+				t.Fatalf("second Open replayed %d records, first %d", len(recs2), len(recs))
+			}
+			for i := range recs {
+				if recs2[i].Job != recs[i].Job || recs2[i].Op != recs[i].Op {
+					t.Fatalf("record %d: second Open %+v, first %+v", i, recs2[i], recs[i])
+				}
+			}
+			for i := 1; i <= results; i++ {
+				if !bytes.Equal(bodies2[i], bodies[i]) {
+					t.Fatalf("result #%d: second Open %q, first %q", i, bodies2[i], bodies[i])
+				}
+			}
+		})
+	}
 }
 
 func TestFileStoreCompact(t *testing.T) {
@@ -250,13 +374,20 @@ func TestFileStoreCrashedCompactionLeftoverTmp(t *testing.T) {
 	if err := s.Append(submitRec(1)); err != nil {
 		t.Fatal(err)
 	}
+	putResults(t, s, 1, 1)
 	s.Close()
 
-	// A compaction that died before its rename leaves a .tmp file; Open
-	// must discard it and keep the real segments.
-	tmp := filepath.Join(dir, "journal", segName(9)+".tmp")
-	if err := os.WriteFile(tmp, []byte("half-written"), 0o644); err != nil {
-		t.Fatal(err)
+	// A compaction or a results-log rewrite that died before its rename
+	// leaves a .tmp file; Open must discard it and keep the real
+	// segments.
+	tmps := []string{
+		filepath.Join(dir, "journal", segName(9)+".tmp"),
+		filepath.Join(dir, "results", resName(9)+".tmp"),
+	}
+	for _, tmp := range tmps {
+		if err := os.WriteFile(tmp, []byte("half-written"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	s2 := mustOpen(t, dir, Options{Clock: newFakeClock()})
@@ -264,8 +395,11 @@ func TestFileStoreCrashedCompactionLeftoverTmp(t *testing.T) {
 	if len(recs) != 1 || len(rep.Torn) != 0 {
 		t.Fatalf("replay after leftover tmp: %d records, report %+v", len(recs), rep)
 	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("leftover tmp file not removed: %v", err)
+	wantResult(t, s2, 1)
+	for _, tmp := range tmps {
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Fatalf("leftover tmp file %s not removed: %v", tmp, err)
+		}
 	}
 }
 

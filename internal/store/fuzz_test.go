@@ -6,7 +6,24 @@ import (
 	"testing"
 )
 
-// FuzzJournalReplay pins the recovery contract of the journal decoder:
+// decodeJournal scans a journal segment held in memory the way Open
+// does: scanFrames with whole payloads, decodeRecord on each.
+func decodeJournal(t *testing.T, data []byte) ([]Record, int64, string) {
+	var recs []Record
+	consumed, reason, err := scanFrames(bytes.NewReader(data), maxRecordBytes, func(payload []byte, _, _ int64) string {
+		rec, bad := decodeRecord(payload)
+		if bad == "" {
+			recs = append(recs, rec)
+		}
+		return bad
+	})
+	if err != nil {
+		t.Fatalf("scanning an in-memory journal failed: %v", err)
+	}
+	return recs, consumed, reason
+}
+
+// FuzzJournalReplay pins the recovery contract of the journal's scan:
 // on ANY byte sequence — truncated, bit-flipped, duplicated, or pure
 // garbage — it never panics, recovers the longest valid record prefix,
 // and reports (never silently drops) whatever follows.
@@ -30,7 +47,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(flipped) // bit flip mid-payload
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, consumed, reason := decodeFrames(data)
+		recs, consumed, reason := decodeJournal(t, data)
 		if consumed < 0 || consumed > int64(len(data)) {
 			t.Fatalf("consumed %d of %d bytes", consumed, len(data))
 		}
@@ -42,7 +59,7 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		// The recovered prefix must be self-consistent: decoding exactly
 		// the consumed bytes yields the same records and no damage.
-		again, consumed2, reason2 := decodeFrames(data[:consumed])
+		again, consumed2, reason2 := decodeJournal(t, data[:consumed])
 		if reason2 != "" || consumed2 != consumed || len(again) != len(recs) {
 			t.Fatalf("prefix not self-consistent: %d/%d records, %d/%d bytes, reason %q",
 				len(again), len(recs), consumed2, consumed, reason2)
@@ -56,7 +73,7 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("recovered record does not re-encode: %v", err)
 			}
 		}
-		if rt, _, _ := decodeFrames(reenc); len(rt) != len(recs) {
+		if rt, _, _ := decodeJournal(t, reenc); len(rt) != len(recs) {
 			t.Fatalf("re-encoded prefix decodes to %d records, want %d", len(rt), len(recs))
 		}
 		// The replay state machine must accept whatever the decoder
@@ -73,8 +90,9 @@ func FuzzJournalReplay(f *testing.F) {
 	})
 }
 
-// FuzzResultsLog pins the recovery contract of the results-log scanner
-// the way FuzzJournalReplay pins the journal's: on any byte sequence it
+// FuzzResultsLog pins the recovery contract of the results log's scan
+// (scanFrames with result heads, splitResult on each) the way
+// FuzzJournalReplay pins the journal's: on any byte sequence it
 // never panics, visits contiguous frames from offset 0, stops at the
 // longest valid prefix and explains the rest, and rescanning exactly
 // that prefix visits the same frames with no damage.
@@ -105,11 +123,16 @@ func FuzzResultsLog(f *testing.F) {
 	type visit struct{ off, size int64 }
 	scan := func(t *testing.T, data []byte) ([]visit, int64, string) {
 		var seen []visit
-		consumed, reason, err := scanResults(bytes.NewReader(data), func(key []byte, _, off, size int64) {
+		consumed, reason, err := scanFrames(bytes.NewReader(data), resultFixed+maxKeyBytes, func(head []byte, off, size int64) string {
+			key, _, bad := splitResult(head, size-frameHeader)
+			if bad != "" {
+				return bad
+			}
 			if !validKey(string(key)) {
 				t.Fatalf("visited an invalid key %q", key)
 			}
 			seen = append(seen, visit{off, size})
+			return ""
 		})
 		if err != nil {
 			t.Fatalf("scanning an in-memory log failed: %v", err)

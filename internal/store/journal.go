@@ -1,10 +1,13 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // Frame layout: 4-byte little-endian payload length, 4-byte
@@ -59,44 +62,72 @@ func frameSize(hdr []byte) (int64, string) {
 	return size, ""
 }
 
-// frameCRC checks a payload against its frame header's checksum.
-func frameCRC(hdr, payload []byte) string {
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
-		return fmt.Sprintf("CRC mismatch: %08x != %08x", got, want)
+// decodeRecord decodes a journal frame's payload, or says why it is
+// not a record.
+func decodeRecord(payload []byte) (Record, string) {
+	var rec Record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return rec, fmt.Sprintf("frame payload is not a record: %v", err)
 	}
-	return ""
+	return rec, ""
 }
 
-// decodeFrames recovers the longest valid prefix of framed records
-// from data. It returns the decoded records, the number of bytes
-// consumed by valid frames, and — when consumed < len(data) — the
-// reason the remaining suffix was rejected (empty reason means the
-// whole buffer decoded cleanly). It never panics on any input; the
-// FuzzJournalReplay target pins that.
-func decodeFrames(data []byte) (recs []Record, consumed int64, reason string) {
-	off := int64(0)
-	for off < int64(len(data)) {
-		rest := data[off:]
-		if len(rest) < frameHeader {
-			return recs, off, fmt.Sprintf("torn frame header: %d trailing bytes", len(rest))
+// scanFrames reads frames from r until the first invalid one, the
+// longest-valid-prefix rule both logs recover by. For each frame whose
+// length and CRC check out it calls visit with the first keep bytes of
+// the payload (all of it when shorter; valid only during the call) and
+// the frame's offset and whole size; visit returns why the payload is
+// not one the log holds, or "". scanFrames returns the bytes the
+// accepted frames span and, when it stopped before the end of r, why.
+// Payload bytes past keep are checksummed as they stream by, never
+// held, and the head grows only with bytes actually read, so a corrupt
+// length cannot drive a large allocation. Only a failed read (not a
+// short one) is an error. FuzzJournalReplay and FuzzResultsLog pin that
+// it never panics and that its prefix is self-consistent.
+func scanFrames(r io.Reader, keep int64, visit func(head []byte, off, size int64) string) (consumed int64, reason string, err error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var hdr [frameHeader]byte
+	var head bytes.Buffer
+	var lr io.LimitedReader
+	skip := make([]byte, 32<<10)
+	sum := crc32.New(castagnoli)
+	for {
+		n, err := io.ReadFull(br, hdr[:])
+		switch {
+		case err == io.EOF:
+			return consumed, "", nil
+		case err == io.ErrUnexpectedEOF:
+			return consumed, fmt.Sprintf("torn frame header: %d trailing bytes", n), nil
+		case err != nil:
+			return consumed, "", err
 		}
-		size, bad := frameSize(rest)
+		size, bad := frameSize(hdr[:])
 		if bad != "" {
-			return recs, off, bad
+			return consumed, bad, nil
 		}
-		if int64(len(rest)) < frameHeader+size {
-			return recs, off, fmt.Sprintf("torn frame payload: %d of %d bytes", int64(len(rest))-frameHeader, size)
+		head.Reset()
+		lr.R, lr.N = br, min(size, keep)
+		got, err := head.ReadFrom(&lr)
+		if err == nil {
+			sum.Reset()
+			sum.Write(head.Bytes())
+			var rest int64
+			lr.N = size - got
+			rest, err = io.CopyBuffer(sum, &lr, skip)
+			got += rest
 		}
-		payload := rest[frameHeader : frameHeader+size]
-		if bad := frameCRC(rest, payload); bad != "" {
-			return recs, off, bad
+		switch {
+		case err != nil:
+			return consumed, "", err
+		case got < size:
+			return consumed, fmt.Sprintf("torn frame payload: %d of %d bytes", got, size), nil
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, off, fmt.Sprintf("frame payload is not a record: %v", err)
+		if crc, want := sum.Sum32(), binary.LittleEndian.Uint32(hdr[4:8]); crc != want {
+			return consumed, fmt.Sprintf("CRC mismatch: %08x != %08x", crc, want), nil
 		}
-		recs = append(recs, rec)
-		off += frameHeader + size
+		if bad := visit(head.Bytes(), consumed, frameHeader+size); bad != "" {
+			return consumed, bad, nil
+		}
+		consumed += frameHeader + size
 	}
-	return recs, off, ""
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -85,8 +84,8 @@ func TestResultsLogSurvivesReopenCompactionAndSweep(t *testing.T) {
 	clk.advance(50 * time.Minute)
 	putResults(t, s, 21, 30)
 	putResults(t, s, 21, 30) // overwritten: the first frames are dead
-	if st := s.Stats(); st.ResultsDeadBytes == 0 || len(s.results.segs) < 2 {
-		t.Fatalf("precondition: want dead bytes across several segments, got %+v over %d segments", st, len(s.results.segs))
+	if st := s.Stats(); st.ResultsDeadBytes == 0 || len(s.results.log.segs) < 2 {
+		t.Fatalf("precondition: want dead bytes across several segments, got %+v over %d segments", st, len(s.results.log.segs))
 	}
 	s.Close()
 
@@ -116,57 +115,6 @@ func TestResultsLogSurvivesReopenCompactionAndSweep(t *testing.T) {
 		if _, ok := s.GetResult(resultKey(i)); ok {
 			t.Fatalf("swept result #%d came back after reopen", i)
 		}
-	}
-}
-
-func TestResultsLogImportsLegacyFiles(t *testing.T) {
-	dir := t.TempDir()
-	resDir := filepath.Join(dir, "results")
-	if err := os.MkdirAll(resDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	clk := newFakeClock()
-	legacy := func(key string, unix int64, result string) {
-		blob, err := json.Marshal(map[string]any{"key": key, "unix": unix, "result": json.RawMessage(result)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(resDir, key+".json"), blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	now := clk.Now().Unix()
-	legacy("aa.bb", now, `{"x":1}`)
-	legacy("cc.dd", now-2*3600, `{"x":2}`) // past the TTL: imported, then expires on lookup
-	foreign := filepath.Join(resDir, "notes.json")
-	if err := os.WriteFile(foreign, []byte("not a result"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(resDir, "aa.bb.json.tmp"), []byte("half"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	opts := Options{ResultTTL: time.Hour, Clock: clk}
-	s := mustOpen(t, dir, opts)
-	if got, ok := s.GetResult("aa.bb"); !ok || string(got) != `{"x":1}` {
-		t.Fatalf("imported result = %q, %v", got, ok)
-	}
-	for _, name := range []string{"aa.bb.json", "cc.dd.json", "aa.bb.json.tmp"} {
-		if _, err := os.Stat(filepath.Join(resDir, name)); !os.IsNotExist(err) {
-			t.Fatalf("legacy file %s left behind after import: %v", name, err)
-		}
-	}
-	if _, err := os.Stat(foreign); err != nil {
-		t.Fatalf("foreign file was removed: %v", err)
-	}
-	s.Close()
-
-	s = mustOpen(t, dir, opts)
-	if got, ok := s.GetResult("aa.bb"); !ok || string(got) != `{"x":1}` {
-		t.Fatalf("imported result after reopen = %q, %v", got, ok)
-	}
-	if _, ok := s.GetResult("cc.dd"); ok {
-		t.Fatal("the import reset an old result's stamp")
 	}
 }
 

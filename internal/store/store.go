@@ -84,7 +84,8 @@ type Store interface {
 	// PutResult persists the canonical result bytes for a request key.
 	PutResult(key string, result []byte) error
 	// GetResult returns the unexpired result bytes for a key; ok is
-	// false on a miss, an expired entry, or an unreadable file.
+	// false on a miss, an expired entry, or a frame that no longer
+	// reads back intact.
 	GetResult(key string) (result []byte, ok bool)
 	// Stats snapshots the durability counters for health endpoints.
 	Stats() Stats
@@ -103,18 +104,19 @@ type TornTail struct {
 	Reason  string `json:"reason"`
 }
 
-// ReplayReport summarizes journal recovery. Torn is non-empty whenever
-// bytes were dropped, from the journal or the results log — recovery
-// reports damage, it never hides it.
+// ReplayReport summarizes the recovery of both logs, the journal and
+// the results log. Segments, Records and Bytes describe the replayed
+// journal; Torn is non-empty whenever bytes were dropped from either
+// log — recovery reports damage, it never hides it.
 type ReplayReport struct {
 	Segments int        `json:"segments"`
 	Records  int        `json:"records"`
 	Bytes    int64      `json:"bytes"`
 	Torn     []TornTail `json:"torn,omitempty"`
-	// SegmentsDropped counts whole segments skipped because an earlier
-	// segment was corrupt mid-file: replaying records that were written
-	// after a lost record would reorder history, so replay stops at the
-	// longest valid prefix of the whole journal.
+	// SegmentsDropped counts whole segments removed because an earlier
+	// segment of the same log was corrupt mid-file: replaying records
+	// that were written after a lost record would reorder history, so
+	// recovery stops at the longest valid prefix of the whole log.
 	SegmentsDropped int `json:"segmentsDropped,omitempty"`
 }
 
@@ -146,8 +148,8 @@ type Stats struct {
 	ResultsExpired   int64 `json:"resultsExpired"`
 	// ResultsLiveBytes is the results-log footprint of the latest
 	// unexpired result of every key; ResultsDeadBytes the rest (results
-	// overwritten or evicted, damaged tails), which a compaction sweep
-	// reclaims once it exceeds the live bytes.
+	// overwritten or evicted), which a compaction sweep reclaims once it
+	// exceeds the live bytes.
 	ResultsLiveBytes int64 `json:"resultsLiveBytes"`
 	ResultsDeadBytes int64 `json:"resultsDeadBytes"`
 }

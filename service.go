@@ -59,12 +59,13 @@ type (
 	// StoreOptions tunes a FileStore (segment size, result TTL, clock).
 	StoreOptions = store.Options
 	// FileStore is the file-backed Store: an append-only CRC-framed
-	// journal with segment rotation and crash-safe compaction, and a
-	// TTL'd result directory keyed by request key.
+	// journal with segment rotation and crash-safe compaction, and an
+	// append-only results log of TTL'd results indexed by request key.
 	FileStore = store.FileStore
 	// StoreStats snapshots a store's durability counters.
 	StoreStats = store.Stats
-	// ReplayReport summarizes journal recovery, including torn tails.
+	// ReplayReport summarizes the recovery of the journal and the
+	// results log, including torn tails.
 	ReplayReport = store.ReplayReport
 )
 
