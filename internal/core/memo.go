@@ -56,6 +56,11 @@ import (
 // on the first analysis, and a free list of per-analysis layouts. The
 // list holds at most as many layouts as analyses ever ran at once, and
 // no returned Analysis refers to one.
+//
+// An owner that knows when no run is using the Memo (the service, once
+// a session's last job finishes) calls ReleaseStages: the stage and
+// intern tables and the free layouts go, the whole analyses, the frame
+// and the counters stay.
 type Memo struct {
 	app  *model.Application
 	arch *model.Architecture
@@ -131,6 +136,20 @@ func (t *table[V]) putLocked(key []byte, v V) {
 		t.m = make(map[string]V)
 	}
 	t.m[string(key)] = v
+}
+
+// drop empties the table, keeping its counters.
+func (t *table[V]) drop() {
+	t.mu.Lock()
+	t.m = nil
+	t.mu.Unlock()
+}
+
+// size returns the number of entries held.
+func (t *table[V]) size() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
 }
 
 // counts returns the hit and miss counters.
@@ -230,6 +249,41 @@ func (m *Memo) Stats() MemoStats {
 	s.RTAHits, s.RTAMisses = m.rta.counts()
 	s.QueueHits, s.QueueMisses = m.queue.counts()
 	return s
+}
+
+// MemoEntries counts the entries a Memo's tables hold.
+type MemoEntries struct {
+	Config, Schedule, RTA, Queue int
+}
+
+// Add adds o's counts to e.
+func (e *MemoEntries) Add(o MemoEntries) {
+	e.Config += o.Config
+	e.Schedule += o.Schedule
+	e.RTA += o.RTA
+	e.Queue += o.Queue
+}
+
+// Entries returns the table sizes, consistent per table.
+func (m *Memo) Entries() MemoEntries {
+	return MemoEntries{Config: m.config.size(), Schedule: m.sched.size(), RTA: m.rta.size(), Queue: m.queue.size()}
+}
+
+// ReleaseStages drops what only a running analysis loop reuses: the
+// schedule, RTA and queue tables, the intern tables and the free
+// layouts. The whole-analysis table, the frame and every counter stay,
+// so a repeat of a finished run is served whole. Ids keep counting from
+// where they were, so an input interned again gets a fresh id. Calling
+// it during an analysis costs that analysis only speed.
+func (m *Memo) ReleaseStages() {
+	m.sched.drop()
+	m.rta.drop()
+	m.queue.drop()
+	m.rtaIDs.drop()
+	m.queueIDs.drop()
+	m.mu.Lock()
+	m.free = nil
+	m.mu.Unlock()
 }
 
 // Analyze runs (or recalls) the multi-cluster analysis of cfg on the

@@ -268,6 +268,77 @@ func TestMemoConcurrentLayouts(t *testing.T) {
 	}
 }
 
+// TestMemoReleaseStages: ReleaseStages empties the stage and intern
+// tables and the free list, keeps the whole analyses and every counter,
+// serves a repeat of the released walk whole, and after it analyzes new
+// configurations exactly like Analyze, under ids never used before.
+func TestMemoReleaseStages(t *testing.T) {
+	app, arch, cfg := genConfig(t, 7, 4)
+	m := NewMemo(app, arch)
+	rng := rand.New(rand.NewSource(7))
+	msgs := slices.Sorted(maps.Keys(cfg.MsgPriority))
+	walk := []*Config{cfg}
+	for len(walk) < 6 {
+		next := walk[len(walk)-1].Clone()
+		swapPriorities(rng, next.MsgPriority, msgs)
+		walk = append(walk, next)
+	}
+	first := make([]*Analysis, len(walk))
+	for i, c := range walk[:5] {
+		a, err := m.Analyze(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first[i] = a
+	}
+	held := m.Entries()
+	if held.Config != 5 || held.Schedule == 0 || held.RTA == 0 || held.Queue == 0 {
+		t.Fatalf("degenerate walk: %+v", held)
+	}
+	stats, lastID := m.Stats(), m.lastID.Load()
+
+	m.ReleaseStages()
+	if got, want := m.Entries(), (MemoEntries{Config: held.Config}); got != want {
+		t.Errorf("after the release the tables hold %+v, want %+v", got, want)
+	}
+	if n := m.rtaIDs.size() + m.queueIDs.size() + len(m.free); n != 0 {
+		t.Errorf("after the release the intern tables and free list hold %d entries", n)
+	}
+	if got := m.Stats(); got != stats {
+		t.Errorf("the release moved the counters: %+v, want %+v", got, stats)
+	}
+
+	for i, c := range walk[:5] {
+		if a, err := m.Analyze(c); err != nil || a != first[i] {
+			t.Fatalf("repeat %d after the release was not served whole (err %v)", i, err)
+		}
+	}
+	repeat := m.Stats()
+	if repeat.ConfigHits != stats.ConfigHits+5 || repeat.Hits() != stats.Hits() || repeat.Misses() != stats.Misses() {
+		t.Errorf("the repeat made stage lookups: %+v, before %+v", repeat, stats)
+	}
+
+	want, err := Analyze(app, arch, walk[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Analyze(walk[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("an analysis after the release differs from cold")
+	}
+	if m.rtaIDs.size() == 0 || m.lastID.Load() <= lastID {
+		t.Errorf("no input was interned afresh after the release: %d ids, last id %d (was %d)", m.rtaIDs.size(), m.lastID.Load(), lastID)
+	}
+	for _, s := range m.rtaIDs.m {
+		if s.id <= lastID {
+			t.Errorf("id %d reused after the release (last id before it %d)", s.id, lastID)
+		}
+	}
+}
+
 // swapPriorities swaps the priorities of two distinct ids drawn from the
 // sorted ids of prio.
 func swapPriorities[K comparable](rng *rand.Rand, prio map[K]int, ids []K) {

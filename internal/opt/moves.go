@@ -8,9 +8,10 @@
 package opt
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -73,6 +74,8 @@ func (k MoveKind) String() string {
 }
 
 // Move is one design transformation applicable to a configuration.
+// A move sets only the fields its kind uses and leaves the rest zero,
+// so moves compare with ==.
 type Move struct {
 	Kind   MoveKind
 	Proc   model.ProcID
@@ -86,7 +89,8 @@ type Move struct {
 	Length model.Time // absolute slot length (MoveSetSlotLen)
 }
 
-// String renders the move for diagnostics.
+// String renders the move for diagnostics only; no hot path formats
+// moves (GenerateMoves compares them by value).
 func (m Move) String() string {
 	switch m.Kind {
 	case MovePinProc:
@@ -199,7 +203,8 @@ type MoveBudget struct {
 // potential come first: transformations touching the messages that
 // attain the queue bounds (the Critical* fields of core.Buffers), then
 // slot reorderings/resizings, then randomly sampled priority swaps and
-// pin removals.
+// pin removals. Each move appears once. The moves, their order and the
+// draws taken from budget.Rand depend only on the inputs.
 func GenerateMoves(app *model.Application, arch *model.Architecture, cfg *core.Config, a *core.Analysis, budget MoveBudget) []Move {
 	if budget.Max <= 0 {
 		budget.Max = 24
@@ -208,29 +213,25 @@ func GenerateMoves(app *model.Application, arch *model.Architecture, cfg *core.C
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	var moves []Move
-	seen := make(map[string]bool)
-	add := func(m Move) {
-		if len(moves) >= budget.Max {
-			return
-		}
-		k := m.String()
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		moves = append(moves, m)
-	}
+	crit := criticalEdges(a)
+	// The CAN messages in priority order serve both the critical
+	// messages' neighbour swaps and the adjacent pairs of step 5.
+	msgs := byPriority(cfg.MsgPriority)
+	slots := len(cfg.Round.Slots)
+	// No more distinct moves exist, so a huge budget allocates nothing
+	// beyond them.
+	bound := 6*len(crit) + slots*(slots+3)/2 + len(cfg.PinnedProc) + len(cfg.PinnedEdge) + len(cfg.ProcPriority) + len(msgs)
+	set := moveSet{moves: make([]Move, 0, min(budget.Max, bound)), max: budget.Max}
 
 	// 1. Targeted moves around the critical queue messages.
-	for _, crit := range criticalEdges(a) {
-		targetCriticalEdge(app, arch, cfg, a, crit, add)
+	for _, e := range crit {
+		targetCriticalEdge(app, cfg, a, e, msgs, &set)
 	}
 
 	// 2. Slot swaps (the round is short: enumerate pairs).
-	for i := 0; i < len(cfg.Round.Slots); i++ {
-		for j := i + 1; j < len(cfg.Round.Slots); j++ {
-			add(Move{Kind: MoveSwapSlots, Slot: i, Slot2: j})
+	for i := 0; i < slots; i++ {
+		for j := i + 1; j < slots; j++ {
+			set.add(Move{Kind: MoveSwapSlots, Slot: i, Slot2: j})
 		}
 	}
 
@@ -239,33 +240,53 @@ func GenerateMoves(app *model.Application, arch *model.Architecture, cfg *core.C
 	if quantum <= 0 {
 		quantum = 4
 	}
-	for i := range cfg.Round.Slots {
-		add(Move{Kind: MoveResizeSlot, Slot: i, Delta: quantum})
-		add(Move{Kind: MoveResizeSlot, Slot: i, Delta: -quantum})
+	for i := range slots {
+		set.add(Move{Kind: MoveResizeSlot, Slot: i, Delta: quantum})
+		set.add(Move{Kind: MoveResizeSlot, Slot: i, Delta: -quantum})
 	}
 
 	// 4. Pin removals (escape accumulated constraints).
-	for _, p := range sortedProcPins(cfg) {
-		add(Move{Kind: MoveUnpinProc, Proc: p})
+	for _, p := range sortedKeys(cfg.PinnedProc) {
+		set.add(Move{Kind: MoveUnpinProc, Proc: p})
 	}
-	for _, e := range sortedEdgePins(cfg) {
-		add(Move{Kind: MoveUnpinEdge, Edge: e})
+	for _, e := range sortedKeys(cfg.PinnedEdge) {
+		set.add(Move{Kind: MoveUnpinEdge, Edge: e})
 	}
 
 	// 5. Random adjacent priority swaps to fill the budget.
-	procPairs := adjacentProcPairs(app, arch, cfg)
-	msgPairs := adjacentMsgPairs(app, arch, cfg)
+	procPairs := adjacentProcPairs(app, cfg)
+	msgPairs := make([][2]model.EdgeID, max(len(msgs)-1, 0))
+	for i := range msgPairs {
+		msgPairs[i] = [2]model.EdgeID{msgs[i], msgs[i+1]}
+	}
 	rng.Shuffle(len(procPairs), func(i, j int) { procPairs[i], procPairs[j] = procPairs[j], procPairs[i] })
 	rng.Shuffle(len(msgPairs), func(i, j int) { msgPairs[i], msgPairs[j] = msgPairs[j], msgPairs[i] })
-	for i := 0; len(moves) < budget.Max && (i < len(procPairs) || i < len(msgPairs)); i++ {
+	for i := 0; len(set.moves) < budget.Max && (i < len(procPairs) || i < len(msgPairs)); i++ {
 		if i < len(procPairs) {
-			add(Move{Kind: MoveSwapProcPrio, Proc: procPairs[i][0], Proc2: procPairs[i][1]})
+			set.add(Move{Kind: MoveSwapProcPrio, Proc: procPairs[i][0], Proc2: procPairs[i][1]})
 		}
 		if i < len(msgPairs) {
-			add(Move{Kind: MoveSwapMsgPrio, Edge: msgPairs[i][0], Edge2: msgPairs[i][1]})
+			set.add(Move{Kind: MoveSwapMsgPrio, Edge: msgPairs[i][0], Edge2: msgPairs[i][1]})
 		}
 	}
-	return moves
+	return set.moves
+}
+
+// moveSet is a neighbourhood under construction: at most max moves,
+// each once.
+type moveSet struct {
+	moves []Move
+	max   int
+}
+
+// add appends m unless the set is full or holds m already. Every
+// constructor leaves the fields its kind does not use zero, so two
+// moves are equal exactly when their Strings are; the scan covers at
+// most max moves.
+func (s *moveSet) add(m Move) {
+	if len(s.moves) < s.max && !slices.Contains(s.moves, m) {
+		s.moves = append(s.moves, m)
+	}
 }
 
 // criticalEdges lists the messages attaining the queue bounds, ordered
@@ -286,109 +307,85 @@ func criticalEdges(a *core.Analysis) []model.EdgeID {
 	return out
 }
 
-// targetCriticalEdge emits the focused moves for one critical message:
+// targetCriticalEdge adds the focused moves for one critical message:
 // re-timing its TTP leg or its TT producer, and swapping its priority
-// with its neighbours.
-func targetCriticalEdge(app *model.Application, arch *model.Architecture, cfg *core.Config, a *core.Analysis, e model.EdgeID, add func(Move)) {
+// with its neighbours in msgs, the CAN messages in priority order.
+func targetCriticalEdge(app *model.Application, cfg *core.Config, a *core.Analysis, e model.EdgeID, msgs []model.EdgeID, set *moveSet) {
 	// Re-time the TTP leg inside its [ASAP, ALAP] window.
 	if iv, ok := a.EdgeMoveInterval(app, e); ok && iv.ALAP > iv.ASAP {
 		mid := iv.ASAP + (iv.ALAP-iv.ASAP)/2
-		add(Move{Kind: MovePinEdge, Edge: e, Offset: mid})
-		add(Move{Kind: MovePinEdge, Edge: e, Offset: iv.ALAP})
+		set.add(Move{Kind: MovePinEdge, Edge: e, Offset: mid})
+		set.add(Move{Kind: MovePinEdge, Edge: e, Offset: iv.ALAP})
 	}
 	// Re-time the producer when it is a TT process (spreads the queue
 	// entries of ET->TT messages).
 	src := app.Edges[e].Src
 	if iv, ok := a.ProcMoveInterval(app, src); ok && iv.ALAP > iv.ASAP {
 		mid := iv.ASAP + (iv.ALAP-iv.ASAP)/2
-		add(Move{Kind: MovePinProc, Proc: src, Offset: mid})
-		add(Move{Kind: MovePinProc, Proc: src, Offset: iv.ALAP})
+		set.add(Move{Kind: MovePinProc, Proc: src, Offset: mid})
+		set.add(Move{Kind: MovePinProc, Proc: src, Offset: iv.ALAP})
 	}
-	// Swap the message's priority with its immediate neighbours.
-	if _, ok := cfg.MsgPriority[e]; ok {
-		if up, ok := adjacentMsg(app, arch, cfg, e, -1); ok {
-			add(Move{Kind: MoveSwapMsgPrio, Edge: e, Edge2: up})
-		}
-		if down, ok := adjacentMsg(app, arch, cfg, e, +1); ok {
-			add(Move{Kind: MoveSwapMsgPrio, Edge: e, Edge2: down})
-		}
+	// Swap the message's priority with its immediate neighbours (CAN
+	// priorities are unique, so they are its neighbours in msgs).
+	if _, ok := cfg.MsgPriority[e]; !ok {
+		return
 	}
-}
-
-// adjacentMsg finds the CAN message whose priority is immediately above
-// (dir < 0) or below (dir > 0) that of e.
-func adjacentMsg(app *model.Application, arch *model.Architecture, cfg *core.Config, e model.EdgeID, dir int) (model.EdgeID, bool) {
-	myPrio := cfg.MsgPriority[e]
-	bestPrio := 0
-	var best model.EdgeID
-	found := false
-	for id, prio := range cfg.MsgPriority {
-		if id == e {
-			continue
-		}
-		if dir < 0 && prio < myPrio && (!found || prio > bestPrio) {
-			best, bestPrio, found = id, prio, true
-		}
-		if dir > 0 && prio > myPrio && (!found || prio < bestPrio) {
-			best, bestPrio, found = id, prio, true
-		}
+	i := slices.Index(msgs, e)
+	if i > 0 {
+		set.add(Move{Kind: MoveSwapMsgPrio, Edge: e, Edge2: msgs[i-1]})
 	}
-	return best, found
+	if i+1 < len(msgs) {
+		set.add(Move{Kind: MoveSwapMsgPrio, Edge: e, Edge2: msgs[i+1]})
+	}
 }
 
 // adjacentProcPairs returns the per-node priority-adjacent process
-// pairs, in deterministic order.
-func adjacentProcPairs(app *model.Application, arch *model.Architecture, cfg *core.Config) [][2]model.ProcID {
-	byNode := make(map[model.NodeID][]model.ProcID)
+// pairs, ordered by node, then by priority. Priorities are unique per
+// node, so one sort by (node, priority) fixes the order.
+func adjacentProcPairs(app *model.Application, cfg *core.Config) [][2]model.ProcID {
+	type ranked struct {
+		node model.NodeID
+		prio int
+		id   model.ProcID
+	}
+	procs := make([]ranked, 0, len(cfg.ProcPriority))
 	for _, p := range app.Procs {
-		if _, ok := cfg.ProcPriority[p.ID]; ok {
-			byNode[p.Node] = append(byNode[p.Node], p.ID)
+		if prio, ok := cfg.ProcPriority[p.ID]; ok {
+			procs = append(procs, ranked{p.Node, prio, p.ID})
 		}
 	}
-	var nodes []model.NodeID
-	for n := range byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	var pairs [][2]model.ProcID
-	for _, n := range nodes {
-		ids := byNode[n]
-		sort.Slice(ids, func(i, j int) bool { return cfg.ProcPriority[ids[i]] < cfg.ProcPriority[ids[j]] })
-		for i := 0; i+1 < len(ids); i++ {
-			pairs = append(pairs, [2]model.ProcID{ids[i], ids[i+1]})
+	slices.SortFunc(procs, func(x, y ranked) int {
+		if c := cmp.Compare(x.node, y.node); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.prio, y.prio)
+	})
+	pairs := make([][2]model.ProcID, 0, max(len(procs)-1, 0))
+	for i := 0; i+1 < len(procs); i++ {
+		if procs[i].node == procs[i+1].node {
+			pairs = append(pairs, [2]model.ProcID{procs[i].id, procs[i+1].id})
 		}
 	}
 	return pairs
 }
 
-// adjacentMsgPairs returns the priority-adjacent CAN message pairs.
-func adjacentMsgPairs(app *model.Application, arch *model.Architecture, cfg *core.Config) [][2]model.EdgeID {
-	var ids []model.EdgeID
-	for id := range cfg.MsgPriority {
-		ids = append(ids, id)
+// byPriority returns the keys of prio ordered by their priority, which
+// must be unique.
+func byPriority[K ~int](prio map[K]int) []K {
+	out := make([]K, 0, len(prio))
+	for k := range prio {
+		out = append(out, k)
 	}
-	sort.Slice(ids, func(i, j int) bool { return cfg.MsgPriority[ids[i]] < cfg.MsgPriority[ids[j]] })
-	var pairs [][2]model.EdgeID
-	for i := 0; i+1 < len(ids); i++ {
-		pairs = append(pairs, [2]model.EdgeID{ids[i], ids[i+1]})
-	}
-	return pairs
-}
-
-func sortedProcPins(cfg *core.Config) []model.ProcID {
-	var out []model.ProcID
-	for p := range cfg.PinnedProc {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.SortFunc(out, func(x, y K) int { return cmp.Compare(prio[x], prio[y]) })
 	return out
 }
 
-func sortedEdgePins(cfg *core.Config) []model.EdgeID {
-	var out []model.EdgeID
-	for e := range cfg.PinnedEdge {
-		out = append(out, e)
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[K ~int, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

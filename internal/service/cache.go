@@ -27,6 +27,9 @@ type solverCache struct {
 type cacheEntry struct {
 	key    string
 	solver *solve.Solver
+	// holders counts the jobs running on solver; guarded by
+	// solverCache.mu.
+	holders int
 }
 
 // newSolverCache builds an LRU holding capacity sessions (positive;
@@ -35,32 +38,51 @@ func newSolverCache(capacity int) *solverCache {
 	return &solverCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// getOrCreate returns the cached Solver for key, building and inserting
-// one with build on a miss. The second result reports a hit. Building
-// happens under the cache lock: solve.New only normalizes options and
-// allocates an empty evaluator (analyses fill it later), so the critical
-// section stays short and concurrent requests for the same key can never
-// race two sessions.
-func (c *solverCache) getOrCreate(key string, build func() (*solve.Solver, error)) (*solve.Solver, bool, error) {
+// acquire returns the cached session for key, building and inserting
+// one with build on a miss, and holds it for the caller until release.
+// The second result reports a hit. Building happens under the cache
+// lock: solve.New only normalizes options and allocates an empty
+// evaluator (analyses fill it later), so the critical section stays
+// short and concurrent requests for the same key can never race two
+// sessions.
+func (c *solverCache) acquire(key string, build func() (*solve.Solver, error)) (*cacheEntry, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		return el.Value.(*cacheEntry).solver, true, nil
+		e := el.Value.(*cacheEntry)
+		e.holders++
+		return e, true, nil
 	}
 	s, err := build()
 	if err != nil {
 		return nil, false, err
 	}
 	c.misses++
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, solver: s})
+	e := &cacheEntry{key: key, solver: s, holders: 1}
+	c.items[key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 	}
-	return s, false, nil
+	return e, false, nil
+}
+
+// release ends one hold on e. The last holder out releases the
+// session's stage and intern tables (core.Memo.ReleaseStages): they
+// serve the fixed points of a running search, while an idle session
+// needs only its whole analyses, which a repeat of a finished job hits.
+// The count and the release share the cache lock, so a job that
+// acquires e meanwhile either holds it before the count reaches zero
+// or starts after the release: no job loses entries mid-run.
+func (c *solverCache) release(e *cacheEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.holders--; e.holders == 0 {
+		solve.Memo(e.solver).ReleaseStages()
+	}
 }
 
 // stats returns the hit/miss counters and current size.
@@ -81,6 +103,17 @@ func (c *solverCache) deltaStats() core.MemoStats {
 	var agg core.MemoStats
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		agg.Add(el.Value.(*cacheEntry).solver.DeltaStats())
+	}
+	return agg
+}
+
+// memoEntries sums the table sizes of every cached session's evaluator.
+func (c *solverCache) memoEntries() core.MemoEntries {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var agg core.MemoEntries
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		agg.Add(solve.Memo(el.Value.(*cacheEntry).solver).Entries())
 	}
 	return agg
 }

@@ -20,7 +20,9 @@
 //     cached base. Because a Solver shares only its exact-keyed
 //     evaluator, a cache hit produces configurations bit-identical to a
 //     cold Solver (asserted by tests); the hit merely recalls the
-//     analyses the evaluator already holds.
+//     analyses the evaluator already holds. Jobs hold their cached
+//     session while they run, and the last one out releases its stage
+//     tables: an idle session keeps whole analyses only.
 //
 //   - A bounded job queue (service.go): Submit (synthesis) and
 //     SubmitExplore (exploration) enqueue an asynchronous job through

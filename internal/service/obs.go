@@ -90,6 +90,20 @@ func (s *Service) registerMetrics() {
 		r.CounterFunc("mcs_memo_misses_total", "Stage-cache misses across cached sessions.",
 			deltaStat(stage.miss), obs.L("cache", stage.name))
 	}
+	// What the cached sessions hold: a session no job runs on keeps its
+	// whole analyses (config) only.
+	for _, t := range []struct {
+		name string
+		n    func(core.MemoEntries) int
+	}{
+		{"config", func(e core.MemoEntries) int { return e.Config }},
+		{"schedule", func(e core.MemoEntries) int { return e.Schedule }},
+		{"rta", func(e core.MemoEntries) int { return e.RTA }},
+		{"queue", func(e core.MemoEntries) int { return e.Queue }},
+	} {
+		r.GaugeFunc("mcs_memo_entries", "Memo table entries held across cached sessions.",
+			func() float64 { return float64(t.n(s.cache.memoEntries())) }, obs.L("table", t.name))
+	}
 
 	// Durability layer (zero-valued while running purely in memory).
 	storeStat := func(sel func(store.Stats) float64) func() float64 {

@@ -355,7 +355,7 @@ func (s *Service) run(j *job) {
 	}
 
 	sys := req.system()
-	base, hit, err := s.cache.getOrCreate(j.fingerprint, func() (*solve.Solver, error) {
+	session, hit, err := s.cache.acquire(j.fingerprint, func() (*solve.Solver, error) {
 		return solve.New(sys.Application, sys.Architecture,
 			solve.WithWorkers(s.opts.Workers))
 	})
@@ -377,8 +377,11 @@ func (s *Service) run(j *job) {
 	// cache entry. The phase tracker forwards progress to the fan-out
 	// and times the run phases at this (non-deterministic-layer)
 	// boundary.
+	// The hold ends before the job does, so once Done fires the last
+	// job's session keeps only whole analyses.
 	tracker := &phaseTracker{svc: s, job: j, span: j.trace.Root().Start("run")}
-	result, err := req.run(j.ctx, base, s.opts.Workers, tracker.observer(), hit)
+	result, err := req.run(j.ctx, session.solver, s.opts.Workers, tracker.observer(), hit)
+	s.cache.release(session)
 	tracker.close()
 	tracker.span.End()
 	s.finishJob(j, result, err)
@@ -682,12 +685,14 @@ func (s *Service) Analyze(ctx context.Context, req AnalysisRequest) (*AnalysisRe
 	if err != nil {
 		return nil, err
 	}
-	solver, hit, err := s.cache.getOrCreate(fp, func() (*solve.Solver, error) {
+	session, hit, err := s.cache.acquire(fp, func() (*solve.Solver, error) {
 		return solve.New(req.System.Application, req.System.Architecture, solve.WithWorkers(s.opts.Workers))
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer s.cache.release(session)
+	solver := session.solver
 	app, arch := solver.Application(), solver.Architecture()
 
 	resp := &AnalysisResponse{Fingerprint: fp, CacheHit: hit}

@@ -382,14 +382,14 @@ func TestLRUEviction(t *testing.T) {
 		}
 	}
 	for _, key := range []string{"a", "b", "a", "c"} { // use of "a" keeps it warm
-		if _, _, err := c.getOrCreate(key, build(1)); err != nil {
+		if _, _, err := c.acquire(key, build(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, hit, _ := c.getOrCreate("a", build(1)); !hit {
+	if _, hit, _ := c.acquire("a", build(1)); !hit {
 		t.Error("recently used entry was evicted")
 	}
-	if _, hit, _ := c.getOrCreate("b", build(1)); hit {
+	if _, hit, _ := c.acquire("b", build(1)); hit {
 		t.Error("least recently used entry was not evicted")
 	}
 	hits, misses, size := c.stats()

@@ -3,9 +3,11 @@
 // thing repeated operations share, the exact-keyed incremental
 // evaluator (a core.Memo), so that iterated exploration (the
 // service's workload) recalls every configuration and analysis stage
-// it has already solved. Everything else — the default configuration,
-// the slot-length candidates — is recomputed per call, which costs
-// microseconds against the milliseconds of one synthesis run.
+// it has already solved (the service keeps only the configurations of
+// a session no job runs on; see Memo). Everything else — the default
+// configuration, the slot-length candidates — is recomputed per call,
+// which costs microseconds against the milliseconds of one synthesis
+// run.
 //
 // Every operation is context-first and cancellable at evaluation
 // granularity: a cancelled Synthesize returns the best configuration
@@ -116,6 +118,13 @@ func (s *Solver) DeltaStats() core.MemoStats {
 	}
 	return s.ev.Stats()
 }
+
+// Memo returns the evaluator s shares with every session derived from
+// it, for an owner that bounds the lifetime of its tables (the
+// service's Solver cache releases its stage tables between jobs). The
+// repro facade does not re-export it, so library sessions keep every
+// table until they are dropped.
+func Memo(s *Solver) *core.Memo { return s.ev }
 
 // emit serializes an event to the observer, if any.
 func (s *Solver) emit(p Progress) {
