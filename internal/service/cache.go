@@ -38,29 +38,43 @@ func newSolverCache(capacity int) *solverCache {
 	return &solverCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// acquire returns the cached session for key, building and inserting
-// one with build on a miss, and holds it for the caller until release.
-// The second result reports a hit. Building happens under the cache
-// lock: solve.New only normalizes options and allocates an empty
-// evaluator (analyses fill it later), so the critical section stays
-// short and concurrent requests for the same key can never race two
-// sessions.
+// get returns the cached session for key, building and inserting one
+// with build on a miss. The second result reports a hit. Building
+// happens under the cache lock: solve.New only normalizes options and
+// allocates an empty evaluator (analyses fill it later), so the
+// critical section stays short and concurrent requests for the same key
+// can never race two sessions. A synchronous analysis batch uses the
+// session without a hold: the next batch, typically the neighbours of
+// this one, reuses the stage entries it leaves.
+func (c *solverCache) get(key string, build func() (*solve.Solver, error)) (*cacheEntry, bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.getLocked(key, build)
+}
+
+// acquire is get plus a hold for a job, which ends it with release.
 func (c *solverCache) acquire(key string, build func() (*solve.Solver, error)) (*cacheEntry, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e, hit, err := c.getLocked(key, build)
+	if err == nil {
+		e.holders++
+	}
+	return e, hit, err
+}
+
+func (c *solverCache) getLocked(key string, build func() (*solve.Solver, error)) (*cacheEntry, bool, error) {
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		e := el.Value.(*cacheEntry)
-		e.holders++
-		return e, true, nil
+		return el.Value.(*cacheEntry), true, nil
 	}
 	s, err := build()
 	if err != nil {
 		return nil, false, err
 	}
 	c.misses++
-	e := &cacheEntry{key: key, solver: s, holders: 1}
+	e := &cacheEntry{key: key, solver: s}
 	c.items[key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
@@ -70,13 +84,16 @@ func (c *solverCache) acquire(key string, build func() (*solve.Solver, error)) (
 	return e, false, nil
 }
 
-// release ends one hold on e. The last holder out releases the
-// session's stage and intern tables (core.Memo.ReleaseStages): they
-// serve the fixed points of a running search, while an idle session
-// needs only its whole analyses, which a repeat of a finished job hits.
-// The count and the release share the cache lock, so a job that
-// acquires e meanwhile either holds it before the count reaches zero
-// or starts after the release: no job loses entries mid-run.
+// release ends one job's hold on e. The last job out releases the
+// session's stage and intern tables (core.Memo.ReleaseStages), whoever
+// filled them: a job's stage entries serve the fixed points of its own
+// search, the next job on the session gains little from them (at most
+// 3–5% CPU for an OR job with a new seed; ARCHITECTURE §8.2), and an
+// idle session's whole analyses still serve a repeat of a finished
+// job. The count and
+// the release share the cache lock, so a job that acquires e meanwhile
+// either holds it before the count reaches zero or starts after the
+// release: no job loses entries mid-run.
 func (c *solverCache) release(e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

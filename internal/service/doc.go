@@ -22,7 +22,8 @@
 //     cold Solver (asserted by tests); the hit merely recalls the
 //     analyses the evaluator already holds. Jobs hold their cached
 //     session while they run, and the last one out releases its stage
-//     tables: an idle session keeps whole analyses only.
+//     tables: a session idle since its last job keeps whole analyses
+//     only. Synchronous analyses hold nothing and release nothing.
 //
 //   - A bounded job queue (service.go): Submit (synthesis) and
 //     SubmitExplore (exploration) enqueue an asynchronous job through

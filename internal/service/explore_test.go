@@ -243,12 +243,22 @@ func TestHTTPExploreAndStrategies(t *testing.T) {
 	}
 }
 
-// TestExploreRequestValidation: a missing system is rejected before
-// the job is ever queued.
+// TestExploreRequestValidation: a missing system and a move budget
+// above maxMoveBudget are rejected before the job is ever queued.
 func TestExploreRequestValidation(t *testing.T) {
 	s := New(Options{Workers: 1, JobWorkers: 1})
 	defer s.Close()
 	if _, err := s.SubmitExplore(ExploreRequest{}); err == nil {
 		t.Fatal("empty explore request accepted")
+	}
+	if _, err := s.SubmitExplore(ExploreRequest{System: testSystem(t, 1), MoveBudget: maxMoveBudget + 1}); err == nil {
+		t.Fatal("explore request above the move budget bound accepted")
+	}
+	resp, err := s.SubmitExplore(ExploreRequest{System: testSystem(t, 1), MoveBudget: maxMoveBudget, Population: 4, Generations: 1})
+	if err != nil {
+		t.Fatalf("explore request at the move budget bound: %v", err)
+	}
+	if st := waitDone(t, s, resp.ID); st.State != StateDone {
+		t.Fatalf("explore at the move budget bound: state %s (error %q)", st.State, st.Error)
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strconv"
 	"strings"
@@ -252,5 +253,52 @@ func TestSolverCacheReleasesAfterLastHolder(t *testing.T) {
 	}
 	if got := c.deltaStats(); got != stats {
 		t.Errorf("the release moved the counters: %+v, want %+v", got, stats)
+	}
+}
+
+// TestAnalyzeKeepsStages: a synchronous analysis batch takes no hold
+// and releases nothing, so a later batch of neighbouring configurations
+// hits the stage entries an earlier one left; the end of a job on the
+// same session then releases them.
+func TestAnalyzeKeepsStages(t *testing.T) {
+	s := New(Options{Workers: 1, JobWorkers: 1})
+	defer s.Close()
+	sys := testSystem(t, 6)
+	base := core.DefaultConfig(sys.Application, sys.Architecture)
+	if err := base.Normalize(sys.Application); err != nil {
+		t.Fatal(err)
+	}
+	variant := base.Clone()
+	variant.Round.Slots[0].Length += 8
+	if err := variant.Normalize(sys.Application); err != nil {
+		t.Fatal(err)
+	}
+	var raws []json.RawMessage
+	for _, cfg := range []*core.Config{base, variant} {
+		raw, err := encodeConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws = append(raws, raw)
+	}
+
+	if _, err := s.Analyze(t.Context(), AnalysisRequest{System: testSystem(t, 6), Configs: raws[:1]}); err != nil {
+		t.Fatal(err)
+	}
+	held := s.cache.memoEntries()
+	if held.Schedule == 0 || held.RTA == 0 {
+		t.Fatalf("an analysis batch left %+v, want its stage entries kept", held)
+	}
+	before := s.cache.deltaStats()
+	if _, err := s.Analyze(t.Context(), AnalysisRequest{System: testSystem(t, 6), Configs: raws[1:]}); err != nil {
+		t.Fatal(err)
+	}
+	if after := s.cache.deltaStats(); after.Hits() <= before.Hits() {
+		t.Errorf("the neighbouring batch hit no stage entry: %+v, before %+v", after, before)
+	}
+
+	submitDone(t, s, SynthesisRequest{System: testSystem(t, 6), Strategy: "os"})
+	if got := s.cache.memoEntries(); got.Config == 0 || got.Schedule+got.RTA+got.Queue != 0 {
+		t.Errorf("the session holds %+v after a job on it finished, want whole analyses only", got)
 	}
 }

@@ -685,13 +685,12 @@ func (s *Service) Analyze(ctx context.Context, req AnalysisRequest) (*AnalysisRe
 	if err != nil {
 		return nil, err
 	}
-	session, hit, err := s.cache.acquire(fp, func() (*solve.Solver, error) {
+	session, hit, err := s.cache.get(fp, func() (*solve.Solver, error) {
 		return solve.New(req.System.Application, req.System.Architecture, solve.WithWorkers(s.opts.Workers))
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer s.cache.release(session)
 	solver := session.solver
 	app, arch := solver.Application(), solver.Architecture()
 

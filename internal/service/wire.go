@@ -158,9 +158,9 @@ type ExploreRequest struct {
 	// Population and Generations bound the NSGA-II loop.
 	Population  int `json:"population,omitempty"`
 	Generations int `json:"generations,omitempty"`
-	// MoveBudget is the §5.1 moves sampled per mutation; MaxMutations
-	// caps the moves stacked per offspring; ArchiveCap bounds the
-	// non-dominated archive.
+	// MoveBudget is the §5.1 moves sampled per mutation (at most 256);
+	// MaxMutations caps the moves stacked per offspring; ArchiveCap
+	// bounds the non-dominated archive.
 	MoveBudget   int `json:"moveBudget,omitempty"`
 	MaxMutations int `json:"maxMutations,omitempty"`
 	ArchiveCap   int `json:"archiveCap,omitempty"`
@@ -169,10 +169,18 @@ type ExploreRequest struct {
 	NoWarmStart bool `json:"noWarmStart,omitempty"`
 }
 
+// maxMoveBudget bounds ExploreRequest.MoveBudget. GenerateMoves checks
+// each candidate against the moves it kept so far, so a mutation costs
+// quadratically in the budget.
+const maxMoveBudget = 256
+
 func (r *ExploreRequest) kind() JobKind         { return KindExplore }
 func (r *ExploreRequest) system() *model.System { return r.System }
 
 func (r *ExploreRequest) normalize() (string, string, string, error) {
+	if r.MoveBudget > maxMoveBudget {
+		return "", "", "", fmt.Errorf("service: moveBudget %d exceeds the maximum %d", r.MoveBudget, maxMoveBudget)
+	}
 	fp, err := normalizeSystem(r.System)
 	if err != nil {
 		return "", "", "", err
