@@ -221,3 +221,30 @@ func BenchmarkConfigKey(b *testing.B) {
 		})
 	}
 }
+
+// cloneSink keeps the benchmarked copy alive.
+var cloneSink *Config
+
+// BenchmarkConfigClone times one pin-free copy of the SF configuration
+// of the paper's Fig. 9 systems, the copy every move and every OS
+// candidate makes.
+func BenchmarkConfigClone(b *testing.B) {
+	for _, nodes := range fig9Nodes {
+		b.Run(fmt.Sprintf("procs=%d", 40*nodes), func(b *testing.B) {
+			sys, err := gen.Paper(nodes, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			app, arch := sys.Application, sys.Architecture
+			cfg := DefaultConfig(app, arch)
+			if err := cfg.Normalize(app); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cloneSink = cfg.Clone()
+			}
+		})
+	}
+}
