@@ -539,9 +539,9 @@ func (l *etLayout) start(cfg *Config, horizon model.Time, offsetBlind bool) {
 		t := &l.tasks[i]
 		t.Trans = l.trans(l.taskTmpl[i].Trans)
 		if i < l.procTasks {
-			t.Priority = cfg.ProcPriority[model.ProcID(l.ids[i])]
+			t.Priority = cfg.ProcPriority[l.ids[i]]
 		} else {
-			t.Priority = cfg.MsgPriority[model.EdgeID(l.ids[i])]
+			t.Priority = cfg.MsgPriority[l.ids[i]]
 		}
 	}
 	// Non-preemptive blocking on the CAN bus: B = max lower-priority C.

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -60,7 +58,7 @@ func TestAnalyzeAllocs(t *testing.T) {
 	})
 	// A walk of adjacent priority swaps: every configuration is new to
 	// the Memo, and each shares some stage inputs with its predecessor.
-	procs := slices.Sorted(maps.Keys(cfg.ProcPriority))
+	procs := prioritized(cfg.ProcPriority)
 	walk := []*Config{cfg}
 	for i := 0; i < 11; i++ {
 		next := walk[i].Clone()
@@ -246,5 +244,22 @@ func BenchmarkConfigClone(b *testing.B) {
 				cloneSink = cfg.Clone()
 			}
 		})
+	}
+}
+
+// TestConfigCloneAllocs caps a pin-free Clone at its measured count on
+// every Fig. 9 system: the Config, the round's slots and one backing
+// array for both priority vectors.
+func TestConfigCloneAllocs(t *testing.T) {
+	const ceiling = 3
+	for _, nodes := range fig9Nodes {
+		sys, err := gen.Paper(nodes, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(sys.Application, sys.Architecture)
+		if got := testing.AllocsPerRun(20, func() { cloneSink = cfg.Clone() }); got > ceiling {
+			t.Errorf("%d nodes: Clone makes %v allocations, want at most %d", nodes, got, ceiling)
+		}
 	}
 }

@@ -2,24 +2,33 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/model"
 	"repro/internal/tsched"
 	"repro/internal/ttp"
 )
 
+// NoPriority is the entry of a priority vector for a process or message
+// that has no priority: a TT process, or a message that does not travel
+// on the CAN bus.
+const NoPriority = math.MinInt
+
 // Config is the synthesized system configuration psi = <phi, beta, pi>.
 type Config struct {
 	// Round is beta: the TDMA slot sequence and lengths. Normalize pads
 	// it so the round period divides the hyper-period.
 	Round ttp.Round
-	// ProcPriority is pi for the ET processes: unique per ET node
-	// (globally unique values are simplest), smaller = higher priority.
-	ProcPriority map[model.ProcID]int
-	// MsgPriority is pi for the messages travelling on the CAN bus:
-	// unique across the bus, smaller = higher priority (CAN identifier
-	// order).
-	MsgPriority map[model.EdgeID]int
+	// ProcPriority is pi for the ET processes, one entry per process
+	// indexed by ProcID: unique per ET node (globally unique values are
+	// simplest), smaller = higher priority. TT processes hold
+	// NoPriority.
+	ProcPriority []int
+	// MsgPriority is pi for the messages travelling on the CAN bus, one
+	// entry per edge indexed by EdgeID: unique across the bus, smaller =
+	// higher priority (CAN identifier order). Every other edge holds
+	// NoPriority.
+	MsgPriority []int
 	// PinnedProc and PinnedEdge are the phi adjustments explored by
 	// OptimizeResources: "not before" in-period offsets for TT processes
 	// and TTP messages.
@@ -27,18 +36,38 @@ type Config struct {
 	PinnedEdge map[model.EdgeID]model.Time
 }
 
+// NewPriorities returns the priority vectors of app, one entry per
+// process and one per edge, every entry NoPriority. The two share one
+// backing array.
+func NewPriorities(app *model.Application) (proc, msg []int) {
+	np := len(app.Procs)
+	all := make([]int, np+len(app.Edges))
+	for i := range all {
+		all[i] = NoPriority
+	}
+	return all[:np:np], all[np:]
+}
+
+// PriorityOf returns the priority prio holds for id, and false when id
+// is out of range or holds NoPriority.
+func PriorityOf[ID ~int](prio []int, id ID) (int, bool) {
+	if id < 0 || int(id) >= len(prio) || prio[id] == NoPriority {
+		return 0, false
+	}
+	return prio[id], true
+}
+
 // Clone returns a deep copy; the optimization heuristics mutate copies.
+// The copy's two priority vectors share one backing array.
 func (c *Config) Clone() *Config {
+	np := len(c.ProcPriority)
+	all := make([]int, np+len(c.MsgPriority))
+	copy(all, c.ProcPriority)
+	copy(all[np:], c.MsgPriority)
 	d := &Config{
 		Round:        c.Round.Clone(),
-		ProcPriority: make(map[model.ProcID]int, len(c.ProcPriority)),
-		MsgPriority:  make(map[model.EdgeID]int, len(c.MsgPriority)),
-	}
-	for k, v := range c.ProcPriority {
-		d.ProcPriority[k] = v
-	}
-	for k, v := range c.MsgPriority {
-		d.MsgPriority[k] = v
+		ProcPriority: all[:np:np],
+		MsgPriority:  all[np:],
 	}
 	if c.PinnedProc != nil {
 		d.PinnedProc = make(map[model.ProcID]model.Time, len(c.PinnedProc))
@@ -65,9 +94,8 @@ func DefaultConfig(app *model.Application, arch *model.Architecture) *Config {
 		Round: ttp.NewRound(arch.SlotOwners(), func(n model.NodeID) model.Time {
 			return tsched.MinSlotLength(app, arch, n)
 		}),
-		ProcPriority: make(map[model.ProcID]int),
-		MsgPriority:  make(map[model.EdgeID]int),
 	}
+	cfg.ProcPriority, cfg.MsgPriority = NewPriorities(app)
 	next := 0
 	for _, p := range app.Procs {
 		if arch.Kind(p.Node) == model.EventTriggered {
@@ -97,12 +125,17 @@ func (c *Config) Normalize(app *model.Application) error {
 }
 
 // Validate checks the configuration against the application: one slot
-// per owner, every ET process and CAN message has a priority, priorities
-// unique per resource.
+// per owner, one priority vector entry per process and per edge, every
+// ET process and CAN message has a priority, priorities unique per
+// resource.
 func (c *Config) Validate(app *model.Application, arch *model.Architecture) error {
 	var owners [16]model.NodeID
 	if err := c.Round.Validate(arch.AppendSlotOwners(owners[:0])); err != nil {
 		return err
+	}
+	if len(c.ProcPriority) != len(app.Procs) || len(c.MsgPriority) != len(app.Edges) {
+		return fmt.Errorf("core: %d process and %d message priorities for %d processes and %d edges",
+			len(c.ProcPriority), len(c.MsgPriority), len(app.Procs), len(app.Edges))
 	}
 	// Every earlier claim passed the uniqueness check, so at most one of
 	// them shares the resource and priority of the next.
@@ -111,8 +144,8 @@ func (c *Config) Validate(app *model.Application, arch *model.Architecture) erro
 		if arch.Kind(p.Node) != model.EventTriggered {
 			continue
 		}
-		prio, ok := c.ProcPriority[p.ID]
-		if !ok {
+		prio := c.ProcPriority[p.ID]
+		if prio == NoPriority {
 			return fmt.Errorf("core: ET process %q has no priority", p.Name)
 		}
 		if prev, dup := claimant(claims, int(p.Node), prio); dup {
@@ -125,8 +158,8 @@ func (c *Config) Validate(app *model.Application, arch *model.Architecture) erro
 		if !app.RouteOf(e.ID, arch).UsesCAN() {
 			continue
 		}
-		prio, ok := c.MsgPriority[e.ID]
-		if !ok {
+		prio := c.MsgPriority[e.ID]
+		if prio == NoPriority {
 			return fmt.Errorf("core: CAN message %q has no priority", e.Name)
 		}
 		if prev, dup := claimant(claims, 0, prio); dup {

@@ -10,8 +10,9 @@ import (
 	"repro/internal/ttp"
 )
 
-// configFile is the on-disk form of a Config: maps become sorted slices
-// so the output is stable and diff-friendly.
+// configFile is the on-disk form of a Config: the priority vectors'
+// present entries and the pin maps become slices sorted by ID, so the
+// output is stable and diff-friendly.
 type configFile struct {
 	Round        ttp.Round      `json:"round"`
 	ProcPriority []procPrioJSON `json:"procPriority"`
@@ -40,17 +41,20 @@ type edgePinJSON struct {
 	Offset model.Time   `json:"offset"`
 }
 
-// Save writes the configuration as stable, indented JSON.
+// Save writes the configuration as stable, indented JSON. Priorities
+// are written in ID order, skipping NoPriority entries.
 func (c *Config) Save(w io.Writer) error {
 	f := configFile{Round: c.Round}
 	for p, prio := range c.ProcPriority {
-		f.ProcPriority = append(f.ProcPriority, procPrioJSON{p, prio})
+		if prio != NoPriority {
+			f.ProcPriority = append(f.ProcPriority, procPrioJSON{model.ProcID(p), prio})
+		}
 	}
-	sort.Slice(f.ProcPriority, func(i, j int) bool { return f.ProcPriority[i].Proc < f.ProcPriority[j].Proc })
 	for e, prio := range c.MsgPriority {
-		f.MsgPriority = append(f.MsgPriority, msgPrioJSON{e, prio})
+		if prio != NoPriority {
+			f.MsgPriority = append(f.MsgPriority, msgPrioJSON{model.EdgeID(e), prio})
+		}
 	}
-	sort.Slice(f.MsgPriority, func(i, j int) bool { return f.MsgPriority[i].Edge < f.MsgPriority[j].Edge })
 	for p, off := range c.PinnedProc {
 		f.PinnedProcs = append(f.PinnedProcs, procPinJSON{p, off})
 	}
@@ -68,7 +72,9 @@ func (c *Config) Save(w io.Writer) error {
 }
 
 // LoadConfig parses a configuration written by Save and validates it
-// against the application and architecture.
+// against the application and architecture. A priority entry whose ID
+// names no process or edge of app, repeats an earlier entry's ID or
+// holds a negative priority is an error.
 func LoadConfig(r io.Reader, app *model.Application, arch *model.Architecture) (*Config, error) {
 	var f configFile
 	dec := json.NewDecoder(r)
@@ -76,16 +82,17 @@ func LoadConfig(r io.Reader, app *model.Application, arch *model.Architecture) (
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("core: decoding config: %w", err)
 	}
-	c := &Config{
-		Round:        f.Round,
-		ProcPriority: make(map[model.ProcID]int, len(f.ProcPriority)),
-		MsgPriority:  make(map[model.EdgeID]int, len(f.MsgPriority)),
+	c := &Config{Round: f.Round}
+	c.ProcPriority, c.MsgPriority = NewPriorities(app)
+	for i, p := range f.ProcPriority {
+		if err := setPriority(c.ProcPriority, int(p.Proc), p.Priority); err != nil {
+			return nil, fmt.Errorf("core: procPriority[%d] (process %d): %w", i, p.Proc, err)
+		}
 	}
-	for _, p := range f.ProcPriority {
-		c.ProcPriority[p.Proc] = p.Priority
-	}
-	for _, m := range f.MsgPriority {
-		c.MsgPriority[m.Edge] = m.Priority
+	for i, m := range f.MsgPriority {
+		if err := setPriority(c.MsgPriority, int(m.Edge), m.Priority); err != nil {
+			return nil, fmt.Errorf("core: msgPriority[%d] (edge %d): %w", i, m.Edge, err)
+		}
 	}
 	if len(f.PinnedProcs) > 0 {
 		c.PinnedProc = make(map[model.ProcID]model.Time, len(f.PinnedProcs))
@@ -103,4 +110,18 @@ func LoadConfig(r io.Reader, app *model.Application, arch *model.Architecture) (
 		return nil, err
 	}
 	return c, nil
+}
+
+// setPriority stores one decoded priority entry in its vector.
+func setPriority(prio []int, id, p int) error {
+	switch {
+	case id < 0 || id >= len(prio):
+		return fmt.Errorf("ID out of range [0, %d)", len(prio))
+	case p < 0:
+		return fmt.Errorf("negative priority %d", p)
+	case prio[id] != NoPriority:
+		return fmt.Errorf("duplicate ID")
+	}
+	prio[id] = p
+	return nil
 }

@@ -62,13 +62,10 @@ func fig4Config(app *model.Application, arch *model.Architecture, sgFirst, p2Hig
 	} else {
 		slots = []ttp.Slot{{Node: n1, Length: 20}, {Node: arch.Gateway, Length: 20}}
 	}
-	cfg := &Config{
-		Round:        ttp.Round{Slots: slots},
-		ProcPriority: map[model.ProcID]int{},
-		MsgPriority: map[model.EdgeID]int{
-			m[0]: 1, m[1]: 2, m[2]: 3, // priority(m1) > priority(m2) > priority(m3)
-		},
-	}
+	cfg := &Config{Round: ttp.Round{Slots: slots}}
+	cfg.ProcPriority, cfg.MsgPriority = NewPriorities(app)
+	// priority(m1) > priority(m2) > priority(m3)
+	cfg.MsgPriority[m[0]], cfg.MsgPriority[m[1]], cfg.MsgPriority[m[2]] = 1, 2, 3
 	if p2High {
 		cfg.ProcPriority[p[1]] = 1
 		cfg.ProcPriority[p[2]] = 2
@@ -288,9 +285,15 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// Missing process priority.
 	bad = cfg.Clone()
-	delete(bad.ProcPriority, p[1])
+	bad.ProcPriority[p[1]] = NoPriority
 	if err := bad.Validate(app, arch); err == nil {
 		t.Error("accepted missing process priority")
+	}
+	// A priority vector shorter than the application.
+	bad = cfg.Clone()
+	bad.MsgPriority = bad.MsgPriority[:len(bad.MsgPriority)-1]
+	if err := bad.Validate(app, arch); err == nil {
+		t.Error("accepted a short message priority vector")
 	}
 	// Duplicate message priority.
 	bad = cfg.Clone()

@@ -305,8 +305,8 @@ func (m *Memo) Analyze(cfg *Config) (*Analysis, error) {
 
 // --- key encoding -----------------------------------------------------
 //
-// Keys are exact binary encodings of the inputs. Map-typed inputs are
-// serialized in sorted key order; diagnostic-only fields (names) are
+// Keys are exact binary encodings of the inputs. Priority vectors are
+// serialized in ID order and map-typed inputs in sorted key order; diagnostic-only fields (names) are
 // excluded because results do not depend on them.
 //
 // Each analysis encodes its stage keys into one reusable keyScratch.
@@ -342,48 +342,71 @@ func appendRound(b []byte, r *ttp.Round) []byte {
 	return appendTime(b, r.Padding)
 }
 
-// appendSorted appends the length of m and its entries in ascending key
-// order, sorting the keys in *ids, a scratch buffer that keeps its
-// growth.
-func appendSorted[K ~int, V ~int | ~int64](b []byte, ids *[]int, m map[K]V) []byte {
-	keys := (*ids)[:0]
+// appendSorted appends the length of the pin map m and its entries in
+// ascending key order, sorting the keys in ids, a scratch buffer it
+// returns with its growth.
+func appendSorted[K ~int](b []byte, ids []int, m map[K]model.Time) ([]byte, []int) {
+	ids = ids[:0]
 	for id := range m {
-		keys = append(keys, int(id))
+		ids = append(ids, int(id))
 	}
-	slices.Sort(keys)
-	*ids = keys
-	b = appendInt(b, len(keys))
-	for _, id := range keys {
+	slices.Sort(ids)
+	b = appendInt(b, len(ids))
+	for _, id := range ids {
 		b = appendInt(b, id)
-		b = appendTime(b, int64(m[K(id)]))
+		b = appendTime(b, m[K(id)])
+	}
+	return b, ids
+}
+
+// appendPriorities appends the number of entries of prio that hold a
+// priority, then each such entry's ID and priority in ID order: the
+// bytes appendSorted writes for the map of the same entries.
+func appendPriorities(b []byte, prio []int) []byte {
+	n := 0
+	for _, p := range prio {
+		if p != NoPriority {
+			n++
+		}
+	}
+	b = appendInt(b, n)
+	for id, p := range prio {
+		if p != NoPriority {
+			b = appendInt(b, id)
+			b = appendInt(b, p)
+		}
 	}
 	return b
 }
 
 // ConfigKey returns the canonical binary encoding of a configuration:
-// the TDMA round, then the priority and pin maps in sorted key order.
-// Two configurations get the same key exactly when AnalyzeWith cannot
-// tell them apart.
+// the TDMA round, then the priority vectors and the pin maps in ID
+// order. Two configurations get the same key exactly when AnalyzeWith
+// cannot tell them apart.
 func ConfigKey(cfg *Config) string { return string(configKey(cfg)) }
 
-// configKey encodes ConfigKey into buffers sized for cfg, so neither
-// grows.
+// configKey encodes ConfigKey into a buffer sized for cfg: four bytes
+// per vector entry hold a present entry's ID and priority below 8192,
+// and absent entries and 64 more bytes leave room for the round and the
+// pins, so it seldom grows. A few pins sort on the stack.
 func configKey(cfg *Config) []byte {
-	ids := make([]int, 0, max(len(cfg.ProcPriority), len(cfg.MsgPriority), len(cfg.PinnedProc), len(cfg.PinnedEdge)))
-	b := make([]byte, 0, 64+8*(len(cfg.ProcPriority)+len(cfg.MsgPriority)))
+	var stack [8]int
+	ids := stack[:0]
+	b := make([]byte, 0, 64+4*(len(cfg.ProcPriority)+len(cfg.MsgPriority)))
 	b = appendRound(b, &cfg.Round)
-	b = appendSorted(b, &ids, cfg.ProcPriority)
-	b = appendSorted(b, &ids, cfg.MsgPriority)
-	b = appendSorted(b, &ids, cfg.PinnedProc)
-	return appendSorted(b, &ids, cfg.PinnedEdge)
+	b = appendPriorities(b, cfg.ProcPriority)
+	b = appendPriorities(b, cfg.MsgPriority)
+	b, ids = appendSorted(b, ids, cfg.PinnedProc)
+	b, _ = appendSorted(b, ids, cfg.PinnedEdge)
+	return b
 }
 
 // startSched encodes the part of the schedule keys that one analysis of
 // cfg never changes: the round and the pins.
 func (ks *keyScratch) startSched(cfg *Config) {
 	b := appendRound(ks.sched[:0], &cfg.Round)
-	b = appendSorted(b, &ks.ids, cfg.PinnedProc)
-	ks.sched = appendSorted(b, &ks.ids, cfg.PinnedEdge)
+	b, ks.ids = appendSorted(b, ks.ids, cfg.PinnedProc)
+	ks.sched, ks.ids = appendSorted(b, ks.ids, cfg.PinnedEdge)
 }
 
 // schedKey encodes a tsched.Build input: the prefix of startSched, then

@@ -4,10 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -132,8 +130,8 @@ func walkSmallCaps(t *testing.T, rtaCap int, seed int64) {
 	m.config.cap, m.sched.cap, m.rta.cap, m.queue.cap = 1, 2, rtaCap, 2
 	m.rtaIDs.cap, m.queueIDs.cap = 1, 1
 	rng := rand.New(rand.NewSource(seed))
-	procs := slices.Sorted(maps.Keys(cfg.ProcPriority))
-	msgs := slices.Sorted(maps.Keys(cfg.MsgPriority))
+	procs := prioritized(cfg.ProcPriority)
+	msgs := prioritized(cfg.MsgPriority)
 	walk := []*Config{cfg}
 	for step := 0; step < 16; step++ {
 		next := walk[len(walk)-1].Clone()
@@ -174,7 +172,7 @@ func TestMemoOffsetBlindMatchesCold(t *testing.T) {
 		app, arch, cfg := genConfig(t, seed, 4)
 		m := NewMemo(app, arch)
 		rng := rand.New(rand.NewSource(seed))
-		procs := slices.Sorted(maps.Keys(cfg.ProcPriority))
+		procs := prioritized(cfg.ProcPriority)
 		for step := 0; step < 6; step++ {
 			for _, blind := range []bool{true, false} {
 				got, err := m.analyzeStages(cfg, blind)
@@ -211,8 +209,8 @@ func TestMemoConcurrentLayouts(t *testing.T) {
 	const workers = 4
 	app, arch, cfg := genConfig(t, 7, 4)
 	rng := rand.New(rand.NewSource(7))
-	procs := slices.Sorted(maps.Keys(cfg.ProcPriority))
-	msgs := slices.Sorted(maps.Keys(cfg.MsgPriority))
+	procs := prioritized(cfg.ProcPriority)
+	msgs := prioritized(cfg.MsgPriority)
 	walk := []*Config{cfg}
 	for step := 0; step < 8; step++ {
 		next := walk[len(walk)-1].Clone()
@@ -276,7 +274,7 @@ func TestMemoReleaseStages(t *testing.T) {
 	app, arch, cfg := genConfig(t, 7, 4)
 	m := NewMemo(app, arch)
 	rng := rand.New(rand.NewSource(7))
-	msgs := slices.Sorted(maps.Keys(cfg.MsgPriority))
+	msgs := prioritized(cfg.MsgPriority)
 	walk := []*Config{cfg}
 	for len(walk) < 6 {
 		next := walk[len(walk)-1].Clone()
@@ -339,9 +337,20 @@ func TestMemoReleaseStages(t *testing.T) {
 	}
 }
 
-// swapPriorities swaps the priorities of two distinct ids drawn from the
-// sorted ids of prio.
-func swapPriorities[K comparable](rng *rand.Rand, prio map[K]int, ids []K) {
+// prioritized returns the IDs that hold a priority in prio, ascending.
+func prioritized(prio []int) []int {
+	var ids []int
+	for id, p := range prio {
+		if p != NoPriority {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// swapPriorities swaps the priorities of two distinct ids drawn from
+// ids, the prioritized IDs of prio.
+func swapPriorities(rng *rand.Rand, prio []int, ids []int) {
 	i := rng.Intn(len(ids))
 	j := (i + 1 + rng.Intn(len(ids)-1)) % len(ids)
 	prio[ids[i]], prio[ids[j]] = prio[ids[j]], prio[ids[i]]

@@ -113,16 +113,20 @@ func TestConfigKey(t *testing.T) {
 		},
 		"padding": func(c *core.Config) *core.Config { c.Round.Padding += 4; return c },
 		"proc priority": func(c *core.Config) *core.Config {
-			for id := range c.ProcPriority {
-				c.ProcPriority[id] += 1000
-				break
+			for id, p := range c.ProcPriority {
+				if p != core.NoPriority {
+					c.ProcPriority[id] += 1000
+					break
+				}
 			}
 			return c
 		},
 		"msg priority": func(c *core.Config) *core.Config {
-			for id := range c.MsgPriority {
-				c.MsgPriority[id] += 1000
-				break
+			for id, p := range c.MsgPriority {
+				if p != core.NoPriority {
+					c.MsgPriority[id] += 1000
+					break
+				}
 			}
 			return c
 		},

@@ -182,11 +182,9 @@ func fig4Config(app *model.Application, arch *model.Architecture, sgFirst, p2Hig
 	} else {
 		slots = []ttp.Slot{{Node: n1, Length: 20}, {Node: arch.Gateway, Length: 20}}
 	}
-	cfg := &core.Config{
-		Round:        ttp.Round{Slots: slots},
-		ProcPriority: map[model.ProcID]int{},
-		MsgPriority:  map[model.EdgeID]int{m[0]: 1, m[1]: 2, m[2]: 3},
-	}
+	cfg := &core.Config{Round: ttp.Round{Slots: slots}}
+	cfg.ProcPriority, cfg.MsgPriority = core.NewPriorities(app)
+	cfg.MsgPriority[m[0]], cfg.MsgPriority[m[1]], cfg.MsgPriority[m[2]] = 1, 2, 3
 	if p2High {
 		cfg.ProcPriority[p[1]] = 1
 		cfg.ProcPriority[p[2]] = 2

@@ -25,8 +25,10 @@ import (
 
 // Result is the best priority assignment found.
 type Result struct {
-	ProcPriority map[model.ProcID]int
-	MsgPriority  map[model.EdgeID]int
+	// ProcPriority and MsgPriority are the priority vectors of
+	// core.Config, indexed by ProcID and EdgeID.
+	ProcPriority []int
+	MsgPriority  []int
 	// Delta is the degree of schedulability achieved with the returned
 	// priorities (smaller is better, negative = schedulable).
 	Delta model.Time
@@ -66,7 +68,7 @@ func Assign(app *model.Application, arch *model.Architecture, round ttp.Round, i
 			return nil, err
 		}
 		best.Evaluations++
-		if best.ProcPriority == nil || a.Delta < best.Delta {
+		if it == 0 || a.Delta < best.Delta {
 			best.ProcPriority = procPrio
 			best.MsgPriority = msgPrio
 			best.Delta = a.Delta
@@ -137,7 +139,7 @@ func initialLocalDeadlines(app *model.Application, arch *model.Architecture, rou
 // resource: smaller local deadline = higher priority (smaller number).
 // The ET CPUs are numbered in node order; ties break on the creation
 // order, which keeps the assignment deterministic.
-func deadlineMonotonic(app *model.Application, arch *model.Architecture, ld *localDeadlines) (map[model.ProcID]int, map[model.EdgeID]int) {
+func deadlineMonotonic(app *model.Application, arch *model.Architecture, ld *localDeadlines) (procPrio, msgPrio []int) {
 	var procs []model.ProcID
 	for _, p := range app.Procs {
 		if arch.Kind(p.Node) == model.EventTriggered {
@@ -150,7 +152,7 @@ func deadlineMonotonic(app *model.Application, arch *model.Architecture, ld *loc
 			cmp.Compare(ld.proc[a], ld.proc[b]),
 			cmp.Compare(a, b))
 	})
-	procPrio := make(map[model.ProcID]int, len(procs))
+	procPrio, msgPrio = core.NewPriorities(app)
 	for i, p := range procs {
 		procPrio[p] = i
 	}
@@ -163,7 +165,6 @@ func deadlineMonotonic(app *model.Application, arch *model.Architecture, ld *loc
 	slices.SortFunc(msgs, func(a, b model.EdgeID) int {
 		return cmp.Or(cmp.Compare(ld.edge[a], ld.edge[b]), cmp.Compare(a, b))
 	})
-	msgPrio := make(map[model.EdgeID]int, len(msgs))
 	for i, e := range msgs {
 		msgPrio[e] = i
 	}

@@ -137,20 +137,20 @@ func (m Move) Apply(app *model.Application, arch *model.Architecture, cfg *core.
 		}
 		delete(d.PinnedEdge, m.Edge)
 	case MoveSwapProcPrio:
-		d = cfg.Clone()
-		a, okA := d.ProcPriority[m.Proc]
-		b, okB := d.ProcPriority[m.Proc2]
+		a, okA := core.PriorityOf(cfg.ProcPriority, m.Proc)
+		b, okB := core.PriorityOf(cfg.ProcPriority, m.Proc2)
 		if !okA || !okB {
 			return nil, fmt.Errorf("opt: processes %d/%d have no priorities", m.Proc, m.Proc2)
 		}
+		d = cfg.Clone()
 		d.ProcPriority[m.Proc], d.ProcPriority[m.Proc2] = b, a
 	case MoveSwapMsgPrio:
-		d = cfg.Clone()
-		a, okA := d.MsgPriority[m.Edge]
-		b, okB := d.MsgPriority[m.Edge2]
+		a, okA := core.PriorityOf(cfg.MsgPriority, m.Edge)
+		b, okB := core.PriorityOf(cfg.MsgPriority, m.Edge2)
 		if !okA || !okB {
 			return nil, fmt.Errorf("opt: messages %d/%d have no priorities", m.Edge, m.Edge2)
 		}
+		d = cfg.Clone()
 		d.MsgPriority[m.Edge], d.MsgPriority[m.Edge2] = b, a
 	case MoveResizeSlot:
 		d = cfg.Clone()
@@ -327,7 +327,7 @@ func targetCriticalEdge(app *model.Application, cfg *core.Config, a *core.Analys
 	}
 	// Swap the message's priority with its immediate neighbours (CAN
 	// priorities are unique, so they are its neighbours in msgs).
-	if _, ok := cfg.MsgPriority[e]; !ok {
+	if _, ok := core.PriorityOf(cfg.MsgPriority, e); !ok {
 		return
 	}
 	i := slices.Index(msgs, e)
@@ -348,9 +348,9 @@ func adjacentProcPairs(app *model.Application, cfg *core.Config) [][2]model.Proc
 		prio int
 		id   model.ProcID
 	}
-	procs := make([]ranked, 0, len(cfg.ProcPriority))
+	procs := make([]ranked, 0, prioritized(cfg.ProcPriority))
 	for _, p := range app.Procs {
-		if prio, ok := cfg.ProcPriority[p.ID]; ok {
+		if prio, ok := core.PriorityOf(cfg.ProcPriority, p.ID); ok {
 			procs = append(procs, ranked{p.Node, prio, p.ID})
 		}
 	}
@@ -369,15 +369,28 @@ func adjacentProcPairs(app *model.Application, cfg *core.Config) [][2]model.Proc
 	return pairs
 }
 
-// byPriority returns the keys of prio ordered by their priority, which
-// must be unique.
-func byPriority[K ~int](prio map[K]int) []K {
-	out := make([]K, 0, len(prio))
-	for k := range prio {
-		out = append(out, k)
+// byPriority returns the IDs that hold a priority in prio, ordered by
+// their priority, then by ID.
+func byPriority(prio []int) []model.EdgeID {
+	out := make([]model.EdgeID, 0, prioritized(prio))
+	for id, p := range prio {
+		if p != core.NoPriority {
+			out = append(out, model.EdgeID(id))
+		}
 	}
-	slices.SortFunc(out, func(x, y K) int { return cmp.Compare(prio[x], prio[y]) })
+	slices.SortFunc(out, func(x, y model.EdgeID) int { return cmp.Or(cmp.Compare(prio[x], prio[y]), cmp.Compare(x, y)) })
 	return out
+}
+
+// prioritized counts the entries of prio that hold a priority.
+func prioritized(prio []int) int {
+	n := 0
+	for _, p := range prio {
+		if p != core.NoPriority {
+			n++
+		}
+	}
+	return n
 }
 
 // sortedKeys returns the keys of m in ascending order.

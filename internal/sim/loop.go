@@ -230,7 +230,7 @@ func (s *simulator) enqueueOutCAN(t model.Time, ei edgeInst) {
 	s.kickBus(t)
 }
 
-func insertByPriority(q []edgeInst, ei edgeInst, prio map[model.EdgeID]int) []edgeInst {
+func insertByPriority(q []edgeInst, ei edgeInst, prio []int) []edgeInst {
 	q = append(q, ei)
 	sort.SliceStable(q, func(i, j int) bool {
 		pi, pj := prio[q[i].edge], prio[q[j].edge]

@@ -42,9 +42,10 @@ func fig4d(t *testing.T) (*model.Application, *model.Architecture, *core.Config,
 		Round: ttp.Round{Slots: []ttp.Slot{
 			{Node: n1, Length: 20}, {Node: arch.Gateway, Length: 20},
 		}},
-		ProcPriority: map[model.ProcID]int{p2: 1, p3: 2},
-		MsgPriority:  map[model.EdgeID]int{m1: 1, m2: 2, m3: 3},
 	}
+	cfg.ProcPriority, cfg.MsgPriority = core.NewPriorities(app)
+	cfg.ProcPriority[p2], cfg.ProcPriority[p3] = 1, 2
+	cfg.MsgPriority[m1], cfg.MsgPriority[m2], cfg.MsgPriority[m3] = 1, 2, 3
 	if err := cfg.Normalize(app); err != nil {
 		t.Fatalf("Normalize: %v", err)
 	}
@@ -187,9 +188,10 @@ func TestRejectsOverflowingSchedule(t *testing.T) {
 		Round: ttp.Round{Slots: []ttp.Slot{
 			{Node: arch.Gateway, Length: 20}, {Node: n1, Length: 20},
 		}},
-		ProcPriority: map[model.ProcID]int{p2: 2, p3: 1},
-		MsgPriority:  map[model.EdgeID]int{m1: 1, m2: 2, m3: 3},
 	}
+	cfg.ProcPriority, cfg.MsgPriority = core.NewPriorities(app)
+	cfg.ProcPriority[p2], cfg.ProcPriority[p3] = 2, 1
+	cfg.MsgPriority[m1], cfg.MsgPriority[m2], cfg.MsgPriority[m3] = 1, 2, 3
 	if err := cfg.Normalize(app); err != nil {
 		t.Fatalf("Normalize: %v", err)
 	}
