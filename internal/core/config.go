@@ -48,6 +48,17 @@ func NewPriorities(app *model.Application) (proc, msg []int) {
 	return all[:np:np], all[np:]
 }
 
+// Prioritized counts the entries of prio that hold a priority.
+func Prioritized(prio []int) int {
+	n := 0
+	for _, p := range prio {
+		if p != NoPriority {
+			n++
+		}
+	}
+	return n
+}
+
 // PriorityOf returns the priority prio holds for id, and false when id
 // is out of range or holds NoPriority.
 func PriorityOf[ID ~int](prio []int, id ID) (int, bool) {
@@ -64,22 +75,23 @@ func (c *Config) Clone() *Config {
 	all := make([]int, np+len(c.MsgPriority))
 	copy(all, c.ProcPriority)
 	copy(all[np:], c.MsgPriority)
-	d := &Config{
+	return &Config{
 		Round:        c.Round.Clone(),
 		ProcPriority: all[:np:np],
 		MsgPriority:  all[np:],
+		PinnedProc:   clonePins(c.PinnedProc),
+		PinnedEdge:   clonePins(c.PinnedEdge),
 	}
-	if c.PinnedProc != nil {
-		d.PinnedProc = make(map[model.ProcID]model.Time, len(c.PinnedProc))
-		for k, v := range c.PinnedProc {
-			d.PinnedProc[k] = v
-		}
+}
+
+// clonePins copies a pin map; nil stays nil.
+func clonePins[K comparable](m map[K]model.Time) map[K]model.Time {
+	if m == nil {
+		return nil
 	}
-	if c.PinnedEdge != nil {
-		d.PinnedEdge = make(map[model.EdgeID]model.Time, len(c.PinnedEdge))
-		for k, v := range c.PinnedEdge {
-			d.PinnedEdge[k] = v
-		}
+	d := make(map[K]model.Time, len(m))
+	for k, v := range m {
+		d[k] = v
 	}
 	return d
 }

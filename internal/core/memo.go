@@ -306,8 +306,8 @@ func (m *Memo) Analyze(cfg *Config) (*Analysis, error) {
 // --- key encoding -----------------------------------------------------
 //
 // Keys are exact binary encodings of the inputs. Priority vectors are
-// serialized in ID order and map-typed inputs in sorted key order; diagnostic-only fields (names) are
-// excluded because results do not depend on them.
+// serialized in ID order and maps in sorted key order; diagnostic-only
+// fields (names) are excluded because results do not depend on them.
 //
 // Each analysis encodes its stage keys into one reusable keyScratch.
 
@@ -363,13 +363,7 @@ func appendSorted[K ~int](b []byte, ids []int, m map[K]model.Time) ([]byte, []in
 // priority, then each such entry's ID and priority in ID order: the
 // bytes appendSorted writes for the map of the same entries.
 func appendPriorities(b []byte, prio []int) []byte {
-	n := 0
-	for _, p := range prio {
-		if p != NoPriority {
-			n++
-		}
-	}
-	b = appendInt(b, n)
+	b = appendInt(b, Prioritized(prio))
 	for id, p := range prio {
 		if p != NoPriority {
 			b = appendInt(b, id)
@@ -385,10 +379,9 @@ func appendPriorities(b []byte, prio []int) []byte {
 // cannot tell them apart.
 func ConfigKey(cfg *Config) string { return string(configKey(cfg)) }
 
-// configKey encodes ConfigKey into a buffer sized for cfg: four bytes
-// per vector entry hold a present entry's ID and priority below 8192,
-// and absent entries and 64 more bytes leave room for the round and the
-// pins, so it seldom grows. A few pins sort on the stack.
+// configKey encodes ConfigKey into one buffer: four bytes per vector
+// entry hold IDs and priorities below 8192, so it seldom grows. A few
+// pins sort on the stack.
 func configKey(cfg *Config) []byte {
 	var stack [8]int
 	ids := stack[:0]

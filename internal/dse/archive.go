@@ -368,7 +368,7 @@ func (a *Archive) WriteCSV(w io.Writer) error {
 // frontPointJSON is the JSON form of one front point: the objective
 // vector, the verdict and the full configuration in the stable
 // core.Config.Save encoding (so any front point feeds back into
-// mcs-synth -config, LoadConfig and the wire API unchanged).
+// LoadConfig and the wire API unchanged).
 type frontPointJSON struct {
 	Objectives
 	Schedulable bool            `json:"schedulable"`

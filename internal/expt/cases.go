@@ -175,22 +175,17 @@ func fig4System() (*model.Application, *model.Architecture, [4]model.ProcID, [3]
 
 func fig4Config(app *model.Application, arch *model.Architecture, sgFirst, p2High bool,
 	p [4]model.ProcID, m [3]model.EdgeID) *core.Config {
-	n1 := arch.TTNodes()[0]
-	var slots []ttp.Slot
+	slots := []ttp.Slot{{Node: arch.TTNodes()[0], Length: 20}, {Node: arch.Gateway, Length: 20}}
 	if sgFirst {
-		slots = []ttp.Slot{{Node: arch.Gateway, Length: 20}, {Node: n1, Length: 20}}
-	} else {
-		slots = []ttp.Slot{{Node: n1, Length: 20}, {Node: arch.Gateway, Length: 20}}
+		slots[0], slots[1] = slots[1], slots[0]
 	}
 	cfg := &core.Config{Round: ttp.Round{Slots: slots}}
 	cfg.ProcPriority, cfg.MsgPriority = core.NewPriorities(app)
 	cfg.MsgPriority[m[0]], cfg.MsgPriority[m[1]], cfg.MsgPriority[m[2]] = 1, 2, 3
-	if p2High {
-		cfg.ProcPriority[p[1]] = 1
-		cfg.ProcPriority[p[2]] = 2
-	} else {
-		cfg.ProcPriority[p[1]] = 2
-		cfg.ProcPriority[p[2]] = 1
+	hi, lo := p[1], p[2]
+	if !p2High {
+		hi, lo = lo, hi
 	}
+	cfg.ProcPriority[hi], cfg.ProcPriority[lo] = 1, 2
 	return cfg
 }

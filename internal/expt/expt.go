@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -195,14 +196,7 @@ func (o *Options) progressf(format string, args ...interface{}) {
 
 // deviationPct returns 100*(value-best)/max(1,|best|).
 func deviationPct(value, best float64) float64 {
-	den := best
-	if den < 0 {
-		den = -den
-	}
-	if den < 1 {
-		den = 1
-	}
-	return 100 * (value - best) / den
+	return 100 * (value - best) / max(1, math.Abs(best))
 }
 
 // bestSA runs the annealer twice - from the SF baseline and from the OS
@@ -229,7 +223,6 @@ func bestSA(ctx context.Context, sv *solve.Solver, osBest *opt.Result, obj sa.Ob
 	}
 	jobs := make([]func(context.Context) (*sa.Result, error), len(runs))
 	for i, init := range runs {
-		i, init := i, init
 		jobs[i] = func(jctx context.Context) (*sa.Result, error) {
 			return sv.Anneal(jctx, obj, init, seed+int64(i), strat)
 		}
@@ -360,32 +353,41 @@ type Fig9bRow struct {
 	OSAvg, ORAvg, SARAvg float64
 }
 
+// bufferCell is one cell of Fig. 9b or Fig. 9c: the OS and OR results
+// and the SAR near-optimum on one generated system.
+type bufferCell struct {
+	os, or, sar *opt.Result
+}
+
+// runBufferCell runs OR (which starts from OS) and the SAR near-optimum
+// on sys through one cell session.
+func runBufferCell(ctx context.Context, opts *Options, sys *model.System, seed int64) (bufferCell, error) {
+	sv, err := cellSolver(sys.Application, sys.Architecture, opts, 1)
+	if err != nil {
+		return bufferCell{}, err
+	}
+	orres, err := sv.OptimizeResources(ctx)
+	if err != nil {
+		return bufferCell{}, err
+	}
+	sar, err := bestSA(ctx, sv, orres.OS.Best, sa.MinimizeBuffers, seed)
+	if err != nil {
+		return bufferCell{}, err
+	}
+	return bufferCell{os: orres.OS.Best, or: orres.Best, sar: sar}, nil
+}
+
 // Fig9b runs the buffer-need experiment over application sizes, with
 // the (size, seed) cells fanned out across opts.Workers goroutines.
 func Fig9b(ctx context.Context, opts Options) ([]Fig9bRow, error) {
 	opts.defaults()
-	type cell struct {
-		os, or, sar *opt.Result
-	}
-	cells, err := gridSweep(ctx, &opts, len(opts.Sizes), func(ctx context.Context, pi int, seed int64) (cell, error) {
+	cells, err := gridSweep(ctx, &opts, len(opts.Sizes), func(ctx context.Context, pi int, seed int64) (bufferCell, error) {
 		sys, err := gen.Paper(opts.Sizes[pi], seed)
 		if err != nil {
-			return cell{}, err
+			return bufferCell{}, err
 		}
-		sv, err := cellSolver(sys.Application, sys.Architecture, &opts, 1)
-		if err != nil {
-			return cell{}, err
-		}
-		orres, err := sv.OptimizeResources(ctx)
-		if err != nil {
-			return cell{}, err
-		}
-		sar, err := bestSA(ctx, sv, orres.OS.Best, sa.MinimizeBuffers, seed)
-		if err != nil {
-			return cell{}, err
-		}
-		return cell{os: orres.OS.Best, or: orres.Best, sar: sar}, nil
-	}, func(pi int, seed int64, c cell) {
+		return runBufferCell(ctx, &opts, sys, seed)
+	}, func(pi int, seed int64, c bufferCell) {
 		opts.progressf("fig9b nodes=%d seed=%d: OS=%d OR=%d SAR=%d", opts.Sizes[pi], seed, c.os.STotal(), c.or.STotal(), c.sar.STotal())
 	})
 	if err != nil {
@@ -435,28 +437,13 @@ type Fig9cRow struct {
 // seed) cells fanned out across opts.Workers goroutines.
 func Fig9c(ctx context.Context, opts Options) ([]Fig9cRow, error) {
 	opts.defaults()
-	type cell struct {
-		os, or, sar *opt.Result
-	}
-	cells, err := gridSweep(ctx, &opts, len(opts.Inter), func(ctx context.Context, pi int, seed int64) (cell, error) {
+	cells, err := gridSweep(ctx, &opts, len(opts.Inter), func(ctx context.Context, pi int, seed int64) (bufferCell, error) {
 		sys, err := gen.Fig9c(opts.Inter[pi], seed)
 		if err != nil {
-			return cell{}, err
+			return bufferCell{}, err
 		}
-		sv, err := cellSolver(sys.Application, sys.Architecture, &opts, 1)
-		if err != nil {
-			return cell{}, err
-		}
-		orres, err := sv.OptimizeResources(ctx)
-		if err != nil {
-			return cell{}, err
-		}
-		sar, err := bestSA(ctx, sv, orres.OS.Best, sa.MinimizeBuffers, seed)
-		if err != nil {
-			return cell{}, err
-		}
-		return cell{os: orres.OS.Best, or: orres.Best, sar: sar}, nil
-	}, func(pi int, seed int64, c cell) {
+		return runBufferCell(ctx, &opts, sys, seed)
+	}, func(pi int, seed int64, c bufferCell) {
 		opts.progressf("fig9c inter=%d seed=%d: OS=%d OR=%d SAR=%d", opts.Inter[pi], seed, c.os.STotal(), c.or.STotal(), c.sar.STotal())
 	})
 	if err != nil {

@@ -348,7 +348,7 @@ func adjacentProcPairs(app *model.Application, cfg *core.Config) [][2]model.Proc
 		prio int
 		id   model.ProcID
 	}
-	procs := make([]ranked, 0, prioritized(cfg.ProcPriority))
+	procs := make([]ranked, 0, core.Prioritized(cfg.ProcPriority))
 	for _, p := range app.Procs {
 		if prio, ok := core.PriorityOf(cfg.ProcPriority, p.ID); ok {
 			procs = append(procs, ranked{p.Node, prio, p.ID})
@@ -372,7 +372,7 @@ func adjacentProcPairs(app *model.Application, cfg *core.Config) [][2]model.Proc
 // byPriority returns the IDs that hold a priority in prio, ordered by
 // their priority, then by ID.
 func byPriority(prio []int) []model.EdgeID {
-	out := make([]model.EdgeID, 0, prioritized(prio))
+	out := make([]model.EdgeID, 0, core.Prioritized(prio))
 	for id, p := range prio {
 		if p != core.NoPriority {
 			out = append(out, model.EdgeID(id))
@@ -380,17 +380,6 @@ func byPriority(prio []int) []model.EdgeID {
 	}
 	slices.SortFunc(out, func(x, y model.EdgeID) int { return cmp.Or(cmp.Compare(prio[x], prio[y]), cmp.Compare(x, y)) })
 	return out
-}
-
-// prioritized counts the entries of prio that hold a priority.
-func prioritized(prio []int) int {
-	n := 0
-	for _, p := range prio {
-		if p != core.NoPriority {
-			n++
-		}
-	}
-	return n
 }
 
 // sortedKeys returns the keys of m in ascending order.

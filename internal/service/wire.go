@@ -364,7 +364,7 @@ type JobStatus struct {
 
 // JobResult is the outcome of an asynchronous job. For synthesize jobs
 // Config/Analysis carry the single configuration (the core.Config.Save
-// encoding, so it feeds back into mcs-synth -config and LoadConfig
+// encoding, so it feeds back into LoadConfig and /v1/analyze
 // unchanged); for explore jobs Front/Hypervolume carry the Pareto
 // front instead.
 type JobResult struct {

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 
 	"repro/internal/can"
 	"repro/internal/model"
@@ -155,16 +156,9 @@ func (s *simulator) dispatch(t model.Time, node model.NodeID) {
 	if len(ready) == 0 {
 		return
 	}
-	sort.Slice(ready, func(i, j int) bool {
-		pi := s.cfg.ProcPriority[ready[i].proc]
-		pj := s.cfg.ProcPriority[ready[j].proc]
-		if pi != pj {
-			return pi < pj
-		}
-		if ready[i].proc != ready[j].proc {
-			return ready[i].proc < ready[j].proc
-		}
-		return ready[i].inst < ready[j].inst
+	prio := s.cfg.ProcPriority
+	slices.SortFunc(ready, func(a, b instKey) int {
+		return cmp.Or(cmp.Compare(prio[a.proc], prio[b.proc]), cmp.Compare(a.proc, b.proc), cmp.Compare(a.inst, b.inst))
 	})
 	s.readyQueue[node] = ready
 	best := ready[0]
@@ -232,15 +226,8 @@ func (s *simulator) enqueueOutCAN(t model.Time, ei edgeInst) {
 
 func insertByPriority(q []edgeInst, ei edgeInst, prio []int) []edgeInst {
 	q = append(q, ei)
-	sort.SliceStable(q, func(i, j int) bool {
-		pi, pj := prio[q[i].edge], prio[q[j].edge]
-		if pi != pj {
-			return pi < pj
-		}
-		if q[i].edge != q[j].edge {
-			return q[i].edge < q[j].edge
-		}
-		return q[i].inst < q[j].inst
+	slices.SortStableFunc(q, func(a, b edgeInst) int {
+		return cmp.Or(cmp.Compare(prio[a.edge], prio[b.edge]), cmp.Compare(a.edge, b.edge), cmp.Compare(a.inst, b.inst))
 	})
 	return q
 }
@@ -268,7 +255,7 @@ func (s *simulator) kickBus(t model.Time) {
 		}
 	}
 	consider(s.outCAN, -1)
-	nodes := s.etNodesSorted()
+	nodes := s.arch.ETNodes()
 	for i, n := range nodes {
 		consider(s.outNode[n], i)
 	}
@@ -381,10 +368,6 @@ func (s *simulator) onSGEnd(e *event) {
 	for _, ei := range e.msgs {
 		s.deliver(e.t, ei)
 	}
-}
-
-func (s *simulator) etNodesSorted() []model.NodeID {
-	return s.arch.ETNodes()
 }
 
 func (s *simulator) finish() *Result {

@@ -62,6 +62,10 @@ type (
 	EdgeID = model.EdgeID
 	NodeID = model.NodeID
 	// Config is the synthesized system configuration psi = <phi, beta, pi>.
+	// Its priorities pi are two vectors, ProcPriority indexed by ProcID
+	// and MsgPriority indexed by EdgeID, with NoPriority for TT
+	// processes and for messages that do not use the CAN bus; its pins
+	// phi are maps.
 	Config = core.Config
 	// Analysis is the outcome of the multi-cluster schedulability
 	// analysis: response times, degree of schedulability, buffer bounds.
@@ -125,11 +129,17 @@ func DefaultConfig(app *Application, arch *Architecture) *Config {
 	return core.DefaultConfig(app, arch)
 }
 
+// NoPriority is the entry of Config's priority vectors for a process or
+// message that has no priority.
+const NoPriority = core.NoPriority
+
 // SaveConfig writes a synthesized configuration as stable JSON.
 func SaveConfig(cfg *Config, w io.Writer) error { return cfg.Save(w) }
 
 // LoadConfig parses a configuration written by SaveConfig and validates
-// it against the application and architecture.
+// it against the application and architecture. A priority entry with an
+// ID outside the system, a repeated ID or a negative priority is an
+// error.
 func LoadConfig(r io.Reader, app *Application, arch *Architecture) (*Config, error) {
 	return core.LoadConfig(r, app, arch)
 }
