@@ -12,6 +12,18 @@ ns_per_op is the median of an entry's samples when the benchmarks ran
 with -count N, and the one sample in artifacts written before
 benchjson.py merged samples; either compares against the other.
 
+When both entries carry their raw samples (ns_per_op_samples, written
+by benchjson.py) and there are enough of them for the test below to
+reach p < 0.05 at all (more than 20 ways to split the pooled samples,
+e.g. 3 + 4 or 6 + 6), a median rise beyond the threshold fails only if
+a one-sided Mann-Whitney U test also finds the current samples slower
+than the previous ones (p < 0.05). The p-value is exact (every split
+of the pooled midranks enumerated) up to 200,000 splits and the normal
+approximation with tie and continuity corrections beyond. A rise that
+one or two outlying samples make, with the rest of the samples
+overlapping, passes as noise. Entries without raw samples, or with too
+few, keep the median-only rule.
+
 Allocations are gated too: a benchmark whose allocs_per_op (recorded
 when it runs with -benchmem or calls b.ReportAllocs) rises by more than
 1% AND by more than 8 allocations fails as well. Allocation counts are
@@ -29,17 +41,85 @@ it does not have. CI wall clocks are noisy, so the benchmarks behind
 this gate should use fixed -benchtime iteration counts and the
 threshold should stay comfortably above run-to-run jitter.
 """
+import itertools
 import json
+import math
 import sys
 
 # An allocs_per_op rise fails the gate when it exceeds both bounds.
 ALLOC_RATIO = 0.01
 ALLOC_FLOOR = 8
 
+# A median ns/op rise over raw samples fails only at p < ALPHA.
+ALPHA = 0.05
+# Up to this many splits of the pooled samples the p-value is exact.
+EXACT_SPLITS = 200_000
+
 
 def alloc_regressed(old, new):
     """Report whether allocs_per_op rose beyond both allocation bounds."""
     return new - old > max(ALLOC_RATIO * old, ALLOC_FLOOR)
+
+
+def midranks(values):
+    """Return the 1-based ranks of values; tied values share their mean rank."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks
+
+
+def slower_p(old, new):
+    """One-sided Mann-Whitney U p-value for "new is slower than old".
+
+    The statistic is the rank sum of new among the pooled samples; the
+    p-value is the share of the splits of the pooled ranks into len(new)
+    and len(old) whose new-side rank sum reaches the observed one.
+    """
+    n, m = len(old), len(new)
+    ranks = midranks(list(old) + list(new))
+    observed = sum(ranks[n:])
+    splits = math.comb(n + m, m)
+    if splits <= EXACT_SPLITS:
+        hits = sum(1 for c in itertools.combinations(ranks, m) if sum(c) >= observed - 1e-9)
+        return hits / splits
+    counts = {}
+    for v in list(old) + list(new):
+        counts[v] = counts.get(v, 0) + 1
+    ties = sum(t**3 - t for t in counts.values())
+    var = n * m / 12 * ((n + m + 1) - ties / ((n + m) * (n + m - 1)))
+    if var <= 0:
+        return 1.0
+    u = observed - m * (m + 1) / 2
+    z = (u - n * m / 2 - 0.5) / math.sqrt(var)
+    return 0.5 * math.erfc(z / math.sqrt(2))
+
+
+def raw_samples(entry):
+    """Return an entry's raw ns/op samples, or None when it has none."""
+    samples = entry.get("ns_per_op_samples")
+    if not isinstance(samples, list) or not samples:
+        return None
+    if not all(isinstance(v, (int, float)) for v in samples):
+        return None
+    return samples
+
+
+def ns_regressed(was, now, threshold):
+    """Judge an ns/op change: (regressed, relative change, p-value or None)."""
+    change = now["ns_per_op"] / was["ns_per_op"] - 1.0
+    old, new = raw_samples(was), raw_samples(now)
+    if old is None or new is None or math.comb(len(old) + len(new), len(new)) * ALPHA <= 1:
+        return change > threshold, change, None
+    p = slower_p(old, new)
+    return change > threshold and p < ALPHA, change, p
 
 
 def load(path):
@@ -84,16 +164,19 @@ def main() -> int:
         old_ns, new_ns = was.get("ns_per_op"), now.get("ns_per_op")
         if not old_ns or not new_ns:
             continue
-        change = new_ns / old_ns - 1.0
-        marker = "REGRESSED" if change > threshold else "ok"
-        counts = f"{was.get('samples', 1)} -> {now.get('samples', 1)} samples"
-        print(f"  {marker:>9}: {name}  {old_ns:.0f} -> {new_ns:.0f} ns/op ({change:+.1%}, {counts})")
-        if change > threshold:
+        regressed, change, p = ns_regressed(was, now, threshold)
+        marker = "REGRESSED" if regressed else "noise" if change > threshold else "ok"
+        detail = f"{was.get('samples', 1)} -> {now.get('samples', 1)} samples"
+        if p is not None:
+            detail += f", U-test p={p:.3f}"
+        print(f"  {marker:>9}: {name}  {old_ns:.0f} -> {new_ns:.0f} ns/op ({change:+.1%}, {detail})")
+        if regressed:
             regressions.append((name, f"{change:+.1%} ns/op"))
 
     if regressions:
         print(
             f"benchcompare: {len(regressions)} regression(s) beyond {threshold:.0%} ns/op "
+            f"(and p < {ALPHA} where raw samples allow) "
             f"or {ALLOC_RATIO:.0%} and {ALLOC_FLOOR} allocs/op:",
             file=sys.stderr,
         )

@@ -21,8 +21,10 @@ answer "what does delta evaluation buy and how often does it hit".
 
 A benchmark run with -count N prints N lines; they merge into one
 entry whose ns_per_op and every other metric are the medians of the
-samples, with ns_per_op_min, ns_per_op_max and the samples count
-beside them. The key names are those of a single-sample entry, so an
+samples, with ns_per_op_min, ns_per_op_max, the samples count and the
+raw ns/op samples in run order (ns_per_op_samples) beside them.
+benchcompare.py tests the raw samples for a shift, not just the
+medians. The key names are those of a single-sample entry, so an
 artifact written before samples were merged still compares.
 """
 import json
@@ -43,6 +45,7 @@ def merge(runs):
     ns = [r["ns_per_op"] for r in runs]
     entry["iterations"] = int(entry["iterations"])
     entry["ns_per_op_min"], entry["ns_per_op_max"] = min(ns), max(ns)
+    entry["ns_per_op_samples"] = ns
     entry["samples"] = len(runs)
     entry["requests_per_sec"] = round(1e9 / entry["ns_per_op"], 3) if entry["ns_per_op"] else None
     return entry
