@@ -34,7 +34,7 @@ func genConfig(tb testing.TB, seed int64, procsPerNode int) (*model.Application,
 const (
 	analyzeColdAllocs = 143
 	analyzeMemoAllocs = 230
-	analyzeWarmAllocs = 115
+	analyzeWarmAllocs = 114
 )
 
 // TestAnalyzeAllocs pins the allocations of a cold Analyze (through a

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -318,18 +319,25 @@ func TestAnalyzeBatchMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A priority for a process the system does not have used to load
+	// and be carried along; LoadConfig now refuses it.
+	unknownProc := bytes.Replace(rawBase, []byte(`"procPriority": [`),
+		[]byte(fmt.Sprintf(`"procPriority": [{"proc": %d, "priority": 0},`, len(sys.Application.Procs))), 1)
+
 	resp, err := s.Analyze(ctx, AnalysisRequest{
 		System:  testSystem(t, 6),
-		Configs: []json.RawMessage{rawBase, []byte(`{"not":"a config"}`), rawVariant},
+		Configs: []json.RawMessage{rawBase, []byte(`{"not":"a config"}`), rawVariant, unknownProc},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Results) != 3 {
-		t.Fatalf("%d results, want 3", len(resp.Results))
+	if len(resp.Results) != 4 {
+		t.Fatalf("%d results, want 4", len(resp.Results))
 	}
-	if resp.Results[1].Error == "" || resp.Results[1].Analysis != nil {
-		t.Error("malformed config did not produce a per-item error")
+	for _, i := range []int{1, 3} {
+		if resp.Results[i].Error == "" || resp.Results[i].Analysis != nil {
+			t.Errorf("config %d did not produce a per-item error", i)
+		}
 	}
 	for i, cfg := range map[int]*core.Config{0: base, 2: variant} {
 		want, err := core.Analyze(sys.Application, sys.Architecture, cfg)
