@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/tsched"
@@ -20,14 +21,14 @@ type Config struct {
 	// it so the round period divides the hyper-period.
 	Round ttp.Round
 	// ProcPriority is pi for the ET processes, one entry per process
-	// indexed by ProcID: unique per ET node (globally unique values are
-	// simplest), smaller = higher priority. TT processes hold
-	// NoPriority.
+	// indexed by ProcID: non-negative, unique per ET node (globally
+	// unique values are simplest), smaller = higher priority. TT
+	// processes hold NoPriority.
 	ProcPriority []int
 	// MsgPriority is pi for the messages travelling on the CAN bus, one
-	// entry per edge indexed by EdgeID: unique across the bus, smaller =
-	// higher priority (CAN identifier order). Every other edge holds
-	// NoPriority.
+	// entry per edge indexed by EdgeID: non-negative, unique across the
+	// bus, smaller = higher priority (CAN identifier order). Every other
+	// edge holds NoPriority.
 	MsgPriority []int
 	// PinnedProc and PinnedEdge are the phi adjustments explored by
 	// OptimizeResources: "not before" in-period offsets for TT processes
@@ -41,31 +42,8 @@ type Config struct {
 // backing array.
 func NewPriorities(app *model.Application) (proc, msg []int) {
 	np := len(app.Procs)
-	all := make([]int, np+len(app.Edges))
-	for i := range all {
-		all[i] = NoPriority
-	}
+	all := slices.Repeat([]int{NoPriority}, np+len(app.Edges))
 	return all[:np:np], all[np:]
-}
-
-// Prioritized counts the entries of prio that hold a priority.
-func Prioritized(prio []int) int {
-	n := 0
-	for _, p := range prio {
-		if p != NoPriority {
-			n++
-		}
-	}
-	return n
-}
-
-// PriorityOf returns the priority prio holds for id, and false when id
-// is out of range or holds NoPriority.
-func PriorityOf[ID ~int](prio []int, id ID) (int, bool) {
-	if id < 0 || int(id) >= len(prio) || prio[id] == NoPriority {
-		return 0, false
-	}
-	return prio[id], true
 }
 
 // Clone returns a deep copy; the optimization heuristics mutate copies.
@@ -138,8 +116,8 @@ func (c *Config) Normalize(app *model.Application) error {
 
 // Validate checks the configuration against the application: one slot
 // per owner, one priority vector entry per process and per edge, every
-// ET process and CAN message has a priority, priorities unique per
-// resource.
+// ET process and CAN message has a non-negative priority, priorities
+// unique per resource.
 func (c *Config) Validate(app *model.Application, arch *model.Architecture) error {
 	var owners [16]model.NodeID
 	if err := c.Round.Validate(arch.AppendSlotOwners(owners[:0])); err != nil {
@@ -160,6 +138,9 @@ func (c *Config) Validate(app *model.Application, arch *model.Architecture) erro
 		if prio == NoPriority {
 			return fmt.Errorf("core: ET process %q has no priority", p.Name)
 		}
+		if prio < 0 {
+			return fmt.Errorf("core: ET process %q has negative priority %d", p.Name, prio)
+		}
 		if prev, dup := claimant(claims, int(p.Node), prio); dup {
 			return fmt.Errorf("core: processes %q and %q share priority %d on node %d", app.Procs[prev].Name, p.Name, prio, p.Node)
 		}
@@ -173,6 +154,9 @@ func (c *Config) Validate(app *model.Application, arch *model.Architecture) erro
 		prio := c.MsgPriority[e.ID]
 		if prio == NoPriority {
 			return fmt.Errorf("core: CAN message %q has no priority", e.Name)
+		}
+		if prio < 0 {
+			return fmt.Errorf("core: CAN message %q has negative priority %d", e.Name, prio)
 		}
 		if prev, dup := claimant(claims, 0, prio); dup {
 			return fmt.Errorf("core: messages %q and %q share CAN priority %d", app.Edges[prev].Name, e.Name, prio)

@@ -74,7 +74,7 @@ func (c *Config) Save(w io.Writer) error {
 // LoadConfig parses a configuration written by Save and validates it
 // against the application and architecture. A priority entry whose ID
 // names no process or edge of app, repeats an earlier entry's ID or
-// holds a negative priority is an error.
+// holds NoPriority is an error, and so is whatever Validate refuses.
 func LoadConfig(r io.Reader, app *model.Application, arch *model.Architecture) (*Config, error) {
 	var f configFile
 	dec := json.NewDecoder(r)
@@ -117,8 +117,8 @@ func setPriority(prio []int, id, p int) error {
 	switch {
 	case id < 0 || id >= len(prio):
 		return fmt.Errorf("ID out of range [0, %d)", len(prio))
-	case p < 0:
-		return fmt.Errorf("negative priority %d", p)
+	case p == NoPriority:
+		return fmt.Errorf("priority %d is NoPriority", p)
 	case prio[id] != NoPriority:
 		return fmt.Errorf("duplicate ID")
 	}

@@ -289,6 +289,17 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Validate(app, arch); err == nil {
 		t.Error("accepted missing process priority")
 	}
+	// Negative priorities of an ET process and of a CAN message.
+	bad = cfg.Clone()
+	bad.ProcPriority[p[1]] = -1
+	if _, err := Analyze(app, arch, bad); err == nil {
+		t.Error("analyzed a negative process priority")
+	}
+	bad = cfg.Clone()
+	bad.MsgPriority[m[2]] = -1
+	if err := bad.Validate(app, arch); err == nil {
+		t.Error("accepted a negative message priority")
+	}
 	// A priority vector shorter than the application.
 	bad = cfg.Clone()
 	bad.MsgPriority = bad.MsgPriority[:len(bad.MsgPriority)-1]

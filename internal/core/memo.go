@@ -363,7 +363,13 @@ func appendSorted[K ~int](b []byte, ids []int, m map[K]model.Time) ([]byte, []in
 // priority, then each such entry's ID and priority in ID order: the
 // bytes appendSorted writes for the map of the same entries.
 func appendPriorities(b []byte, prio []int) []byte {
-	b = appendInt(b, Prioritized(prio))
+	n := 0
+	for _, p := range prio {
+		if p != NoPriority {
+			n++
+		}
+	}
+	b = appendInt(b, n)
 	for id, p := range prio {
 		if p != NoPriority {
 			b = appendInt(b, id)

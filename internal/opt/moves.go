@@ -137,21 +137,15 @@ func (m Move) Apply(app *model.Application, arch *model.Architecture, cfg *core.
 		}
 		delete(d.PinnedEdge, m.Edge)
 	case MoveSwapProcPrio:
-		a, okA := core.PriorityOf(cfg.ProcPriority, m.Proc)
-		b, okB := core.PriorityOf(cfg.ProcPriority, m.Proc2)
-		if !okA || !okB {
+		d = cfg.Clone()
+		if !swapPriorities(d.ProcPriority, int(m.Proc), int(m.Proc2)) {
 			return nil, fmt.Errorf("opt: processes %d/%d have no priorities", m.Proc, m.Proc2)
 		}
-		d = cfg.Clone()
-		d.ProcPriority[m.Proc], d.ProcPriority[m.Proc2] = b, a
 	case MoveSwapMsgPrio:
-		a, okA := core.PriorityOf(cfg.MsgPriority, m.Edge)
-		b, okB := core.PriorityOf(cfg.MsgPriority, m.Edge2)
-		if !okA || !okB {
+		d = cfg.Clone()
+		if !swapPriorities(d.MsgPriority, int(m.Edge), int(m.Edge2)) {
 			return nil, fmt.Errorf("opt: messages %d/%d have no priorities", m.Edge, m.Edge2)
 		}
-		d = cfg.Clone()
-		d.MsgPriority[m.Edge], d.MsgPriority[m.Edge2] = b, a
 	case MoveResizeSlot:
 		d = cfg.Clone()
 		if m.Slot < 0 || m.Slot >= len(d.Round.Slots) {
@@ -225,7 +219,7 @@ func GenerateMoves(app *model.Application, arch *model.Architecture, cfg *core.C
 
 	// 1. Targeted moves around the critical queue messages.
 	for _, e := range crit {
-		targetCriticalEdge(app, cfg, a, e, msgs, &set)
+		targetCriticalEdge(app, a, e, msgs, &set)
 	}
 
 	// 2. Slot swaps (the round is short: enumerate pairs).
@@ -310,7 +304,7 @@ func criticalEdges(a *core.Analysis) []model.EdgeID {
 // targetCriticalEdge adds the focused moves for one critical message:
 // re-timing its TTP leg or its TT producer, and swapping its priority
 // with its neighbours in msgs, the CAN messages in priority order.
-func targetCriticalEdge(app *model.Application, cfg *core.Config, a *core.Analysis, e model.EdgeID, msgs []model.EdgeID, set *moveSet) {
+func targetCriticalEdge(app *model.Application, a *core.Analysis, e model.EdgeID, msgs []model.EdgeID, set *moveSet) {
 	// Re-time the TTP leg inside its [ASAP, ALAP] window.
 	if iv, ok := a.EdgeMoveInterval(app, e); ok && iv.ALAP > iv.ASAP {
 		mid := iv.ASAP + (iv.ALAP-iv.ASAP)/2
@@ -327,10 +321,10 @@ func targetCriticalEdge(app *model.Application, cfg *core.Config, a *core.Analys
 	}
 	// Swap the message's priority with its immediate neighbours (CAN
 	// priorities are unique, so they are its neighbours in msgs).
-	if _, ok := core.PriorityOf(cfg.MsgPriority, e); !ok {
+	i := slices.Index(msgs, e)
+	if i < 0 {
 		return
 	}
-	i := slices.Index(msgs, e)
 	if i > 0 {
 		set.add(Move{Kind: MoveSwapMsgPrio, Edge: e, Edge2: msgs[i-1]})
 	}
@@ -348,9 +342,9 @@ func adjacentProcPairs(app *model.Application, cfg *core.Config) [][2]model.Proc
 		prio int
 		id   model.ProcID
 	}
-	procs := make([]ranked, 0, core.Prioritized(cfg.ProcPriority))
+	procs := make([]ranked, 0, len(app.Procs))
 	for _, p := range app.Procs {
-		if prio, ok := core.PriorityOf(cfg.ProcPriority, p.ID); ok {
+		if prio := cfg.ProcPriority[p.ID]; prio != core.NoPriority {
 			procs = append(procs, ranked{p.Node, prio, p.ID})
 		}
 	}
@@ -369,10 +363,21 @@ func adjacentProcPairs(app *model.Application, cfg *core.Config) [][2]model.Proc
 	return pairs
 }
 
+// swapPriorities swaps the entries a and b of prio, and reports false,
+// leaving prio as it was, when either is out of range or holds
+// NoPriority.
+func swapPriorities(prio []int, a, b int) bool {
+	if min(a, b) < 0 || max(a, b) >= len(prio) || prio[a] == core.NoPriority || prio[b] == core.NoPriority {
+		return false
+	}
+	prio[a], prio[b] = prio[b], prio[a]
+	return true
+}
+
 // byPriority returns the IDs that hold a priority in prio, ordered by
 // their priority, then by ID.
 func byPriority(prio []int) []model.EdgeID {
-	out := make([]model.EdgeID, 0, core.Prioritized(prio))
+	out := make([]model.EdgeID, 0, len(prio))
 	for id, p := range prio {
 		if p != core.NoPriority {
 			out = append(out, model.EdgeID(id))

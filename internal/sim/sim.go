@@ -74,7 +74,8 @@ type Result struct {
 }
 
 // Run simulates the configured system. The analysis provides the static
-// schedule (tables + MEDL); cfg provides priorities and the TDMA round.
+// schedule (tables + MEDL); cfg, which must pass Validate, provides
+// priorities and the TDMA round.
 func Run(app *model.Application, arch *model.Architecture, cfg *core.Config, a *core.Analysis, opts Options) (*Result, error) {
 	return RunContext(context.Background(), app, arch, cfg, a, opts)
 }
@@ -83,6 +84,9 @@ func Run(app *model.Application, arch *model.Architecture, cfg *core.Config, a *
 // checks ctx between events and returns ctx's error (and no result)
 // when it is cancelled.
 func RunContext(ctx context.Context, app *model.Application, arch *model.Architecture, cfg *core.Config, a *core.Analysis, opts Options) (*Result, error) {
+	if err := cfg.Validate(app, arch); err != nil {
+		return nil, err
+	}
 	if a == nil || a.Schedule == nil {
 		return nil, fmt.Errorf("sim: analysis with schedule required")
 	}

@@ -132,7 +132,7 @@ func TestCANArbitrationOrder(t *testing.T) {
 	cfg := core.DefaultConfig(app, arch)
 	// c runs first on e2 (highest CPU priority); mb outranks ma on the
 	// bus although it sits in the other queue; mc is the lowest.
-	cfg.ProcPriority[c] = -1
+	cfg.ProcPriority[c] = 0
 	cfg.MsgPriority[ma] = 2
 	cfg.MsgPriority[mb] = 1
 	cfg.MsgPriority[mc] = 3

@@ -210,6 +210,23 @@ func TestRejectsOverflowingSchedule(t *testing.T) {
 	}
 }
 
+// TestRejectsInvalidConfig runs a valid analysis with configurations it
+// was not made for: the simulator validates cfg instead of indexing
+// past its priority vectors.
+func TestRejectsInvalidConfig(t *testing.T) {
+	app, arch, cfg, a := fig4d(t)
+	short := cfg.Clone()
+	short.MsgPriority = short.MsgPriority[:1]
+	for name, c := range map[string]*core.Config{
+		"short message vector": short,
+		"no priority vectors":  {Round: cfg.Round},
+	} {
+		if _, err := Run(app, arch, c, a, Options{}); err == nil {
+			t.Errorf("%s: simulator accepted the configuration", name)
+		}
+	}
+}
+
 // TestAnalysisDominatesSimulationGenerated is E7 on synthesized random
 // systems: synthesize with OptimizeSchedule, then confirm the analysis
 // bounds dominate simulated traces under worst-case and random

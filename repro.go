@@ -138,8 +138,9 @@ func SaveConfig(cfg *Config, w io.Writer) error { return cfg.Save(w) }
 
 // LoadConfig parses a configuration written by SaveConfig and validates
 // it against the application and architecture. A priority entry with an
-// ID outside the system, a repeated ID or a negative priority is an
-// error.
+// ID outside the system, a repeated ID or NoPriority is an error, and
+// so is what Config.Validate refuses, such as a negative priority of an
+// ET process or a CAN message.
 func LoadConfig(r io.Reader, app *Application, arch *Architecture) (*Config, error) {
 	return core.LoadConfig(r, app, arch)
 }

@@ -13,16 +13,15 @@ with -count N, and the one sample in artifacts written before
 benchjson.py merged samples; either compares against the other.
 
 When both entries carry their raw samples (ns_per_op_samples, written
-by benchjson.py) and there are enough of them for the test below to
-reach p < 0.05 at all (more than 20 ways to split the pooled samples,
-e.g. 3 + 4 or 6 + 6), a median rise beyond the threshold fails only if
-a one-sided Mann-Whitney U test also finds the current samples slower
-than the previous ones (p < 0.05). The p-value is exact (every split
-of the pooled midranks enumerated) up to 200,000 splits and the normal
-approximation with tie and continuity corrections beyond. A rise that
-one or two outlying samples make, with the rest of the samples
-overlapping, passes as noise. Entries without raw samples, or with too
-few, keep the median-only rule.
+by benchjson.py) and the pooled samples split into more than 20 and at
+most 12,870 ways (enough for the test below to reach p < 0.05 at all,
+few enough to enumerate: 3 + 4 up to 8 + 8; CI runs 6 + 6), a median
+rise beyond the threshold fails only if a one-sided Mann-Whitney U
+test also finds the current samples slower than the previous ones
+(p < 0.05). The p-value is exact: every split of the pooled midranks
+is enumerated. A rise that one or two outlying samples make, with the
+rest of the samples overlapping, passes as noise. Entries without raw
+samples, or with too few or too many, keep the median-only rule.
 
 Allocations are gated too: a benchmark whose allocs_per_op (recorded
 when it runs with -benchmem or calls b.ReportAllocs) rises by more than
@@ -52,8 +51,9 @@ ALLOC_FLOOR = 8
 
 # A median ns/op rise over raw samples fails only at p < ALPHA.
 ALPHA = 0.05
-# Up to this many splits of the pooled samples the p-value is exact.
-EXACT_SPLITS = 200_000
+# The U test applies when the pooled samples split into more than
+# 1/ALPHA and at most MAX_SPLITS ways (8 + 8 samples).
+MAX_SPLITS = 12_870
 
 
 def alloc_regressed(old, new):
@@ -86,20 +86,8 @@ def slower_p(old, new):
     n, m = len(old), len(new)
     ranks = midranks(list(old) + list(new))
     observed = sum(ranks[n:])
-    splits = math.comb(n + m, m)
-    if splits <= EXACT_SPLITS:
-        hits = sum(1 for c in itertools.combinations(ranks, m) if sum(c) >= observed - 1e-9)
-        return hits / splits
-    counts = {}
-    for v in list(old) + list(new):
-        counts[v] = counts.get(v, 0) + 1
-    ties = sum(t**3 - t for t in counts.values())
-    var = n * m / 12 * ((n + m + 1) - ties / ((n + m) * (n + m - 1)))
-    if var <= 0:
-        return 1.0
-    u = observed - m * (m + 1) / 2
-    z = (u - n * m / 2 - 0.5) / math.sqrt(var)
-    return 0.5 * math.erfc(z / math.sqrt(2))
+    hits = sum(1 for c in itertools.combinations(ranks, m) if sum(c) >= observed - 1e-9)
+    return hits / math.comb(n + m, m)
 
 
 def raw_samples(entry):
@@ -116,7 +104,7 @@ def ns_regressed(was, now, threshold):
     """Judge an ns/op change: (regressed, relative change, p-value or None)."""
     change = now["ns_per_op"] / was["ns_per_op"] - 1.0
     old, new = raw_samples(was), raw_samples(now)
-    if old is None or new is None or math.comb(len(old) + len(new), len(new)) * ALPHA <= 1:
+    if old is None or new is None or not 1 / ALPHA < math.comb(len(old) + len(new), len(new)) <= MAX_SPLITS:
         return change > threshold, change, None
     p = slower_p(old, new)
     return change > threshold and p < ALPHA, change, p
