@@ -29,7 +29,6 @@ func main() {
 	run := flag.String("run", "", "comma-separated analyzer subset (default: all)")
 	dir := flag.String("C", "", "module directory to lint (default: module root above the working directory)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	graph := flag.Bool("graph", false, "dump the module call graph instead of linting (debug aid)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: mcs-lint [flags] [patterns...]\n\nAnalyzers enforce the repo's determinism and concurrency invariants;\nsee internal/lint and docs/ARCHITECTURE.md §9. Suppress legitimate\nsites with '//mcs:allow <analyzer> <reason>'.\n\n")
 		flag.PrintDefaults()
@@ -83,25 +82,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	relativize := func(file string) string {
-		if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
-			return rel
-		}
-		return file
-	}
-	if *graph {
-		if len(pkgs) == 0 {
-			return
-		}
-		mod := &lint.Module{Pkgs: pkgs}
-		fmt.Print(mod.Graph().Dump(pkgs[0].Fset, relativize))
-		return
-	}
 	diags := lint.Run(pkgs, analyzers)
 	for i := range diags {
-		diags[i].File = relativize(diags[i].File)
-		for j := range diags[i].Chain {
-			diags[i].Chain[j].File = relativize(diags[i].Chain[j].File)
+		if rel, err := filepath.Rel(root, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
+			diags[i].File = rel
 		}
 	}
 	if *jsonOut {
@@ -116,11 +100,6 @@ func main() {
 	} else {
 		for _, d := range diags {
 			fmt.Println(d)
-			// Interprocedural findings carry the call chain: render it
-			// frame by frame under the summary line.
-			for _, fr := range d.Chain {
-				fmt.Printf("    %s\t%s:%d\n", fr.Func, fr.File, fr.Line)
-			}
 		}
 	}
 	if len(diags) > 0 {

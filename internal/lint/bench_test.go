@@ -1,10 +1,9 @@
 // Benchmarks for mcs-lint itself: the suite runs on every precommit
 // and CI build, so its wall time is a budget, not an afterthought.
 // BenchmarkLintAll is the end-to-end number (load + type-check + all
-// analyzers over the whole module); the others isolate the phases so
-// a regression points at the guilty one: type-checking dominates, the
-// analyzers share one pass over it, and the call graph is built once
-// per run and reused by every interprocedural analyzer.
+// analyzers over the whole module); BenchmarkLintAnalyze isolates the
+// analyzers so a regression points at the guilty phase: type-checking
+// dominates, and the analyzers share one pass over it.
 //
 // Run with:
 //
@@ -61,16 +60,4 @@ func BenchmarkLintAnalyze(b *testing.B) {
 			b.Fatalf("self-application not clean: %s", diags[0])
 		}
 	}
-}
-
-// BenchmarkLintCallGraph isolates call-graph construction, the new
-// fixed cost the interprocedural analyzers share.
-func BenchmarkLintCallGraph(b *testing.B) {
-	pkgs := benchLoad(b)
-	b.ResetTimer()
-	var nodes int
-	for i := 0; i < b.N; i++ {
-		nodes = len(buildGraph(pkgs).Nodes)
-	}
-	b.ReportMetric(float64(nodes), "graph_nodes")
 }

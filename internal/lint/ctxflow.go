@@ -122,3 +122,14 @@ func fieldListHasCtx(pkg *Package, params *ast.FieldList) bool {
 	}
 	return false
 }
+
+// callSignature recovers the signature of the function value being
+// called.
+func callSignature(pkg *Package, call *ast.CallExpr) *types.Signature {
+	tv, ok := pkg.Info.Types[call.Fun]
+	if !ok || tv.Type == nil {
+		return nil
+	}
+	sig, _ := tv.Type.Underlying().(*types.Signature)
+	return sig
+}

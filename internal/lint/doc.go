@@ -18,18 +18,20 @@
 //     goroutines are annotated, never silently exempted.
 //   - ctxloop: counter- or condition-driven work loops in exported
 //     entry points that take a context must observe the context.
-//   - detreach: no exported entry point of a deterministic layer may
-//     reach a wall-clock read, global math/rand, os.Getenv or unsorted
-//     map range through any call chain of the module call graph.
+//   - detimport: a deterministic layer imports only other layers and
+//     the standard library, and reads no process environment
+//     (os.Getenv, LookupEnv, Environ).
 //   - ctxflow: a function holding a context passes it on, never a
 //     fresh context.Background/TODO, to context-aware callees.
 //   - sharedcapture: closures run concurrently by the engine batches
 //     or go statements must not write shared captured variables or
 //     capture loop variables shared across batch items.
 //
-// detrand, wallclock, maporder and detreach read one sink table per
-// package (sinks.go), scanned once per Run; detreach alone walks the
-// call graph (callgraph.go).
+// detrand, wallclock, maporder and detimport read one sink table per
+// package (sinks.go), scanned once per Run. Because the layers are
+// closed under imports, a chain from a layer to a nondeterministic
+// sink either crosses an import detimport reports or ends at a sink
+// reported in the package that holds it.
 //
 // Findings at legitimate sites are suppressed with a directive on the
 // offending line or on its own line immediately above:
@@ -39,9 +41,9 @@
 // The reason is mandatory, unknown analyzer names and directives that
 // suppress nothing are themselves findings, and suppression is not
 // honoured inside the deterministic layers (core, rta, tsched, ttp,
-// can, gateway, opt, sa, hopa, dse, delta, solve) for the analyzers
-// that guard bit-identity (detrand, wallclock) — those layers must be
-// fixed, not annotated.
+// can, gateway, opt, sa, hopa, dse, delta, solve, model, engine, sim,
+// obs) for the analyzers that guard bit-identity (detrand, wallclock,
+// detimport) — those layers must be fixed, not annotated.
 //
 // The cmd/mcs-lint driver loads packages, runs the suite, and reports
 // file:line diagnostics; scripts/lint.sh bundles it with gofmt and go

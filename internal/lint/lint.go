@@ -23,10 +23,10 @@ type Analyzer struct {
 }
 
 // All returns the full analyzer suite in reporting order: the five
-// intraprocedural checks, then detreach, which rides the shared call
-// graph, and the function-local ctxflow and sharedcapture checks.
+// per-site checks, the import boundary of the deterministic layers,
+// and the function-local ctxflow and sharedcapture checks.
 func All() []*Analyzer {
-	return []*Analyzer{Detrand, Maporder, Wallclock, Poolonly, Ctxloop, Detreach, Ctxflow, Sharedcapture}
+	return []*Analyzer{Detrand, Maporder, Wallclock, Poolonly, Ctxloop, Detimport, Ctxflow, Sharedcapture}
 }
 
 // ByName resolves a comma-separated analyzer list against All,
@@ -61,18 +61,7 @@ func analyzerNames(as []*Analyzer) []string {
 	return names
 }
 
-// Frame is one step of an interprocedural call chain attached to a
-// diagnostic: the function and the position of its declaration (for
-// the final frame, the nondeterministic site itself).
-type Frame struct {
-	Func string `json:"func"`
-	File string `json:"file"`
-	Line int    `json:"line"`
-}
-
-// Diagnostic is one finding at a position. Interprocedural findings
-// (detreach) carry the full call chain from the entry point to the
-// sink so the report is actionable without re-deriving the path.
+// Diagnostic is one finding at a position.
 type Diagnostic struct {
 	Analyzer string         `json:"analyzer"`
 	Pos      token.Position `json:"-"`
@@ -80,50 +69,24 @@ type Diagnostic struct {
 	Line     int            `json:"line"`
 	Column   int            `json:"column"`
 	Message  string         `json:"message"`
-	Chain    []Frame        `json:"chain,omitempty"`
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", d.File, d.Line, d.Column, d.Message, d.Analyzer)
 }
 
-// Module is the shared per-run state: the loaded packages, the lazily
-// built call graph and the per-package sink tables. Each is built at
-// most once per Run, on first use, and reused by every analyzer that
-// reads it — type-checking, call resolution and the sink scan are
-// never repeated per analyzer.
-type Module struct {
-	Pkgs  []*Package
-	graph *Graph
-	sinks map[*Package][]sink
-}
-
-// Graph returns the module call graph, building it on first use.
-func (m *Module) Graph() *Graph {
-	if m.graph == nil {
-		m.graph = buildGraph(m.Pkgs)
-	}
-	return m.graph
-}
-
-// Pass carries one analyzer's run over one package. Module gives
-// interprocedural analyzers the whole loaded set and the shared call
-// graph; diagnostics must still be reported at positions inside Pkg so
-// suppression directives resolve in the right file.
+// Pass carries one analyzer's run over one package. Diagnostics must
+// be reported at positions inside Pkg so suppression directives
+// resolve in the right file.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	Module   *Module
+	sinks    *sinkTable
 	report   func(Diagnostic)
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.ReportChain(pos, nil, format, args...)
-}
-
-// ReportChain records a finding at pos carrying a call chain.
-func (p *Pass) ReportChain(pos token.Pos, chain []Frame, format string, args ...interface{}) {
 	position := p.Pkg.Fset.Position(pos)
 	p.report(Diagnostic{
 		Analyzer: p.Analyzer.Name,
@@ -132,7 +95,6 @@ func (p *Pass) ReportChain(pos token.Pos, chain []Frame, format string, args ...
 		Line:     position.Line,
 		Column:   position.Column,
 		Message:  fmt.Sprintf(format, args...),
-		Chain:    chain,
 	})
 }
 
@@ -140,12 +102,12 @@ func (p *Pass) ReportChain(pos token.Pos, chain []Frame, format string, args ...
 // suppression (including directive hygiene findings), and returns the
 // surviving diagnostics sorted by file, line, column, analyzer.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	mod := &Module{Pkgs: pkgs}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		var raw []Diagnostic
+		table := &sinkTable{pkg: pkg}
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, Module: mod, report: func(d Diagnostic) { raw = append(raw, d) }}
+			pass := &Pass{Analyzer: a, Pkg: pkg, sinks: table, report: func(d Diagnostic) { raw = append(raw, d) }}
 			a.Run(pass)
 		}
 		out = append(out, applySuppression(pkg, raw, analyzers)...)
@@ -169,11 +131,14 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // detLayers are the packages whose outputs must be bit-identical for
 // any worker count and across replays: everything the differential
 // harness, the delta-evaluator, and the service cache-hit contract
-// replay. wallclock and detrand findings here cannot be suppressed.
+// replay, and the packages those import. detimport keeps the set
+// closed under imports; wallclock, detrand and detimport findings here
+// cannot be suppressed.
 var detLayers = map[string]bool{
 	"core": true, "rta": true, "tsched": true, "ttp": true,
 	"can": true, "gateway": true, "opt": true, "sa": true,
 	"hopa": true, "dse": true, "delta": true, "solve": true,
+	"model": true, "engine": true, "sim": true, "obs": true,
 }
 
 // inDetLayer reports whether the import path names a deterministic

@@ -87,11 +87,10 @@ func parseWants(t *testing.T, pkg *Package) []*want {
 	return wants
 }
 
-// runFixture loads the fixture packages, runs the analyzer over them
-// together (interprocedural analyzers see one module-wide call graph),
+// runFixture loads the fixture packages, runs the analyzers over them,
 // and checks the diagnostics against the fixtures' // want
 // expectations — every want must be hit, every diagnostic wanted.
-func runFixture(t *testing.T, a *Analyzer, fixtures ...string) {
+func runFixture(t *testing.T, analyzers []*Analyzer, fixtures ...string) {
 	t.Helper()
 	loader := sharedLoader(t)
 	patterns := make([]string, len(fixtures))
@@ -112,7 +111,7 @@ func runFixture(t *testing.T, a *Analyzer, fixtures ...string) {
 		}
 		wants = append(wants, parseWants(t, pkg)...)
 	}
-	for _, d := range Run(pkgs, []*Analyzer{a}) {
+	for _, d := range Run(pkgs, analyzers) {
 		matched := false
 		for _, w := range wants {
 			if !w.hit && w.file == d.File && w.line == d.Line && w.re.MatchString(d.Message) {
@@ -132,51 +131,57 @@ func runFixture(t *testing.T, a *Analyzer, fixtures ...string) {
 	}
 }
 
-func TestDetrandFixture(t *testing.T)  { runFixture(t, Detrand, "detrand/a") }
-func TestMaporderFixture(t *testing.T) { runFixture(t, Maporder, "maporder/a") }
+func TestDetrandFixture(t *testing.T)  { runFixture(t, []*Analyzer{Detrand}, "detrand/a") }
+func TestMaporderFixture(t *testing.T) { runFixture(t, []*Analyzer{Maporder}, "maporder/a") }
 func TestWallclockFixture(t *testing.T) {
-	runFixture(t, Wallclock, "wallclock/a")
+	runFixture(t, []*Analyzer{Wallclock}, "wallclock/a")
 }
-func TestPoolonlyFixture(t *testing.T) { runFixture(t, Poolonly, "poolonly/a") }
-func TestCtxloopFixture(t *testing.T)  { runFixture(t, Ctxloop, "ctxloop/a") }
-func TestCtxflowFixture(t *testing.T)  { runFixture(t, Ctxflow, "ctxflow/a") }
+func TestPoolonlyFixture(t *testing.T) { runFixture(t, []*Analyzer{Poolonly}, "poolonly/a") }
+func TestCtxloopFixture(t *testing.T)  { runFixture(t, []*Analyzer{Ctxloop}, "ctxloop/a") }
+func TestCtxflowFixture(t *testing.T)  { runFixture(t, []*Analyzer{Ctxflow}, "ctxflow/a") }
 
-// The acceptance fixture for the call-graph engine: a hard-layer
-// entry point reaching time.Now through two intermediate helpers is
-// reported with the complete call chain, alongside the dynamic-call,
-// map-range, and transitive-proof cases.
-func TestDetreachFixture(t *testing.T) { runFixture(t, Detreach, "detreach/core") }
+// A chain that stays inside the deterministic layers ends at a sink
+// the whole suite reports in the package that holds it: helpers,
+// function values and map ranges several frames below an entry point,
+// and environment reads at package level or in an exported function.
+func TestDetimportFixture(t *testing.T) { runFixture(t, All(), "detimport/core") }
 
-// Cross-package reachability: a hard-layer entry calling into a soft
-// package whose sink carries a local //mcs:allow still fires — the
-// sink's annotation does not exempt transitive hard-layer callers.
-func TestDetreachCrossPackageSuppressedSink(t *testing.T) {
-	runFixture(t, Detreach, "detreach/solve", "detreach/util")
+// A chain that leaves the layers crosses an import detimport reports,
+// even when the sink beyond it carries a local //mcs:allow.
+func TestDetimportCrossPackage(t *testing.T) {
+	runFixture(t, All(), "detimport/solve", "detimport/util")
+}
+
+// Values a caller injects into a layer are the caller's
+// responsibility: a soft package's observer reading an allowed clock
+// gives no finding, as a named type or through the adapter.
+func TestDetimportInjectedObserver(t *testing.T) {
+	runFixture(t, All(), "detimport/client")
 }
 
 func TestSharedcaptureFixture(t *testing.T) {
-	runFixture(t, Sharedcapture, "sharedcapture/a", "sharedcapture/internal/engine")
+	runFixture(t, []*Analyzer{Sharedcapture}, "sharedcapture/a", "sharedcapture/internal/engine")
 }
 
 // The deterministic layers refuse suppression for the bit-identity
 // analyzers: the annotated fixture sites still fire.
 func TestDetrandHardInDetLayer(t *testing.T) {
-	runFixture(t, Detrand, "detrand/core")
+	runFixture(t, []*Analyzer{Detrand}, "detrand/core")
 }
 func TestWallclockHardInDetLayer(t *testing.T) {
-	runFixture(t, Wallclock, "wallclock/solve")
+	runFixture(t, []*Analyzer{Wallclock}, "wallclock/solve")
 }
 
 // internal/engine (the batch primitives themselves) is structurally exempt from
 // poolonly: the fixture's bare go statement produces nothing.
 func TestPoolonlyEngineExempt(t *testing.T) {
-	runFixture(t, Poolonly, "poolonly/internal/engine")
+	runFixture(t, []*Analyzer{Poolonly}, "poolonly/internal/engine")
 }
 
 // Directive hygiene: missing reasons, unknown analyzers, unused and
 // dangling directives are findings in their own right.
 func TestDirectiveHygiene(t *testing.T) {
-	runFixture(t, Poolonly, "directive/a")
+	runFixture(t, []*Analyzer{Poolonly}, "directive/a")
 }
 
 func TestByName(t *testing.T) {

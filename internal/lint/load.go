@@ -17,6 +17,8 @@ import (
 type Package struct {
 	// Path is the import path ("repro/internal/opt").
 	Path string
+	// ModPath is the path of the module the package belongs to.
+	ModPath string
 	// Dir is the absolute directory the files were read from.
 	Dir  string
 	Fset *token.FileSet
@@ -221,10 +223,11 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		return nil, nil
 	}
 	pkg := &Package{
-		Path: path,
-		Dir:  dir,
-		Fset: l.fset,
-		Src:  map[string][]byte{},
+		Path:    path,
+		ModPath: l.ModPath,
+		Dir:     dir,
+		Fset:    l.fset,
+		Src:     map[string][]byte{},
 	}
 	for _, n := range names {
 		fn := filepath.Join(dir, n)
@@ -259,6 +262,12 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	return pkg, nil
 }
 
+// inModule reports whether the import path names a package of the
+// module modPath.
+func inModule(path, modPath string) bool {
+	return path == modPath || strings.HasPrefix(path, modPath+"/")
+}
+
 // loaderImporter adapts the Loader as the types.Importer its own
 // type-checking runs use: module-local paths re-enter loadDir,
 // everything else falls through to the stdlib source importer.
@@ -270,7 +279,7 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 
 func (li *loaderImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	l := (*Loader)(li)
-	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
+	if inModule(path, l.ModPath) {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/")
 		pkg, err := l.loadDir(filepath.Join(l.Root, filepath.FromSlash(rel)))
 		if err != nil {

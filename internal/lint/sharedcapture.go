@@ -31,7 +31,7 @@ import (
 //
 // Closures that serialize access through a sync.Mutex/RWMutex Lock are
 // skipped — guarded shared state is a deliberate, race-free design and
-// order-sensitivity there is maporder/detreach territory. Legitimate
+// order-sensitivity there is maporder territory. Legitimate
 // exceptions (a monotonic flag where last-write-wins is provably
 // order-independent) carry //mcs:allow sharedcapture with the proof.
 var Sharedcapture = &Analyzer{

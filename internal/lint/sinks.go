@@ -9,59 +9,52 @@ import (
 // sink is one nondeterministic site: a wall-clock read, a global
 // math/rand draw, a process environment read, or a range over a map
 // that feeds an order-sensitive sink without a sort after it. The
-// determinism analyzers share one table of them per package —
-// wallclock, detrand and maporder report their own sites from it, and
-// detreach maps every site to its call-graph node — so each package is
-// scanned once per Run.
+// determinism analyzers share one table of them per package and each
+// reports its own rows — wallclock, detrand, maporder, and detimport
+// the env reads — so each package is scanned once per Run.
 type sink struct {
-	analyzer string    // owning analyzer: "wallclock", "detrand", "maporder" or "detreach" (env reads)
+	analyzer string    // owning analyzer: "wallclock", "detrand", "maporder" or "detimport" (env reads)
 	desc     string    // "time.Now", "math/rand.Intn", "os.Getenv", "unsorted map range"
 	detail   string    // maporder: what the range feeds ("append", "a channel send", ...)
 	pos      token.Pos // the site
-	fn       ast.Node  // innermost enclosing *ast.FuncDecl or *ast.FuncLit; nil at package level
-	allowed  bool      // a reasoned //mcs:allow <analyzer> covers the site
 }
 
-// sinksOf returns pkg's sink table, scanning the package on first use.
-func (m *Module) sinksOf(pkg *Package) []sink {
-	if s, ok := m.sinks[pkg]; ok {
-		return s
-	}
-	if m.sinks == nil {
-		m.sinks = map[*Package][]sink{}
-	}
-	s := scanSinks(pkg)
-	m.sinks[pkg] = s
-	return s
+// sinkTable is one package's sink table, scanned on first use and
+// shared by every analyzer's pass over the package.
+type sinkTable struct {
+	pkg     *Package
+	sinks   []sink
+	scanned bool
 }
 
-// scanSinks walks every file of pkg once, in source order, tracking the
-// innermost enclosing function of each site. Package-level initializers
-// (`var started = time.Now()`) are scanned too; their sinks have no
-// enclosing function.
+func (t *sinkTable) get() []sink {
+	if !t.scanned {
+		t.sinks, t.scanned = scanSinks(t.pkg), true
+	}
+	return t.sinks
+}
+
+// scanSinks walks every file of pkg once, in source order.
+// Package-level initializers (`var started = time.Now()`) are scanned
+// too. A map range is judged against the body of its innermost
+// enclosing function, where a sort after it establishes the order.
 func scanSinks(pkg *Package) []sink {
-	dirs := parseDirectives(pkg)
 	var out []sink
-	add := func(s sink) {
-		s.allowed = directiveFor(dirs, s.analyzer, pkg.Fset.Position(s.pos)) != nil
-		out = append(out, s)
-	}
-	var visit func(fn ast.Node, body *ast.BlockStmt) func(ast.Node) bool
-	visit = func(fn ast.Node, body *ast.BlockStmt) func(ast.Node) bool {
+	var visit func(body *ast.BlockStmt) func(ast.Node) bool
+	visit = func(body *ast.BlockStmt) func(ast.Node) bool {
 		return func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					ast.Inspect(n.Body, visit(n, n.Body))
+					ast.Inspect(n.Body, visit(n.Body))
 				}
 				return false
 			case *ast.FuncLit:
-				ast.Inspect(n.Body, visit(n, n.Body))
+				ast.Inspect(n.Body, visit(n.Body))
 				return false
 			case *ast.SelectorExpr:
 				if s, ok := callSink(pkg, n); ok {
-					s.fn = fn
-					add(s)
+					out = append(out, s)
 				}
 			case *ast.RangeStmt:
 				if !rangesOverMap(pkg, n) {
@@ -71,13 +64,13 @@ func scanSinks(pkg *Package) []sink {
 				if feeds == "" || sortedAfter(pkg, body, n.End()) {
 					return true
 				}
-				add(sink{analyzer: "maporder", desc: "unsorted map range", detail: feeds, pos: n.Pos(), fn: fn})
+				out = append(out, sink{analyzer: "maporder", desc: "unsorted map range", detail: feeds, pos: n.Pos()})
 			}
 			return true
 		}
 	}
 	for _, f := range pkg.Files {
-		ast.Inspect(f, visit(nil, nil))
+		ast.Inspect(f, visit(nil))
 	}
 	return out
 }
@@ -102,7 +95,7 @@ func callSink(pkg *Package, sel *ast.SelectorExpr) (sink, bool) {
 	case (path == "math/rand" || path == "math/rand/v2") && !randConstructors[name]:
 		s.analyzer = "detrand"
 	case path == "os" && (name == "Getenv" || name == "LookupEnv" || name == "Environ"):
-		s.analyzer = "detreach"
+		s.analyzer = "detimport"
 	default:
 		return sink{}, false
 	}
@@ -112,7 +105,7 @@ func callSink(pkg *Package, sel *ast.SelectorExpr) (sink, bool) {
 // reportSinks reports every site in the pass's package owned by the
 // pass's analyzer, with the message msg renders for it.
 func reportSinks(p *Pass, msg func(sink) string) {
-	for _, s := range p.Module.sinksOf(p.Pkg) {
+	for _, s := range p.sinks.get() {
 		if s.analyzer == p.Analyzer.Name {
 			p.Reportf(s.pos, "%s", msg(s))
 		}

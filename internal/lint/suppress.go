@@ -85,8 +85,7 @@ func parseDirectives(pkg *Package) []*directive {
 }
 
 // directiveFor returns the reasoned directive naming analyzer that
-// targets the line at pos, or nil. Suppression and the sink table's
-// allowed flag both match through it.
+// targets the line at pos, or nil.
 func directiveFor(dirs []*directive, analyzer string, pos token.Position) *directive {
 	for _, d := range dirs {
 		if d.analyzer == analyzer && d.reason != "" &&

@@ -40,16 +40,20 @@ def old_schema(ns, allocs=None):
 class GateTest(unittest.TestCase):
     def run_gate(self, prev, cur):
         """Run benchcompare.py on two one-benchmark artifacts; return its exit code."""
+        return self.run_gate_on({"BenchmarkX": prev}, {"BenchmarkX": cur}).returncode
+
+    def run_gate_on(self, prev, cur):
+        """Run benchcompare.py on two artifacts' benchmark sections; return the process."""
         with tempfile.TemporaryDirectory() as d:
             paths = []
-            for name, e in (("prev.json", prev), ("cur.json", cur)):
+            for name, benches in (("prev.json", prev), ("cur.json", cur)):
                 path = os.path.join(d, name)
                 with open(path, "w") as f:
-                    json.dump({"benchmarks": {"BenchmarkX": e}}, f)
+                    json.dump({"benchmarks": benches}, f)
                 paths.append(path)
             return subprocess.run(
                 [sys.executable, SCRIPT, *paths], capture_output=True, text=True
-            ).returncode
+            )
 
     def test_noisy_non_regression_passes(self):
         # The median rises 11.9%, but two outliers make it: the samples
@@ -102,6 +106,15 @@ class GateTest(unittest.TestCase):
         self.assertGreater(change, 0.10)
         self.assertTrue(regressed)
         self.assertIsNone(p)
+
+    def test_gone_benchmark_is_reported_and_passes(self):
+        # A benchmark deleted from the suite is named, not failed.
+        kept = entry([100, 101, 99, 102, 98, 100])
+        gone = entry([21, 22, 21, 23, 20, 22])
+        proc = self.run_gate_on({"BenchmarkKept": kept, "BenchmarkGone": gone}, {"BenchmarkKept": kept})
+        self.assertEqual(proc.returncode, 0)
+        self.assertIn("gone: BenchmarkGone", proc.stdout)
+        self.assertNotIn("BenchmarkGone", proc.stderr)
 
     def test_alloc_rule_unchanged(self):
         prev = entry([100, 101, 99, 102, 98, 100], allocs=1000)

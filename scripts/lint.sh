@@ -22,8 +22,8 @@ go vet ./...
 
 echo "== mcs-lint =="
 # The JSON findings land in mcs-lint.json (CI uploads it as an
-# artifact); the human-readable rendering with call chains follows on
-# a failure so the log stays greppable.
+# artifact); the human-readable rendering follows on a failure so the
+# log stays greppable.
 if ! go run ./cmd/mcs-lint -json ./... > mcs-lint.json; then
   echo "mcs-lint findings:" >&2
   go run ./cmd/mcs-lint ./... >&2 || true
