@@ -56,7 +56,7 @@ func main() {
 	}
 	opts := []repro.Option{repro.WithSeed(*seed), repro.WithWorkers(*workers), repro.WithDelta(*useDelta)}
 	if *verbose {
-		opts = append(opts, repro.WithObserver(repro.ObserverFunc(func(p repro.Progress) {
+		opts = append(opts, repro.WithObserver(func(p repro.Progress) {
 			if p.Phase == "dse" {
 				fmt.Fprintf(os.Stderr, "progress %v/%s generation=%d evals=%d front=%d hypervolume=%.0f\n",
 					p.Strategy, p.Phase, p.Step, p.Evaluations, p.FrontSize, p.Hypervolume)
@@ -64,7 +64,7 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "progress %v/%s step=%d evals=%d delta=%d s_total=%d schedulable=%v\n",
 				p.Strategy, p.Phase, p.Step, p.Evaluations, p.BestDelta, p.BestBuffers, p.Schedulable)
-		})))
+		}))
 	}
 	solver, err := repro.NewSolver(sys.Application, sys.Architecture, opts...)
 	if err != nil {

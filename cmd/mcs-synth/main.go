@@ -83,10 +83,10 @@ func main() {
 		repro.WithDelta(*useDelta),
 	}
 	if *verbose {
-		opts = append(opts, repro.WithObserver(repro.ObserverFunc(func(p repro.Progress) {
+		opts = append(opts, repro.WithObserver(func(p repro.Progress) {
 			fmt.Fprintf(os.Stderr, "progress %v/%s step=%d evals=%d delta=%d s_total=%d schedulable=%v\n",
 				p.Strategy, p.Phase, p.Step, p.Evaluations, p.BestDelta, p.BestBuffers, p.Schedulable)
-		})))
+		}))
 	}
 	solver, err := repro.NewSolver(sys.Application, sys.Architecture, opts...)
 	if err != nil {

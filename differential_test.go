@@ -94,7 +94,7 @@ func replay(t *testing.T, sys *repro.System, strat repro.Strategy, explore bool,
 		repro.WithDelta(delta),
 		repro.WithSAIterations(20),
 		repro.WithSARestarts(2),
-		repro.WithObserver(repro.ObserverFunc(func(p repro.Progress) {
+		repro.WithObserver(func(p repro.Progress) {
 			mu.Lock()
 			tr.Events = append(tr.Events, p)
 			seen.Inc()
@@ -105,7 +105,7 @@ func replay(t *testing.T, sys *repro.System, strat repro.Strategy, explore bool,
 				span = trace.Root().Start("phase:" + p.Phase)
 			}
 			mu.Unlock()
-		})))
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}

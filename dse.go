@@ -25,13 +25,8 @@ type (
 	// ParetoArchive maintains a bounded mutually non-dominated set with
 	// CSV/JSON export; NewParetoArchive builds one.
 	ParetoArchive = dse.Archive
-	// ExploreProgress is one dse progress event (solve.Progress carries
-	// it to observers with Phase "dse").
-	ExploreProgress = dse.Progress
 	// DSEOption tunes one Solver.Explore call.
 	DSEOption = solve.DSEOption
-	// DSEOptions is the resolved per-call option set.
-	DSEOptions = solve.DSEOptions
 )
 
 // StrategyExplore labels the progress stream of Solver.Explore; it is

@@ -71,9 +71,10 @@ type Options struct {
 	// serve from its caches; fronts, hypervolumes and Evaluations counts
 	// are identical for every evaluator.
 	Eval core.EvalFunc
-	// OnProgress, when non-nil, receives one event per generation,
-	// emitted from the serial reducing loop.
-	OnProgress func(Progress)
+	// OnProgress, when non-nil, receives one "dse" event per generation
+	// (Step 0 for the initial population), emitted from the serial
+	// reducing loop; FrontSize and Hypervolume describe the archive.
+	OnProgress func(opt.Progress)
 }
 
 // Normalize fills the documented defaults into zero values. Explore
@@ -101,18 +102,6 @@ func (o *Options) Normalize() {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-}
-
-// Progress is one exploration progress event.
-type Progress struct {
-	// Generation just finished (0 for the initial population).
-	Generation int
-	// Evaluations counts the schedulability analyses spent so far.
-	Evaluations int
-	// FrontSize is the current archive size.
-	FrontSize int
-	// Hypervolume is the archive's self-referenced indicator.
-	Hypervolume float64
 }
 
 // Result is the outcome of Explore.
@@ -203,7 +192,7 @@ func Explore(ctx context.Context, app *model.Application, arch *model.Architectu
 		if opts.OnProgress == nil {
 			return
 		}
-		opts.OnProgress(Progress{Generation: generation, Evaluations: res.Evaluations,
+		opts.OnProgress(opt.Progress{Phase: "dse", Step: generation, Evaluations: res.Evaluations,
 			FrontSize: archive.Len(), Hypervolume: archive.Hypervolume()})
 	}
 

@@ -149,9 +149,9 @@ func TestExploreCancellationReturnsBestSoFar(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	res, err := Explore(ctx, app, arch, Options{
 		Population: 8, Generations: 1000, Seed: 5, Eval: core.Evaluator(app, arch),
-		OnProgress: func(p Progress) {
+		OnProgress: func(p opt.Progress) {
 			evals = p.Evaluations
-			if p.Generation >= 2 {
+			if p.Step >= 2 {
 				cancel()
 			}
 		},

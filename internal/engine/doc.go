@@ -11,11 +11,10 @@
 // and the evaluation sweeps of §6 analyze hundreds of generated
 // applications. Such design-space sweeps are embarrassingly parallel
 // (cf. parametric schedulability analysis, Sun et al.), so the engine
-// exposes exactly three batch primitives:
+// exposes exactly two batch primitives:
 //
 //   - Map: run fn(i) for i in [0, n) on at most workers goroutines and
 //     return the results in index order, one captured error per item;
-//   - Sweep: Map over a list of self-contained jobs (whole experiments);
 //   - EvaluateAll: Map specialized to a core.EvalFunc over candidate
 //     configurations.
 //

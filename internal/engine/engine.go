@@ -81,15 +81,6 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 	return out, ctx.Err()
 }
 
-// Sweep runs a list of self-contained jobs — typically whole experiment
-// cells, each generating and synthesizing its own system — on at most
-// workers goroutines, returning their results in job order.
-func Sweep[T any](ctx context.Context, workers int, jobs []func(ctx context.Context) (T, error)) ([]Result[T], error) {
-	return Map(ctx, workers, len(jobs), func(ctx context.Context, i int) (T, error) {
-		return jobs[i](ctx)
-	})
-}
-
 // Evaluation couples one candidate configuration with its analysis (or
 // the analysis error).
 type Evaluation struct {

@@ -128,24 +128,6 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-// TestSweep checks job-order results for heterogeneous jobs.
-func TestSweep(t *testing.T) {
-	jobs := make([]func(context.Context) (int, error), 50)
-	for i := range jobs {
-		i := i
-		jobs[i] = func(context.Context) (int, error) { return 2 * i, nil }
-	}
-	res, err := Sweep(context.Background(), 6, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if r.Value != 2*i {
-			t.Fatalf("job %d: got %d, want %d", i, r.Value, 2*i)
-		}
-	}
-}
-
 // TestEvaluateAllMatchesSerial analyzes a batch of configurations of a
 // small generated system and checks the parallel evaluations against
 // direct serial core.Analyze calls.
@@ -188,8 +170,7 @@ func TestEvaluateAllMatchesSerial(t *testing.T) {
 
 // TestMapBoundsConcurrency checks the per-batch bound: for every worker
 // count, no more than min(workers, n) calls of fn are ever in flight,
-// for Map and Sweep alike, and a single worker runs the calls in index
-// order.
+// and a single worker runs the calls in index order.
 func TestMapBoundsConcurrency(t *testing.T) {
 	const n = 64
 	for _, workers := range []int{1, 2, 3, 8} {
@@ -206,35 +187,14 @@ func TestMapBoundsConcurrency(t *testing.T) {
 			inFlight.Add(-1)
 			return i, nil
 		}
-		jobs := make([]func(context.Context) (int, error), n)
-		for i := range jobs {
-			jobs[i] = func(context.Context) (int, error) { return call(i) }
+		if _, err := Map(context.Background(), workers, n, func(_ context.Context, i int) (int, error) { return call(i) }); err != nil {
+			t.Fatal(err)
 		}
-		batches := []struct {
-			name string
-			run  func() error
-		}{
-			{"Map", func() error {
-				_, err := Map(context.Background(), workers, n, func(_ context.Context, i int) (int, error) { return call(i) })
-				return err
-			}},
-			{"Sweep", func() error {
-				_, err := Sweep(context.Background(), workers, jobs)
-				return err
-			}},
+		if got, limit := peak.Load(), int64(min(workers, n)); got > limit {
+			t.Errorf("workers=%d: %d calls in flight, bound %d", workers, got, limit)
 		}
-		for _, b := range batches {
-			peak.Store(0)
-			order = nil
-			if err := b.run(); err != nil {
-				t.Fatal(err)
-			}
-			if got, limit := peak.Load(), int64(min(workers, n)); got > limit {
-				t.Errorf("%s workers=%d: %d calls in flight, bound %d", b.name, workers, got, limit)
-			}
-			if workers == 1 && !reflect.DeepEqual(order, indices(n)) {
-				t.Errorf("%s workers=1: calls ran in order %v, want index order", b.name, order)
-			}
+		if workers == 1 && !reflect.DeepEqual(order, indices(n)) {
+			t.Errorf("workers=1: calls ran in order %v, want index order", order)
 		}
 	}
 }

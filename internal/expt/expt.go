@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -98,91 +99,59 @@ func cellSolver(app *model.Application, arch *model.Architecture, opts *Options,
 // sweep is still running, yet read exactly like a serial run's.
 func gridSweep[T any](ctx context.Context, opts *Options, points int, fn func(ctx context.Context, point int, seed int64) (T, error), onCell func(point int, seed int64, v T)) ([][]T, error) {
 	n := points * opts.Seeds
-	type slot struct {
-		v   T
-		err error
-	}
-	slots := make([]slot, n)
-	done := make([]chan struct{}, n)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
+	cellOf := func(i int) (int, int64) { return i / opts.Seeds, int64(i%opts.Seeds) + 1 }
 	// A failed cell cancels the sweep so unstarted cells are skipped
 	// instead of burning hours of compute after a doomed run; the
 	// caller's ctx cancels for the same effect from outside.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	jobs := make([]func(context.Context) (struct{}, error), 0, n)
-	for pi := 0; pi < points; pi++ {
-		for seed := int64(1); seed <= int64(opts.Seeds); seed++ {
-			pi, seed, i := pi, seed, len(jobs)
-			jobs = append(jobs, func(jctx context.Context) (struct{}, error) {
-				v, err := fn(jctx, pi, seed)
-				slots[i] = slot{v: v, err: err}
-				if err != nil {
-					cancel()
-				}
-				close(done[i])
-				return struct{}{}, nil
-			})
-		}
+	type slot struct {
+		v    T
+		err  error
+		done bool
 	}
-	// The streamer walks the cells in order, emitting each as it
-	// completes; an errored (or skipped) cell ends the stream where a
-	// serial sweep would have aborted. close(done[i]) happens-before
-	// <-done[i], so reading slots[i] here is race-free.
-	streamed := make(chan struct{})
-	// The cell fan-out itself rides engine.Sweep below; this goroutine
-	// is the ordered live-progress consumer running beside it, which a
-	// job-shaped batch cannot express.
-	//mcs:allow poolonly ordered progress streamer consuming cell completions beside the engine.Sweep fan-out
-	go func() {
-		defer close(streamed)
-		for i := 0; i < n; i++ {
-			<-done[i]
-			if slots[i].err != nil {
-				return
-			}
+	slots := make([]slot, n)
+	var mu sync.Mutex
+	flushed := 0 // cells [0, flushed) went to onCell
+	res, _ := engine.Map(ctx, opts.Workers, n, func(ctx context.Context, i int) (T, error) {
+		pi, seed := cellOf(i)
+		v, err := fn(ctx, pi, seed)
+		if err != nil {
+			cancel()
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		slots[i] = slot{v: v, err: err, done: true}
+		// Flush the finished prefix; a failed or skipped cell ends the
+		// stream where a serial sweep would have aborted.
+		for ; flushed < n && slots[flushed].done && slots[flushed].err == nil; flushed++ {
 			if onCell != nil {
-				onCell(i/opts.Seeds, int64(i%opts.Seeds)+1, slots[i].v)
+				pi, seed := cellOf(flushed)
+				onCell(pi, seed, slots[flushed].v)
 			}
 		}
-	}()
-	res, _ := engine.Sweep(ctx, opts.Workers, jobs)
-	// A cell the engine skipped after cancellation never ran its job,
-	// so its done channel is still open — record the skip and close it
-	// here, or the streamer (and this function) would wait forever.
-	// Jobs themselves never return an error, so res[i].Err is non-nil
-	// exactly for skipped cells.
-	for i := range res {
-		if res[i].Err != nil {
-			slots[i].err = res[i].Err
-			close(done[i])
-		}
-	}
-	<-streamed
-	// Fail with the first genuine cell error; skipped cells exist only
-	// because some cell failed, so one is always found. (When several
-	// cells fail in one sweep, which one is first can differ from a
-	// serial run if an earlier cell was skipped — every error path
-	// aborts the experiment either way.)
-	for i := range slots {
-		if slots[i].err != nil && res[i].Err == nil {
-			return nil, slots[i].err
-		}
-	}
+		return v, err
+	})
+	// Fail with the first error of a cell that ran; a skipped cell
+	// carries ctx's error, which surfaces only when no cell failed (the
+	// caller cancelled). When several cells fail in one sweep, which one
+	// is first can differ from a serial run if an earlier cell was
+	// skipped — every error path aborts the experiment either way.
 	for i := range slots {
 		if slots[i].err != nil {
 			return nil, slots[i].err
 		}
 	}
+	for i := range res {
+		if res[i].Err != nil {
+			return nil, res[i].Err
+		}
+	}
 	out := make([][]T, points)
-	k := 0
 	for pi := range out {
 		out[pi] = make([]T, opts.Seeds)
 		for s := range out[pi] {
-			out[pi][s] = slots[k].v
-			k++
+			out[pi][s] = slots[pi*opts.Seeds+s].v
 		}
 	}
 	return out, nil
@@ -221,13 +190,9 @@ func bestSA(ctx context.Context, sv *solve.Solver, osBest *opt.Result, obj sa.Ob
 	if obj == sa.MinimizeBuffers {
 		strat = solve.SAR
 	}
-	jobs := make([]func(context.Context) (*sa.Result, error), len(runs))
-	for i, init := range runs {
-		jobs[i] = func(jctx context.Context) (*sa.Result, error) {
-			return sv.Anneal(jctx, obj, init, seed+int64(i), strat)
-		}
-	}
-	chains, _ := engine.Sweep(ctx, sv.Options().Workers, jobs)
+	chains, _ := engine.Map(ctx, sv.Options().Workers, len(runs), func(ctx context.Context, i int) (*sa.Result, error) {
+		return sv.Anneal(ctx, obj, runs[i], seed+int64(i), strat)
+	})
 	var best *opt.Result
 	for _, c := range chains {
 		if c.Err != nil {

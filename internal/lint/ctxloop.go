@@ -14,7 +14,7 @@ import (
 // cancel, drain grace) is dead until the loop happens to finish.
 //
 // Range loops are exempt: their trip count is materialized up front,
-// and the long ones already fan out through engine.Map/Sweep/EvaluateAll,
+// and the long ones already fan out through engine.Map/EvaluateAll,
 // which are context-aware. So are loops without calls (pure reductions finish in
 // microseconds).
 var Ctxloop = &Analyzer{

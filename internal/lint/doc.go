@@ -14,7 +14,7 @@
 //     timers) — in the deterministic layers they are forbidden
 //     outright, elsewhere they must carry an //mcs:allow annotation.
 //   - poolonly: no bare go statements outside internal/engine — all
-//     fan-out rides engine.Map/Sweep/EvaluateAll; legitimate detached
+//     fan-out rides engine.Map/EvaluateAll; legitimate detached
 //     goroutines are annotated, never silently exempted.
 //   - ctxloop: counter- or condition-driven work loops in exported
 //     entry points that take a context must observe the context.

@@ -154,7 +154,7 @@ func TestDetimportCrossPackage(t *testing.T) {
 
 // Values a caller injects into a layer are the caller's
 // responsibility: a soft package's observer reading an allowed clock
-// gives no finding, as a named type or through the adapter.
+// gives no finding, as a method value or a function literal.
 func TestDetimportInjectedObserver(t *testing.T) {
 	runFixture(t, All(), "detimport/client")
 }

@@ -9,7 +9,7 @@ import (
 // Sharedcapture is the static complement to the race detector, which
 // only sees the interleavings a run happens to execute. It inspects
 // the closures that actually run concurrently in this repo — function
-// literals submitted to the engine.Map/Sweep/EvaluateAll batch
+// literals submitted to the engine.Map/EvaluateAll batch
 // primitives and literals launched by go statements (annotated or not;
 // poolonly polices the annotation) — and flags captures that break the
 // batch contract:
@@ -116,7 +116,7 @@ func checkSharedCapture(p *Pass, fd *ast.FuncDecl) {
 }
 
 // batchClosures collects the function literals of fd that end up in an
-// engine batch (engine.Map/Sweep/EvaluateAll): literals passed directly
+// engine batch (engine.Map/EvaluateAll): literals passed directly
 // as arguments to a call into internal/engine, and literals stored
 // (assigned, appended, indexed) into a variable that is passed to such
 // a call.

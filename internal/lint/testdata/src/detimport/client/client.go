@@ -1,6 +1,6 @@
 // Package client is a soft package that injects observers reading an
-// allowed clock into the layer fixture solve, both as a named type and
-// through the ObserverFunc adapter. Injected values are the caller's
+// allowed clock into the layer fixture solve, both as a method value
+// and as a function literal. Injected values are the caller's
 // responsibility: the suite reports nothing here, and nothing in solve
 // beyond its import of util.
 package client
@@ -18,13 +18,17 @@ func (s *stamper) OnProgress(int) {
 	s.last = time.Now() //mcs:allow wallclock progress timestamps are reporting-only
 }
 
-// Named injects the named observer type.
-func Named(n int) int {
-	return solve.Run(n, &stamper{})
+// Method injects a method value.
+func Method(n int) int {
+	s := &stamper{}
+	return solve.Run(n, s.OnProgress)
 }
 
-// Adapted injects a method value through the adapter.
-func Adapted(n int) int {
-	s := &stamper{}
-	return solve.Run(n, solve.ObserverFunc(s.OnProgress))
+// Literal injects a function literal.
+func Literal(n int) (int, time.Time) {
+	var last time.Time
+	sum := solve.Run(n, func(int) {
+		last = time.Now() //mcs:allow wallclock progress timestamps are reporting-only
+	})
+	return sum, last
 }

@@ -17,23 +17,17 @@ func ViaVar() int64 {
 	return util.Clock()
 }
 
-// Observer receives progress from Run. OnProgress returns nothing, so
-// what an implementation reads cannot feed Run's result; an injected
-// observer is its caller's responsibility.
-type Observer interface{ OnProgress(step int) }
-
-// ObserverFunc adapts a function to an Observer.
-type ObserverFunc func(step int)
-
-// OnProgress calls f.
-func (f ObserverFunc) OnProgress(step int) { f(step) }
+// Observer receives progress from Run. It returns nothing, so what an
+// implementation reads cannot feed Run's result; an injected observer
+// is its caller's responsibility.
+type Observer func(step int)
 
 // Run sums the first n steps, reporting each to obs.
 func Run(n int, obs Observer) int {
 	sum := 0
 	for i := 0; i < n; i++ {
 		sum += i
-		obs.OnProgress(i)
+		obs(i)
 	}
 	return sum
 }

@@ -19,17 +19,48 @@ type Result struct {
 	Analysis *core.Analysis
 }
 
-// Progress is one optimizer progress event: the reduction just
-// finished Step (a TDMA position for OptimizeSchedule, a hill-climbing
-// iteration for OptimizeResources), Evaluations analyses have been
-// spent so far, and Best is the incumbent (nil until a candidate
-// survives analysis). Events are emitted from the reducing goroutine,
-// in step order, for every worker count.
+// Progress is one progress event of a synthesis run, the one shape
+// every optimizer emits: OS and OR here, the annealer (package sa) and
+// the design-space explorer (package dse). Events are emitted in step
+// order per phase, from the goroutine that reduces the phase's
+// batches; with several annealing chains, Chain tells the interleaved
+// events apart.
 type Progress struct {
-	Phase       string // "os" or "or"
-	Step        int
+	// Phase is the algorithm stage: "sf", "os" (slot search), "or"
+	// (hill climbing), "sa" (annealing) or "dse" (design-space
+	// exploration generations).
+	Phase string
+	// Chain is the annealing chain index (0 outside "sa").
+	Chain int
+	// Step is the per-phase step counter: the TDMA position for "os",
+	// the hill-climbing iteration for "or", the annealing iteration for
+	// "sa", the generation for "dse" (0 for the initial population).
+	Step int
+	// Evaluations counts the schedulability analyses spent so far in
+	// this phase (per chain for "sa").
 	Evaluations int
-	Best        *Result
+	// BestDelta, BestBuffers and Schedulable describe the incumbent
+	// solution (of the emitting chain for "sa"; zero until a candidate
+	// survives analysis). A Pareto exploration has no single
+	// incumbent, so "dse" events leave them zero and report
+	// FrontSize/Hypervolume instead.
+	BestDelta   model.Time
+	BestBuffers int
+	Schedulable bool
+	// FrontSize and Hypervolume describe the archive of a "dse" phase
+	// (zero elsewhere).
+	FrontSize   int
+	Hypervolume float64
+}
+
+// NewProgress is the event of a phase that tracks one incumbent, best
+// (nil until a candidate survives analysis).
+func NewProgress(phase string, chain, step, evaluations int, best *Result) Progress {
+	p := Progress{Phase: phase, Chain: chain, Step: step, Evaluations: evaluations}
+	if best != nil {
+		p.BestDelta, p.BestBuffers, p.Schedulable = best.Delta(), best.STotal(), best.Schedulable()
+	}
+	return p
 }
 
 // Hooks carries an optimizer run's evaluator and instrumentation.
@@ -44,9 +75,9 @@ type Hooks struct {
 	Eval core.EvalFunc
 }
 
-func (h *Hooks) progress(p Progress) {
+func (h *Hooks) progress(phase string, step, evaluations int, best *Result) {
 	if h.OnProgress != nil {
-		h.OnProgress(p)
+		h.OnProgress(NewProgress(phase, 0, step, evaluations, best))
 	}
 }
 
@@ -97,8 +128,6 @@ type OSOptions struct {
 	// SlotCandidates caps the recommended lengths tried per slot
 	// (default 3).
 	SlotCandidates int
-	// SeedLimit caps the seed_solutions list (default 6).
-	SeedLimit int
 	// Workers bounds the concurrent candidate evaluations (default 1 =
 	// serial). The result is identical for every value: candidates are
 	// generated up front and reduced in order.
@@ -110,9 +139,6 @@ type OSOptions struct {
 func (o *OSOptions) defaults() {
 	if o.SlotCandidates <= 0 {
 		o.SlotCandidates = 3
-	}
-	if o.SeedLimit <= 0 {
-		o.SeedLimit = 6
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -168,7 +194,7 @@ func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.A
 
 	partial := func(best *Result) (*OSResult, error) {
 		res.Best = best
-		res.Seeds = selectSeeds(seeds, opts.SeedLimit)
+		res.Seeds = selectSeeds(seeds, seedLimit)
 		return res, ctx.Err()
 	}
 
@@ -256,10 +282,10 @@ func OptimizeSchedule(ctx context.Context, app *model.Application, arch *model.A
 		if bestRes != nil && (best == nil || better(bestRes, best)) {
 			best = bestRes
 		}
-		opts.Hooks.progress(Progress{Phase: "os", Step: i + 1, Evaluations: res.Evaluations, Best: best})
+		opts.Hooks.progress("os", i+1, res.Evaluations, best)
 	}
 	res.Best = best
-	res.Seeds = selectSeeds(seeds, opts.SeedLimit)
+	res.Seeds = selectSeeds(seeds, seedLimit)
 	return res, nil
 }
 
@@ -272,9 +298,13 @@ func better(a, b *Result) bool {
 	return a.STotal() < b.STotal()
 }
 
-// selectSeeds keeps the most promising seed solutions: the best by
-// delta (highly schedulable systems survive more hill-climbing moves)
-// and, among the schedulable ones, the best by s_total (§5.1).
+// seedLimit caps OptimizeSchedule's seed_solutions list.
+const seedLimit = 6
+
+// selectSeeds keeps the most promising seed solutions, at most limit:
+// the best by delta (highly schedulable systems survive more
+// hill-climbing moves) and, among the schedulable ones, the best by
+// s_total (§5.1).
 func selectSeeds(all []*Result, limit int) []*Result {
 	if len(all) == 0 {
 		return nil
@@ -444,7 +474,7 @@ func OptimizeResources(ctx context.Context, app *model.Application, arch *model.
 				out.Improved = true
 			}
 			step++
-			opts.Hooks.progress(Progress{Phase: "or", Step: step, Evaluations: out.Evaluations, Best: best})
+			opts.Hooks.progress("or", step, out.Evaluations, best)
 		}
 	}
 	out.Best = best

@@ -34,16 +34,8 @@ type Options struct {
 	Objective Objective
 	// Iterations is the total number of evaluated moves (default 300).
 	Iterations int
-	// InitialTemp and Cooling control the acceptance schedule
-	// (defaults 1000 and 0.95; one cooling step every Epoch moves).
-	InitialTemp float64
-	Cooling     float64
-	Epoch       int
 	// Seed drives all randomness (default 1).
 	Seed int64
-	// MoveBudget is how many candidate moves are generated per step;
-	// one is drawn at random (default 16).
-	MoveBudget int
 	// Restarts is the number of independent annealing chains run by
 	// RunRestarts, seeded Seed, Seed+1, ... (default 1). An annealing
 	// chain is inherently sequential, so restarts are the unit of
@@ -58,39 +50,30 @@ type Options struct {
 	// for every evaluator; with the Memo, successive chain steps share
 	// the parent state through its caches.
 	Eval core.EvalFunc
-	// OnProgress, when non-nil, receives one event per evaluated move.
-	// With several restart chains the callback runs concurrently and
-	// must be safe for concurrent use; Chain tells the events apart.
-	OnProgress func(Progress)
+	// OnProgress, when non-nil, receives one "sa" event per evaluated
+	// move: Step is the iteration and the incumbent is the chain's
+	// best-ever solution. With several restart chains the callback runs
+	// concurrently and must be safe for concurrent use; Chain tells the
+	// events apart.
+	OnProgress func(opt.Progress)
 }
 
-// Progress is one annealing progress event.
-type Progress struct {
-	Chain       int
-	Iteration   int
-	Evaluations int
-	Accepted    int
-	Best        *opt.Result
-}
+// The acceptance schedule: the temperature starts at initialTemp and
+// is multiplied by cooling every epoch moves; each step draws one of
+// moveBudget generated candidate moves.
+const (
+	initialTemp = 1000
+	cooling     = 0.95
+	epoch       = 10
+	moveBudget  = 16
+)
 
 func (o *Options) defaults() {
 	if o.Iterations <= 0 {
 		o.Iterations = 300
 	}
-	if o.InitialTemp <= 0 {
-		o.InitialTemp = 1000
-	}
-	if o.Cooling <= 0 || o.Cooling >= 1 {
-		o.Cooling = 0.95
-	}
-	if o.Epoch <= 0 {
-		o.Epoch = 10
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MoveBudget <= 0 {
-		o.MoveBudget = 16
 	}
 	if o.Restarts <= 0 {
 		o.Restarts = 1
@@ -147,13 +130,13 @@ func runChain(ctx context.Context, app *model.Application, arch *model.Architect
 	cur := &opt.Result{Config: initial, Analysis: curA}
 	best := cur
 	res := &Result{Best: best, Evaluations: 1}
-	temp := opts.InitialTemp
+	temp := float64(initialTemp)
 	for it := 0; it < opts.Iterations; it++ {
 		if ctx.Err() != nil {
 			res.Best = best
 			return res, ctx.Err()
 		}
-		moves := opt.GenerateMoves(app, arch, cur.Config, cur.Analysis, opt.MoveBudget{Max: opts.MoveBudget, Rand: rng})
+		moves := opt.GenerateMoves(app, arch, cur.Config, cur.Analysis, opt.MoveBudget{Max: moveBudget, Rand: rng})
 		if len(moves) == 0 {
 			break
 		}
@@ -176,14 +159,14 @@ func runChain(ctx context.Context, app *model.Application, arch *model.Architect
 		if cost(opts.Objective, cand) < cost(opts.Objective, best) {
 			best = cand
 		}
-		if (it+1)%opts.Epoch == 0 {
-			temp *= opts.Cooling
+		if (it+1)%epoch == 0 {
+			temp *= cooling
 			if temp < 1e-6 {
 				temp = 1e-6
 			}
 		}
 		if opts.OnProgress != nil {
-			opts.OnProgress(Progress{Chain: chain, Iteration: it + 1, Evaluations: res.Evaluations, Accepted: res.Accepted, Best: best})
+			opts.OnProgress(opt.NewProgress("sa", chain, it+1, res.Evaluations, best))
 		}
 	}
 	res.Best = best
@@ -206,17 +189,12 @@ func RunRestarts(ctx context.Context, app *model.Application, arch *model.Archit
 	if opts.Restarts == 1 {
 		return Run(ctx, app, arch, initial, opts)
 	}
-	jobs := make([]func(context.Context) (*Result, error), opts.Restarts)
-	for i := range jobs {
-		i := i
+	chains, _ := engine.Map(ctx, opts.Workers, opts.Restarts, func(ctx context.Context, i int) (*Result, error) {
 		chainOpts := opts
 		chainOpts.Seed = opts.Seed + int64(i)
 		chainOpts.Restarts, chainOpts.Workers = 1, 1
-		jobs[i] = func(ctx context.Context) (*Result, error) {
-			return runChain(ctx, app, arch, initial, chainOpts, i)
-		}
-	}
-	chains, _ := engine.Sweep(ctx, opts.Workers, jobs)
+		return runChain(ctx, app, arch, initial, chainOpts, i)
+	})
 	out := &Result{}
 	for _, c := range chains {
 		r := c.Value

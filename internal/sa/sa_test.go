@@ -127,13 +127,8 @@ func TestObjectiveCosts(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
 	o.defaults()
-	if o.Iterations != 300 || o.InitialTemp != 1000 || o.Cooling != 0.95 || o.Epoch != 10 || o.Seed != 1 || o.MoveBudget != 16 {
+	if o.Iterations != 300 || o.Seed != 1 {
 		t.Errorf("defaults = %+v", o)
-	}
-	o = Options{Cooling: 2} // invalid: falls back
-	o.defaults()
-	if o.Cooling != 0.95 {
-		t.Errorf("cooling = %v", o.Cooling)
 	}
 }
 

@@ -108,11 +108,10 @@ func (s *Service) registerMetrics() {
 	// Durability layer (zero-valued while running purely in memory).
 	storeStat := func(sel func(store.Stats) float64) func() float64 {
 		return func() float64 {
-			st := s.storeRef()
-			if st == nil {
+			if s.st == nil {
 				return 0
 			}
-			return sel(st.Stats())
+			return sel(s.st.Stats())
 		}
 	}
 	r.CounterFunc("mcs_store_appends_total", "Journal records appended since open.",
@@ -250,15 +249,8 @@ type phaseTracker struct {
 	cur   *obs.Span
 }
 
-// observer returns the solve option attaching the tracker (with plain
-// fan-out when neither metrics nor tracing need the phase boundary).
-func (t *phaseTracker) observer() solve.Option {
-	if t.svc.obsReg == nil && !t.svc.tracing {
-		return solve.WithObserver(solve.ObserverFunc(t.job.publish))
-	}
-	return solve.WithObserver(solve.ObserverFunc(t.observe))
-}
-
+// observe is the job's solve.Observer. Without metrics or tracing its
+// span and histogram are nil, and nil instruments are no-ops.
 func (t *phaseTracker) observe(p solve.Progress) {
 	t.mu.Lock()
 	if p.Phase != t.name {

@@ -28,26 +28,17 @@ import (
 // journal footprint by live state, not by traffic history.
 const compactAtSegments = 4
 
-// storeRef returns the current store under the intake lock. It is the
-// only store accessor outside New: tests clear s.st mid-run to make
-// post-"crash" activity invisible to the journal.
-func (s *Service) storeRef() store.Store {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.st
-}
-
 // appendRecord stamps and appends one journal record; a nil store is a
 // no-op. The caller decides whether a failure gates the state
 // transition (enqueue rejects the submit) or is merely counted (start,
 // cancel and finish records: the in-memory truth stays correct, and at
 // worst a replay re-runs deterministic work).
-func (s *Service) appendRecord(st store.Store, rec store.Record) error {
-	if st == nil {
+func (s *Service) appendRecord(rec store.Record) error {
+	if s.st == nil {
 		return nil
 	}
 	rec.Unix = s.clock.Now().Unix()
-	if err := st.Append(rec); err != nil {
+	if err := s.st.Append(rec); err != nil {
 		s.storeErrs.Add(1)
 		return err
 	}
@@ -87,7 +78,7 @@ func (s *Service) restore() []*job {
 			// visibly instead of dropping it, and journal the
 			// resolution so the next restart agrees.
 			j.state, j.errMsg = StateFailed, err.Error()
-			s.appendRecord(s.st, j.finishRecord(j.state, j.errMsg))
+			s.appendRecord(j.finishRecord(j.state, j.errMsg))
 		} else {
 			j.state = StateQueued
 			pending = append(pending, j)
@@ -202,11 +193,10 @@ func jobSeq(id string) int {
 // compact rewrites the journal down to the live records. Errors are
 // counted, not surfaced: an uncompacted journal is bigger, never wrong.
 func (s *Service) compact() {
-	st := s.storeRef()
-	if st == nil {
+	if s.st == nil {
 		return
 	}
-	if err := st.Compact(s.liveRecords); err != nil {
+	if err := s.st.Compact(s.liveRecords); err != nil {
 		s.storeErrs.Add(1)
 	}
 }

@@ -15,16 +15,6 @@ import (
 	"repro/internal/store"
 )
 
-// detachStore simulates a crash for tests: the service keeps running,
-// but nothing it does from here on reaches the journal — exactly the
-// visibility a kill -9 leaves behind. (The real kill -9 round trip is
-// exercised by scripts/service_smoke.sh.)
-func (s *Service) detachStore() {
-	s.mu.Lock()
-	s.st = nil
-	s.mu.Unlock()
-}
-
 // testClock is a deterministic clock shared by a store and a service.
 type testClock struct {
 	mu  sync.Mutex
@@ -203,9 +193,13 @@ func TestPersistCrashMidRunRequeues(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	svc.detachStore() // crash: everything after this is invisible to the journal
-	svc.Close()       // cancels the job, but the cancellation is never journaled
+	// Crash: closing the store first makes everything the service does
+	// from here on invisible to the journal, exactly the visibility a
+	// kill -9 leaves behind (scripts/service_smoke.sh runs the real kill
+	// -9 round trip). Close then cancels the job, but the cancellation
+	// and the finish record fail as store errors and are never journaled.
 	st.Close()
+	svc.Close()
 
 	st2 := openTestStore(t, dir, clk, store.Options{})
 	svc2 := New(Options{Workers: 1, JobWorkers: 1, Store: st2, Clock: clk})

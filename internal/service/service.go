@@ -111,6 +111,7 @@ type Service struct {
 	opts    Options
 	cache   *solverCache
 	clock   store.Clock
+	st      store.Store // nil = in-memory only; set once, in New
 	queue   chan *job
 	runners sync.WaitGroup
 
@@ -130,7 +131,6 @@ type Service struct {
 	storeErrs atomic.Int64 // non-fatal journal/result-store write failures
 
 	mu       sync.Mutex
-	st       store.Store // nil = in-memory only; tests clear it to simulate a crash
 	jobs     map[string]*job
 	terminal []string // finished job IDs, oldest first, for retention
 	nextID   int
@@ -193,7 +193,7 @@ func New(opts Options) *Service {
 		// Job runners are the service's long-lived queue consumers, not
 		// per-request fan-out; the per-job parallelism inside a runner
 		// rides the engine's batch primitives via the Solver sessions.
-		//mcs:allow poolonly long-lived job-queue runners; per-job fan-out rides engine.Map/Sweep/EvaluateAll inside the Solver
+		//mcs:allow poolonly long-lived job-queue runners; per-job fan-out rides engine.Map/EvaluateAll inside the Solver
 		go func() {
 			defer s.runners.Done()
 			for j := range s.queue {
@@ -268,7 +268,7 @@ func (s *Service) submit(req request) (*SubmitResponse, error) {
 		return nil, err
 	}
 	j := &job{kind: req.kind(), req: req, strategy: strategy, fingerprint: fp, key: key}
-	if s.storeRef() != nil {
+	if s.st != nil {
 		if j.rawReq, err = json.Marshal(req); err != nil {
 			return nil, fmt.Errorf("service: encoding request for the journal: %w", err)
 		}
@@ -300,7 +300,7 @@ func (s *Service) enqueue(j *job) (*SubmitResponse, error) {
 		j.cancel(ErrQueueFull) // release the context before rejecting
 		return nil, ErrQueueFull
 	}
-	if err := s.appendRecord(s.st, j.submitRecord(j.rawReq)); err != nil {
+	if err := s.appendRecord(j.submitRecord(j.rawReq)); err != nil {
 		j.cancel(err)
 		return nil, fmt.Errorf("%w: %w", errJournal, err)
 	}
@@ -335,16 +335,15 @@ func (s *Service) run(j *job) {
 	j.mu.Unlock()
 
 	s.jobStarted(j)
-	st := s.storeRef()
-	s.appendRecord(st, store.Record{Op: store.OpStart, Job: j.id})
+	s.appendRecord(store.Record{Op: store.OpStart, Job: j.id})
 	// Idempotent execution: an identical request that already finished
 	// — a duplicate client submission, or this very job replayed after
 	// a crash that hit between its completion and the finish record —
 	// is served from the persistent result store, byte-identical to
 	// the cold run that produced it.
 	acquire := j.trace.Root().Start("solver")
-	if st != nil && j.key != "" {
-		if data, ok := st.GetResult(j.key); ok {
+	if s.st != nil && j.key != "" {
+		if data, ok := s.st.GetResult(j.key); ok {
 			if res, err := decodeStoredResult(data); err == nil {
 				acquire.SetAttr("source", "persistent")
 				acquire.End()
@@ -380,7 +379,7 @@ func (s *Service) run(j *job) {
 	// The hold ends before the job does, so once Done fires the last
 	// job's session keeps only whole analyses.
 	tracker := &phaseTracker{svc: s, job: j, span: j.trace.Root().Start("run")}
-	result, err := req.run(j.ctx, session.solver, s.opts.Workers, tracker.observer(), hit)
+	result, err := req.run(j.ctx, session.solver, s.opts.Workers, solve.WithObserver(tracker.observe), hit)
 	s.cache.release(session)
 	tracker.close()
 	tracker.span.End()
@@ -408,11 +407,11 @@ func (s *Service) complete(j *job) {
 	j.mu.Lock()
 	state, errMsg, res := j.state, j.errMsg, j.result
 	j.mu.Unlock()
-	if st := s.storeRef(); st != nil {
+	if s.st != nil {
 		persist := j.trace.Root().Start("persist")
 		if state == StateDone && res != nil && !res.Partial && !res.PersistentHit && j.key != "" {
 			if blob, encErr := canonicalResult(res); encErr == nil {
-				if putErr := st.PutResult(j.key, blob); putErr != nil {
+				if putErr := s.st.PutResult(j.key, blob); putErr != nil {
 					s.storeErrs.Add(1)
 					s.log.Warn("result persist failed", "job", j.id, "error", putErr)
 				}
@@ -421,7 +420,7 @@ func (s *Service) complete(j *job) {
 				s.log.Warn("result encoding failed", "job", j.id, "error", encErr)
 			}
 		}
-		s.appendRecord(st, j.finishRecord(state, errMsg))
+		s.appendRecord(j.finishRecord(state, errMsg))
 		persist.End()
 	}
 	s.jobFinished(j, state, errMsg)
@@ -460,7 +459,7 @@ func (s *Service) retire(j *job) {
 	}
 	s.mu.Unlock()
 	j.release()
-	if st := s.storeRef(); st != nil && st.Stats().Segments >= compactAtSegments {
+	if s.st != nil && s.st.Stats().Segments >= compactAtSegments {
 		s.compact()
 	}
 }
@@ -660,7 +659,7 @@ func (s *Service) Cancel(id string) error {
 		// Journal the cancellation intent before delivering it: if the
 		// process dies before the job winds down, replay resolves the
 		// job to canceled instead of re-running work nobody wants.
-		s.appendRecord(s.storeRef(), store.Record{Op: store.OpCancel, Job: j.id})
+		s.appendRecord(store.Record{Op: store.OpCancel, Job: j.id})
 		s.log.Info("job cancel requested", "job", j.id, "kind", string(j.kind))
 	}
 	j.cancel(context.Canceled)
@@ -812,11 +811,11 @@ func (s *Service) Stats() Stats {
 	st.CacheHits, st.CacheMisses, st.CacheSize = s.cache.stats()
 	s.mu.Lock()
 	st.Draining = s.draining
-	dst, replayed, requeued := s.st, s.replayed, s.requeued
+	replayed, requeued := s.replayed, s.requeued
 	s.mu.Unlock()
-	if dst != nil {
+	if s.st != nil {
 		st.Store = &StoreStats{
-			Stats:        dst.Stats(),
+			Stats:        s.st.Stats(),
 			ReplayedJobs: replayed,
 			RequeuedJobs: requeued,
 			Errors:       s.storeErrs.Load(),

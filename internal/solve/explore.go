@@ -106,21 +106,11 @@ func (s *Solver) Explore(ctx context.Context, options ...DSEOption) (*dse.Result
 				}
 			}
 		}
-		if err != nil {
-			if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
-			// Cancelled mid-warm-start: the partial OS/OR results are
-			// the best-so-far front.
-			a := dse.NewArchive(o.ArchiveCap)
-			for _, p := range warmPoints {
-				a.AddPinned(p)
-			}
-			return &dse.Result{
-				Front:       a.Points(),
-				Evaluations: warmEvals,
-				Hypervolume: a.Hypervolume(),
-			}, err
+		// A cancelled warm start hands its partial results on: dse
+		// archives them and returns them as the best-so-far front with
+		// the context's error.
+		if err != nil && !errors.Is(err, ctx.Err()) {
+			return nil, err
 		}
 	}
 
@@ -134,29 +124,10 @@ func (s *Solver) Explore(ctx context.Context, options ...DSEOption) (*dse.Result
 		Workers:      s.opts.Workers,
 		SeedPoints:   warmPoints,
 		Eval:         s.eval(),
-		OnProgress:   s.observeDSE(warmEvals),
+		OnProgress:   s.observe(Explore, warmEvals),
 	})
 	if res != nil {
 		res.Evaluations += warmEvals
 	}
 	return res, err
-}
-
-// observeDSE adapts the observer to the dse package's progress hook;
-// the warm start's evaluations are folded in so the stream counts
-// every analysis of the call.
-func (s *Solver) observeDSE(warmEvals int) func(dse.Progress) {
-	if s.opts.Observer == nil {
-		return nil
-	}
-	return func(p dse.Progress) {
-		s.emit(Progress{
-			Strategy:    Explore,
-			Phase:       "dse",
-			Step:        p.Generation,
-			Evaluations: warmEvals + p.Evaluations,
-			FrontSize:   p.FrontSize,
-			Hypervolume: p.Hypervolume,
-		})
-	}
 }

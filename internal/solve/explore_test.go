@@ -125,11 +125,11 @@ func TestExploreObserverStream(t *testing.T) {
 	app, arch := system(t, 3)
 	var mu sync.Mutex
 	var events []Progress
-	s, err := New(app, arch, WithObserver(ObserverFunc(func(p Progress) {
+	s, err := New(app, arch, WithObserver(func(p Progress) {
 		mu.Lock()
 		events = append(events, p)
 		mu.Unlock()
-	})))
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +176,11 @@ func TestExploreObserverStream(t *testing.T) {
 func TestExploreCancelDuringWarmStart(t *testing.T) {
 	app, arch := system(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := New(app, arch, WithObserver(ObserverFunc(func(p Progress) {
+	s, err := New(app, arch, WithObserver(func(p Progress) {
 		if p.Phase == "os" {
 			cancel() // first warm-start event: cancel mid-OS
 		}
-	})))
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

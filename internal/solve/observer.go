@@ -1,52 +1,47 @@
 package solve
 
-import "repro/internal/model"
+import "repro/internal/opt"
 
-// Progress is one synthesis progress event. Events are emitted in step
-// order per phase; for the annealing strategies with several restart
-// chains, events of different chains interleave (Chain tells them
-// apart) but the stream as a whole is still delivered one event at a
-// time.
+// Progress is one synthesis progress event: the optimizer's event (see
+// opt.Progress for the fields) labelled with the strategy that emitted
+// it. Events are emitted in step order per phase; for the annealing
+// strategies with several restart chains, events of different chains
+// interleave (Chain tells them apart) but the stream as a whole is
+// still delivered one event at a time.
 type Progress struct {
 	// Strategy is the strategy being run (Explore for Solver.Explore,
 	// including its OS/OR warm-start phases).
 	Strategy Strategy
-	// Phase is the algorithm stage: "sf", "os" (slot search), "or"
-	// (hill climbing), "sa" (annealing) or "dse" (design-space
-	// exploration generations).
-	Phase string
-	// Chain is the annealing chain index (0 outside "sa").
-	Chain int
-	// Step is the per-phase step counter: the TDMA position for "os",
-	// the hill-climbing iteration for "or", the annealing iteration for
-	// "sa".
-	Step int
-	// Evaluations counts the schedulability analyses spent so far in
-	// this phase (per chain for "sa").
-	Evaluations int
-	// BestDelta, BestBuffers and Schedulable describe the incumbent
-	// solution (of the emitting chain for "sa"). A Pareto exploration
-	// has no single incumbent, so "dse" events leave them zero and
-	// report FrontSize/Hypervolume instead.
-	BestDelta   model.Time
-	BestBuffers int
-	Schedulable bool
-	// FrontSize and Hypervolume describe the archive of a "dse" phase
-	// (zero elsewhere).
-	FrontSize   int
-	Hypervolume float64
+	opt.Progress
 }
 
-// Observer receives synthesis progress events. Implementations must be
-// fast — OnProgress is called synchronously from the optimizer's
-// reducing goroutine — and need not be goroutine-safe: the Solver
-// serializes delivery.
-type Observer interface {
-	OnProgress(Progress)
+// Observer receives synthesis progress events. It must be fast — it is
+// called synchronously from the optimizer's reducing goroutine — and
+// need not be goroutine-safe: the Solver serializes delivery.
+type Observer func(Progress)
+
+// emit serializes an event to the observer, if any.
+func (s *Solver) emit(p Progress) {
+	obs := s.opts.Observer
+	if obs == nil {
+		return
+	}
+	s.obsMu.Lock()
+	obs(p)
+	s.obsMu.Unlock()
 }
 
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(Progress)
-
-// OnProgress implements Observer.
-func (f ObserverFunc) OnProgress(p Progress) { f(p) }
+// observe is the one adapter from the optimizers' progress hooks to
+// the observer: it labels each event with strat and adds evalBase, the
+// analyses the call spent before the emitting phase started, to its
+// Evaluations. It is nil without an observer, so producers skip
+// building events nobody reads.
+func (s *Solver) observe(strat Strategy, evalBase int) func(opt.Progress) {
+	if s.opts.Observer == nil {
+		return nil
+	}
+	return func(p opt.Progress) {
+		p.Evaluations += evalBase
+		s.emit(Progress{Strategy: strat, Progress: p})
+	}
+}

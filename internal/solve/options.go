@@ -100,7 +100,7 @@ func WithObserver(obs Observer) Option { return func(o *Options) { o.Observer = 
 // default; results are bit-identical either way).
 func WithDelta(on bool) Option { return func(o *Options) { o.NoDelta = !on } }
 
-// WithOROptions tunes the OS/OR budgets (iteration caps, seed limits,
-// neighbour budgets). Worker counts and the random seed come from
+// WithOROptions tunes the OS/OR budgets (iteration caps, HOPA and
+// slot-candidate budgets, neighbour budgets). Worker counts and the random seed come from
 // WithWorkers and WithSeed.
 func WithOROptions(or opt.OROptions) Option { return func(o *Options) { o.OR = or } }

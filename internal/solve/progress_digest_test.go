@@ -52,7 +52,7 @@ func TestProgressStreamDigest(t *testing.T) {
 			t.Fatalf("corpus member %d: %v", i, err)
 		}
 		s, err := New(sys.Application, sys.Architecture,
-			WithWorkers(1), WithSARestarts(2), WithObserver(ObserverFunc(record)))
+			WithWorkers(1), WithSARestarts(2), WithObserver(record))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -126,53 +126,10 @@ func (s *Solver) DeltaStats() core.MemoStats {
 // table until they are dropped.
 func Memo(s *Solver) *core.Memo { return s.ev }
 
-// emit serializes an event to the observer, if any.
-func (s *Solver) emit(p Progress) {
-	obs := s.opts.Observer
-	if obs == nil {
-		return
-	}
-	s.obsMu.Lock()
-	obs.OnProgress(p)
-	s.obsMu.Unlock()
-}
-
-// observeOpt adapts the observer to the opt package's progress hook.
-func (s *Solver) observeOpt(strat Strategy) func(opt.Progress) {
-	if s.opts.Observer == nil {
-		return nil
-	}
-	return func(p opt.Progress) {
-		ev := Progress{Strategy: strat, Phase: p.Phase, Step: p.Step, Evaluations: p.Evaluations}
-		if p.Best != nil {
-			ev.BestDelta = p.Best.Delta()
-			ev.BestBuffers = p.Best.STotal()
-			ev.Schedulable = p.Best.Schedulable()
-		}
-		s.emit(ev)
-	}
-}
-
-// observeSA adapts the observer to the sa package's progress hook.
-func (s *Solver) observeSA(strat Strategy) func(sa.Progress) {
-	if s.opts.Observer == nil {
-		return nil
-	}
-	return func(p sa.Progress) {
-		ev := Progress{Strategy: strat, Phase: "sa", Chain: p.Chain, Step: p.Iteration, Evaluations: p.Evaluations}
-		if p.Best != nil {
-			ev.BestDelta = p.Best.Delta()
-			ev.BestBuffers = p.Best.STotal()
-			ev.Schedulable = p.Best.Schedulable()
-		}
-		s.emit(ev)
-	}
-}
-
 // hooks are the OS/OR hooks of one run: progress to the observer,
 // analyses through the session evaluator.
 func (s *Solver) hooks(strat Strategy) opt.Hooks {
-	return opt.Hooks{OnProgress: s.observeOpt(strat), Eval: s.eval()}
+	return opt.Hooks{OnProgress: s.observe(strat, 0), Eval: s.eval()}
 }
 
 // orOptions assembles the OR options of one run from the session
@@ -248,7 +205,7 @@ func (s *Solver) Anneal(ctx context.Context, obj sa.Objective, initial *core.Con
 		Objective: obj, Iterations: s.opts.SAIterations, Seed: seed,
 		Restarts: s.opts.SARestarts, Workers: s.opts.Workers,
 		Eval:       s.eval(),
-		OnProgress: s.observeSA(strat),
+		OnProgress: s.observe(strat, 0),
 	})
 }
 
@@ -270,8 +227,7 @@ func (s *Solver) SynthesizeWith(ctx context.Context, strat Strategy) (*Result, e
 			return nil, err
 		}
 		res := &Result{Config: r.Config, Analysis: r.Analysis, Evaluations: 1}
-		s.emit(Progress{Strategy: strat, Phase: "sf", Step: 1, Evaluations: 1,
-			BestDelta: r.Delta(), BestBuffers: r.STotal(), Schedulable: r.Schedulable()})
+		s.emit(Progress{Strategy: strat, Progress: opt.NewProgress("sf", 0, 1, 1, r)})
 		return res, nil
 
 	case OptimizeSchedule:

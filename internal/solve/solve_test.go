@@ -210,11 +210,11 @@ func TestObserverStream(t *testing.T) {
 	app, arch := system(t, 2)
 	var mu sync.Mutex
 	var events []Progress
-	obs := ObserverFunc(func(p Progress) {
+	obs := func(p Progress) {
 		mu.Lock()
 		events = append(events, p)
 		mu.Unlock()
-	})
+	}
 	s, err := New(app, arch, WithObserver(obs), WithSAIterations(20))
 	if err != nil {
 		t.Fatal(err)
@@ -260,12 +260,12 @@ func TestSynthesizeCancellation(t *testing.T) {
 		// Cancel from inside the progress stream, after the first
 		// reduction step — guaranteed mid-run.
 		fired := false
-		obs := ObserverFunc(func(Progress) {
+		obs := func(Progress) {
 			if !fired {
 				fired = true
 				cancel()
 			}
-		})
+		}
 		s, err := New(app, arch, WithObserver(obs), WithWorkers(4), WithSAIterations(500), WithSARestarts(4))
 		if err != nil {
 			t.Fatal(err)
@@ -347,7 +347,7 @@ func TestObservedSharesCachesStreamsOwnEvents(t *testing.T) {
 	var parentEvents []Progress
 	parent, err := New(app, arch,
 		WithStrategy(OptimizeResources),
-		WithObserver(ObserverFunc(func(p Progress) { parentEvents = append(parentEvents, p) })))
+		WithObserver(func(p Progress) { parentEvents = append(parentEvents, p) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestObservedSharesCachesStreamsOwnEvents(t *testing.T) {
 
 	var derivedEvents []Progress
 	derived := parent.Derive(WithStrategy(OptimizeResources),
-		WithObserver(ObserverFunc(func(p Progress) { derivedEvents = append(derivedEvents, p) })))
+		WithObserver(func(p Progress) { derivedEvents = append(derivedEvents, p) }))
 	if derived.ev != parent.ev {
 		t.Error("derived session does not share the parent's evaluator")
 	}

@@ -104,7 +104,7 @@ func TestSolverObserverFacade(t *testing.T) {
 	var events []Progress
 	solver, err := NewSolver(sys.Application, sys.Architecture,
 		WithStrategy(StrategyOptimizeSchedule),
-		WithObserver(ObserverFunc(func(p Progress) { events = append(events, p) })))
+		WithObserver(func(p Progress) { events = append(events, p) }))
 	if err != nil {
 		t.Fatalf("NewSolver: %v", err)
 	}

@@ -3,7 +3,6 @@ package repro
 import (
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/opt"
 	"repro/internal/solve"
 )
 
@@ -30,10 +29,9 @@ type Option = solve.Option
 // Observer receives synthesis progress events; see WithObserver.
 type Observer = solve.Observer
 
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc = solve.ObserverFunc
-
-// Progress is one synthesis progress event.
+// Progress is one synthesis progress event: the strategy plus the
+// optimizer's event (phase, chain, step, evaluations, incumbent
+// quality, and the front size and hypervolume of an exploration).
 type Progress = solve.Progress
 
 // SolverOptions is the normalized option set of a Solver (inspectable
@@ -78,11 +76,6 @@ func WithWorkers(n int) Option { return solve.WithWorkers(n) }
 
 // WithObserver streams progress events to obs while operations run.
 func WithObserver(obs Observer) Option { return solve.WithObserver(obs) }
-
-// WithOROptions tunes the OS/OR budgets (iteration caps, seed limits,
-// neighbour budgets). Worker counts and the random seed come from
-// WithWorkers and WithSeed.
-func WithOROptions(or opt.OROptions) Option { return solve.WithOROptions(or) }
 
 // WithDelta toggles the incremental delta-evaluation engine (on by
 // default). Synthesis results are bit-identical either way — the
