@@ -62,7 +62,7 @@ type Options struct {
 // is multiplied by cooling every epoch moves; each step draws one of
 // moveBudget generated candidate moves.
 const (
-	initialTemp = 1000
+	initialTemp = 1000.0
 	cooling     = 0.95
 	epoch       = 10
 	moveBudget  = 16
@@ -130,7 +130,7 @@ func runChain(ctx context.Context, app *model.Application, arch *model.Architect
 	cur := &opt.Result{Config: initial, Analysis: curA}
 	best := cur
 	res := &Result{Best: best, Evaluations: 1}
-	temp := float64(initialTemp)
+	temp := initialTemp
 	for it := 0; it < opts.Iterations; it++ {
 		if ctx.Err() != nil {
 			res.Best = best

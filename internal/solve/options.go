@@ -101,6 +101,6 @@ func WithObserver(obs Observer) Option { return func(o *Options) { o.Observer = 
 func WithDelta(on bool) Option { return func(o *Options) { o.NoDelta = !on } }
 
 // WithOROptions tunes the OS/OR budgets (iteration caps, HOPA and
-// slot-candidate budgets, neighbour budgets). Worker counts and the random seed come from
-// WithWorkers and WithSeed.
+// slot-candidate budgets, neighbour budgets). Worker counts and the
+// random seed come from WithWorkers and WithSeed.
 func WithOROptions(or opt.OROptions) Option { return func(o *Options) { o.OR = or } }
